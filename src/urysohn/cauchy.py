@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .certificates import Check
 from .engine import LimitOracle, RelExtension
 from .metric import FinMetric, OnePointSpec, fin_metric, one_point_feasible, validate_metric
-from .rationals import ZERO, pow2
+from .rationals import ZERO, pow2, scaled
 from .relational import PredTable, StructureK, find_lipschitz_violation, tuples_over
 
 Slot = tuple[int, int]
@@ -330,6 +331,9 @@ def extend_one_point(
     certs: list[Fraction] = []
     all_checks: list[Check] = []
     values: list[StepValue] = []
+    # windows are clamped in integers over a scale that holds every target
+    # value, every oracle value and the step's own distances
+    pred_den = lcm(1, *{v.denominator for v in target.pred.values()})
     for level in range(1, depth + 1):
         avec = [a.at(required_depth(k, level)) for a in anchors]
         if len(set(avec)) != len(avec):
@@ -369,6 +373,9 @@ def extend_one_point(
             }
             entries.update({(temp, p): v for p, v in base_dists.items()})
             ext_metric = fin_metric(base_pts + [temp], entries)
+            scale = lcm(pred_den, o.den, *{v.denominator for v in base_dists.values()})
+            ext_d = {pair: scaled(v, scale) for pair, v in ext_metric.table.items()}
+            tail_d = None
             to_target = {a: olds[i] for i, a in enumerate(avec)}
             if prev:
                 to_target[prev] = new_pt
@@ -381,11 +388,24 @@ def extend_one_point(
                     g_known = assigned.get((n, pos))
                     orig_m = back[(n, pos)]
                     defined: dict[tuple[str, ...], Fraction] = {}
+                    defined_i: dict[tuple[str, ...], int] = {}
                     if g_known is None:
                         # birth of a fresh slot: pin it along every anchor
                         # tail level this run will read, so later steps see
                         # target-accurate values instead of a sagging envelope
-                        acc: dict[tuple[str, ...], Fraction] = {}
+                        if tail_d is None:
+                            tails = list(dict.fromkeys(
+                                a.at(required_depth(k, lev))
+                                for lev in range(1, depth + 1)
+                                for a in anchors
+                            ))
+                            tail_d = {
+                                (x, y): scaled(o.distance(x, y), scale)
+                                for x in tails
+                                for y in tails
+                                if x != y
+                            }
+                        acc: dict[tuple[str, ...], int] = {}
                         for lev in range(1, depth + 1):
                             pts_j = tuple(a.at(required_depth(k, lev)) for a in anchors)
                             proj = {p: olds[i] for i, p in enumerate(pts_j)}
@@ -395,7 +415,7 @@ def extend_one_point(
                                 eps = target.pred[
                                     (n, orig_m, tuple(proj[p] for p in tup))
                                 ]
-                                val = _clamped(eps, acc, lambda a, b: _osum(o, a, b), tup)
+                                val, val_i = _clamped(eps, acc, tail_d, tup, scale)
                                 sv = StepValue(level, (n, orig_m), tup, eps, val)
                                 values.append(sv)
                                 if sv.deviation > deviation_bound(n, level):
@@ -403,9 +423,10 @@ def extend_one_point(
                                         f"birth pin at slot ({n},{orig_m}), tuple {tup} "
                                         f"deviates by {sv.deviation}"
                                     )
-                                acc[tup] = val
+                                acc[tup] = val_i
                                 if lev == 1:
                                     defined[tup] = val
+                                    defined_i[tup] = val_i
                                 else:
                                     birth_pins.setdefault((n, pos), {})[tup] = val
                     for tup in sorted(
@@ -416,13 +437,12 @@ def extend_one_point(
                             continue
                         if g_known is not None and temp not in tup:
                             val = o.predicate_value(n, g_known, tup)
+                            val_i = scaled(val, scale)
                         else:
                             eps = target.pred[
                                 (n, orig_m, tuple(to_target[p] for p in tup))
                             ]
-                            val = _clamped(
-                                eps, defined, lambda a, b: _sum_dist(ext_metric, a, b), tup
-                            )
+                            val, val_i = _clamped(eps, defined_i, ext_d, tup, scale)
                             sv = StepValue(level, (n, orig_m), tup, eps, val)
                             values.append(sv)
                             if sv.deviation > deviation_bound(n, level):
@@ -431,6 +451,7 @@ def extend_one_point(
                                     f"deviates by {sv.deviation} > {deviation_bound(n, level)}"
                                 )
                         defined[tup] = val
+                        defined_i[tup] = val_i
                     for tup, val in defined.items():
                         pred[(n, pos, tup)] = val
             ext = StructureK(ext_metric, target.bound, pred)
@@ -454,24 +475,29 @@ def extend_one_point(
     )
 
 
-def _sum_dist(metric: FinMetric, a: tuple[str, ...], b: tuple[str, ...]) -> Fraction:
-    return sum((metric.d(x, y) for x, y in zip(a, b)), start=ZERO)
+def _clamped(eps, defined, dist, tup, scale) -> tuple[Fraction, int]:
+    """Clamp a target into the window the already-defined values admit.
 
-
-def _osum(o: LimitOracle, a: tuple[str, ...], b: tuple[str, ...]) -> Fraction:
-    return sum((o.distance(x, y) for x, y in zip(a, b)), start=ZERO)
-
-
-def _clamped(eps, defined, dist, tup) -> Fraction:
-    """Clamp a target into the window the already-defined values admit."""
-    val = eps
-    lo = max((w - dist(t2, tup) for t2, w in defined.items()), default=None)
-    hi = min((w + dist(t2, tup) for t2, w in defined.items()), default=None)
-    if lo is not None and val < lo:
-        val = lo
-    if hi is not None and val > hi:
-        val = hi
-    return val
+    ``defined`` holds values and ``dist`` the distances between distinct
+    points as integers at ``scale``; the clamped value comes back both as a
+    rational and at that scale.
+    """
+    val = v = scaled(eps, scale)
+    lo = hi = None
+    for t2, w in defined.items():
+        s = 0
+        for x, y in zip(t2, tup):
+            if x != y:
+                s += dist[(x, y)]
+        if lo is None or w - s > lo:
+            lo = w - s
+        if hi is None or w + s < hi:
+            hi = w + s
+    if lo is not None and v < lo:
+        v = lo
+    if hi is not None and v > hi:
+        v = hi
+    return (eps if v == val else Fraction(v, scale)), v
 
 
 def extend_singleton(

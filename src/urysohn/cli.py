@@ -14,6 +14,7 @@ from random import Random
 from .cauchy import (
     IndexedStructure,
     PartialIso,
+    SandwichInfeasible,
     SolverError,
     embed_structure,
     extend_one_point,
@@ -428,7 +429,14 @@ def main(argv=None) -> int:
     except (ParseError, RatParseError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    except (MetricTableError, WitnessError, OracleGrowthError, SolverError, ValueError) as exc:
+    except (
+        MetricTableError,
+        WitnessError,
+        OracleGrowthError,
+        SolverError,
+        SandwichInfeasible,
+        ValueError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

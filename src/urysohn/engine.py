@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
 from .metric import (
@@ -27,7 +28,7 @@ from .metric import (
     jep_gap_metric,
     path_amalgam_metric,
 )
-from .rationals import ZERO
+from .rationals import ZERO, scaled
 from .relational import (
     EMPTY_STRUCTURE,
     EmbeddingWitness,
@@ -192,6 +193,28 @@ class OracleGrowthError(Exception):
     """A growth request is inconsistent with the current oracle state."""
 
 
+def _envelope(entries, tup, dist) -> int:
+    """Katetov envelope max(0, w - d(t, tup)) over integer pins ``(t, w)``.
+
+    ``dist`` maps ordered pairs of distinct points to integer distances on the
+    pins' scale; a candidate is cut as soon as it falls under the running
+    maximum.
+    """
+    env = 0
+    for ptup, w in entries:
+        if w <= env:
+            continue
+        s = w
+        for x, y in zip(ptup, tup):
+            if x != y:
+                s -= dist[(x, y)]
+                if s <= env:
+                    break
+        else:
+            env = s
+    return env
+
+
 @dataclass(frozen=True)
 class RelExtension:
     """One-point predicate extension request against the oracle.
@@ -256,6 +279,7 @@ class LimitOracle:
         self.lip_const = lip_const
         self.seed = seed
         self._points: list[str] = []
+        self._pos: dict[str, int] = {}  # point -> the step that added it
         self._counts: dict[int, int] = {}
         self.registry: dict[tuple[int, int], int] = {}
         self._suit: dict[str, SuitableFn] = {}
@@ -273,30 +297,33 @@ class LimitOracle:
 
     # -- scaled representation ----------------------------------------------
 
-    def _to_den(self, v: Fraction) -> int:
-        q, r = divmod(self._den, v.denominator)
-        if r:
-            raise AssertionError(f"value {v} does not fit denominator {self._den}")
-        return v.numerator * q
+    @property
+    def den(self) -> int:
+        """The common denominator every stored distance and pin value fits."""
+        return self._den
 
-    def _ensure_den(self, values: Iterable[Fraction]):
-        from math import lcm
+    def _den_for(self, values: Iterable[Fraction]) -> int:
+        """The denominator that holds the present state and ``values`` exactly.
 
-        need = self._den
-        for v in values:
-            need = lcm(need, v.denominator)
+        Pure: the state is rescaled only by ``_rescale`` at commit time.
+        """
+        need = lcm(self._den, *{v.denominator for v in values})
         if need == self._den:
-            return
+            return need
         # pad with a block of two-powers so chains of halving levels do not
         # force a rescale at every step
-        need *= 2**12
-        factor = need // self._den
+        return need * 2**12
+
+    def _rescale(self, den: int):
+        factor = den // self._den
+        if factor == 1:
+            return
         for key in self._dist_i:
             self._dist_i[key] *= factor
         for pins in self._pins_i.values():
             for key in pins:
                 pins[key] *= factor
-        self._den = need
+        self._den = den
 
     # -- read access -------------------------------------------------------
 
@@ -309,7 +336,7 @@ class LimitOracle:
 
     def distance(self, x: str, y: str) -> Fraction:
         if x == y:
-            if x not in self._points:
+            if x not in self._pos:
                 raise MetricTableError(f"unknown point {x!r}")
             return ZERO
         try:
@@ -335,25 +362,8 @@ class LimitOracle:
         return cached
 
     def _envelope_i(self, pins: Mapping[tuple[str, ...], int], tup) -> int:
-        # hot path: recent pins tend to be closest, so scan newest first and
-        # cut a candidate as soon as it falls under the running maximum
-        best = 0
-        dd = self._dist_i
-        for ptup in reversed(pins):
-            v = pins[ptup]
-            if v <= best:
-                continue
-            s = v
-            alive = True
-            for x, y in zip(ptup, tup):
-                if x != y:
-                    s -= dd[(x, y)]
-                    if s <= best:
-                        alive = False
-                        break
-            if alive and s > best:
-                best = s
-        return best
+        # hot path: recent pins tend to be closest, so scan newest first
+        return _envelope(reversed(pins.items()), tup, self._dist_i)
 
     def suitable_at(self, point: str) -> SuitableFn:
         return self._suit[point]
@@ -381,11 +391,12 @@ class LimitOracle:
 
         Distances to non-base points go through the cheapest base point; with
         an empty base against a nonempty oracle, a joint-embedding gap twice
-        the largest value anywhere is used instead.
+        the largest value anywhere is used instead.  Every check runs before
+        the first write, so a refused request leaves the oracle unchanged.
         """
         base = list(base_dists.keys())
         for p in base:
-            if p not in self._points:
+            if p not in self._pos:
                 raise OracleGrowthError(f"base point {p!r} not in the oracle")
         if "prod" in self.modes and suitable is None:
             raise OracleGrowthError("prod mode requires a profile for the new point")
@@ -410,33 +421,39 @@ class LimitOracle:
         if rel is not None:
             slot_assign, fresh = self._check_rel(rel, base, base_dists)
 
-        full = self._extended_dists(base, base_dists, rel, suitable, lip_index)
+        # every path-rule distance is a base distance plus a stored one, so
+        # the request's own values fix the scale of the whole new row
+        incoming = list(base_dists.values())
+        if rel is not None:
+            incoming += rel.ext.pred.values()
+            for pins in rel.birth_pins.values():
+                incoming += pins.values()
+        gap = None
+        if not base and self._points:
+            gap = self._gap(rel, suitable, lip_index)
+            incoming.append(gap)
+        den = self._den_for(incoming)
+        row = self._extended_row(base_dists, gap, den)
+        full = {q: Fraction(v, den) for q, v in row.items()}
 
         if suitable is not None:
             self._check_suitable(suitable, full)
         if lip_index is not None:
             self._check_lip(lip_index, full)
 
-        incoming = list(full.values())
-        if rel is not None:
-            incoming += list(rel.ext.pred.values())
-            for pins in rel.birth_pins.values():
-                incoming += list(pins.values())
-        self._ensure_den(incoming)
-
         new_id = f"u{len(self._points) + 1}"
         pins_delta: dict[tuple[int, int], dict[tuple[str, ...], int]] = {}
         if rel is not None:
-            pins_delta = self._rel_pins(rel, slot_assign, new_id, full)
+            pins_delta = self._rel_pins(rel, slot_assign, new_id, row, den)
 
         # commit
-        den = self._den
+        self._rescale(den)
         self._points.append(new_id)
-        for p, v in full.items():
-            vi = self._to_den(v)
+        step = len(self._points)
+        self._pos[new_id] = step
+        for p, vi in row.items():
             self._dist_i[(new_id, p)] = vi
             self._dist_i[(p, new_id)] = vi
-        step = len(self._points)
         for n, g in fresh:
             self._counts[n] = max(self._counts.get(n, 0), g)
             self.registry[(n, g)] = step
@@ -450,40 +467,49 @@ class LimitOracle:
         if lip_index is not None:
             self._lip[new_id] = lip_index
         self.log.append(
-            GrowthRecord(new_id, dict(full), log_pins, tuple(fresh), suitable, lip_index)
+            GrowthRecord(new_id, full, log_pins, tuple(fresh), suitable, lip_index)
         )
         return GrowthResult(new_id, slot_assign)
 
-    def _extended_dists(self, base, base_dists, rel, suitable, lip_index) -> dict[str, Fraction]:
-        full = dict(base_dists)
-        others = [p for p in self._points if p not in base_dists]
-        if base:
-            den = self._den
-            dd = self._dist_i
-            for q in others:
-                full[q] = min(
-                    base_dists[p] + Fraction(dd[(p, q)], den) for p in base
-                )
-        elif others:
-            m = Fraction(max(self._dist_i.values(), default=0), self._den)
-            for pins in self._pins_i.values():
-                m = max(m, Fraction(max(pins.values(), default=0), self._den))
-            if rel is not None:
-                m = max(m, max(rel.ext.pred.values(), default=ZERO))
-            for f in self._suit.values():
-                m = max(m, f.max_value())
-            if suitable is not None:
-                m = max(m, suitable.max_value())
-            if lip_index is not None and self._lip:
-                m_f = max(
-                    self.polish.d_idx(lip_index, i) / self.lip_const
-                    for i in self._lip.values()
-                )
-                m = max(m, m_f)
-            gap = 2 * m if m > 0 else Fraction(1)
-            for q in others:
-                full[q] = gap
-        return full
+    def _extended_row(self, base_dists, gap, den) -> dict[str, int]:
+        """Distances from the new point to every point, as integers at ``den``.
+
+        Base points keep their requested distance.  Every other point goes
+        through its cheapest base point, or sits at ``gap`` when the base is
+        empty.
+        """
+        row = {p: scaled(e, den) for p, e in base_dists.items()}
+        if gap is not None:
+            gap_i = scaled(gap, den)
+            for q in self._points:
+                row[q] = gap_i
+            return row
+        factor = den // self._den
+        dd = self._dist_i
+        via = list(row.items())
+        for q in self._points:
+            if q not in row:
+                row[q] = min([e + dd[(p, q)] * factor for p, e in via])
+        return row
+
+    def _gap(self, rel, suitable, lip_index) -> Fraction:
+        """Joint-embedding gap: twice the largest value anywhere, or 1."""
+        m = Fraction(max(self._dist_i.values(), default=0), self._den)
+        for pins in self._pins_i.values():
+            m = max(m, Fraction(max(pins.values(), default=0), self._den))
+        if rel is not None:
+            m = max(m, max(rel.ext.pred.values(), default=ZERO))
+        for f in self._suit.values():
+            m = max(m, f.max_value())
+        if suitable is not None:
+            m = max(m, suitable.max_value())
+        if lip_index is not None and self._lip:
+            m_f = max(
+                self.polish.d_idx(lip_index, i) / self.lip_const
+                for i in self._lip.values()
+            )
+            m = max(m, m_f)
+        return 2 * m if m > 0 else Fraction(1)
 
     def _check_rel(self, rel: RelExtension, base, base_dists):
         ext, bm = rel.ext, rel.base_map
@@ -517,7 +543,7 @@ class LimitOracle:
             for tup in pins:
                 if len(tup) != slot[0]:
                     raise OracleGrowthError(f"birth pin arity mismatch at {tup}")
-                if any(p not in self._points for p in tup):
+                if any(p not in self._pos for p in tup):
                     raise OracleGrowthError(f"birth pin on unknown points {tup}")
         slot_assign: dict[tuple[int, int], int] = {}
         fresh: list[tuple[int, int]] = []
@@ -555,87 +581,98 @@ class LimitOracle:
                     )
         return slot_assign, fresh
 
-    def _rel_pins(self, rel, slot_assign, new_id, full) -> dict:
+    def _rel_pins(self, rel, slot_assign, new_id, row, den) -> dict:
         """Transport extension values, keep only pins the envelope does not force.
 
-        New values are also checked 1-Lipschitz against every existing pin of
-        the same slot under the extended metric.  Everything runs over the
-        common denominator; results are integers at that scale.
+        Integers at ``den`` throughout, and no read of the oracle beyond the
+        points the request touches: the new point's own row, the distances
+        among the request's points, and envelope values on base tuples,
+        which _check_rel has already read.
+
+        A fresh slot holds no pins yet; all its entries, birth pins included,
+        must be mutually 1-Lipschitz.  On a realized slot, a tuple t that
+        contains the new point x takes its envelope over the request's base
+        entries plus the pins this request has already added.  Write P for
+        the stored pins, E(t) = max(0, max over (p, w) in P of w - d(p, t))
+        for their envelope, B for the base and e_b for the requested distance
+        to b.
+
+        (a) Path row.  For every old point q, d(x, q) = min over b of
+            e_b + d(b, q): off the base the row is built that way, and on the
+            base it holds because grow has checked |e_b - e_q| <= d(b, q).
+            Summing over the coordinates of t, every old tuple p has
+            d(p, t) = min over s in S(t) of d(p, s) + d(s, t), where S(t) are
+            the base tuples that put a base point at each place of x in t.
+            So E(t) = max(0, max over s in S(t) of E(s) - d(s, t)), and s may
+            range over all of B^n, because E is 1-Lipschitz.
+        (b) Base agreement.  _check_rel has verified v(s) = E(s) for every
+            base tuple s, so (a) is the envelope of the request's base
+            entries.  Pins added earlier in the request join both envelopes
+            alike, so the local envelope is the one over P plus those pins.
+        (c) Lipschitz law against every stored pin (p, w).  validate_k(ext)
+            gives v(t) >= v(s) - d(s, t) for every s in B^n and v(t) >= 0,
+            so v(t) >= E(t) >= w - d(p, t) by (a) and (b).  Conversely, take
+            s in S(t) attaining d(p, t) in (a); then
+            v(t) <= v(s) + d(s, t) = E(s) + d(s, t) <= w + d(p, s) + d(s, t)
+            = w + d(p, t), since E(p) = w: every stored pin is reproduced by
+            its envelope, which grow keeps and validate_state checks.
+        With an empty base, d(x, q) is the gap, at least twice every stored
+        and requested value; then E(t) = 0, the envelope of no entries, and
+        d(p, t) >= gap covers both directions of (c).  So the scan of every
+        stored pin that (c) replaces could never refuse a request that
+        validate_k and _check_rel accept; the tests keep it as a reference.
         """
         ext, bm = rel.ext, rel.base_map
         trans = dict(bm)
         new_pt = next(p for p in ext.points if p not in bm)
         trans[new_pt] = new_id
 
-        dd = dict(self._dist_i)
-        for p, v in full.items():
-            vi = self._to_den(v)
-            dd[(new_id, p)] = vi
-            dd[(p, new_id)] = vi
+        touched = dict.fromkeys(trans.values())
+        for pins in rel.birth_pins.values():
+            for tup in pins:
+                touched.update(dict.fromkeys(tup))
+        factor = den // self._den
+        dd = self._dist_i
+        ld: dict[tuple[str, str], int] = {}
+        for x in touched:
+            for y in touched:
+                if x != y:
+                    ld[(x, y)] = (
+                        row[y] if x == new_id else row[x] if y == new_id
+                        else dd[(x, y)] * factor
+                    )
 
-        def xenv(entries, mt):
-            env = 0
-            for ptup, w in entries:
-                if w <= env:
-                    continue
-                s = w
-                for x, y in zip(ptup, mt):
-                    if x != y:
-                        s -= dd[(x, y)]
-                        if s <= env:
-                            break
-                else:
-                    env = max(env, s)
-            return env
-
-        den = self._den
         delta: dict[tuple[int, int], dict[tuple[str, ...], int]] = {}
         for (n, m) in sorted(ext.slots()):
             g = slot_assign[(n, m)]
             fresh_slot = (n, g) not in self._pins_i
-            existing = self._pins_i.get((n, g), {})
             entries: list[tuple[tuple[str, ...], int]] = []
             for tup, v in sorted(rel.birth_pins.get((n, m), {}).items()):
-                entries.append((tup, self._to_den(v)))
+                entries.append((tup, scaled(v, den)))
             for tup in sorted(tuples_over(ext.points, n), key=lambda t: (new_pt in t, t)):
                 entries.append(
-                    (tuple(trans[p] for p in tup), self._to_den(ext.pred[(n, m, tup)]))
+                    (tuple(trans[p] for p in tup), scaled(ext.pred[(n, m, tup)], den))
                 )
             if fresh_slot:
                 # a new slot must be born mutually consistent
                 for i, (ta, va) in enumerate(entries):
                     for tb, vb in entries[i + 1 :]:
-                        gap = sum(dd[(x, y)] for x, y in zip(ta, tb) if x != y)
+                        gap = sum(ld[(x, y)] for x, y in zip(ta, tb) if x != y)
                         if va > vb + gap or vb > va + gap:
                             raise OracleGrowthError(
                                 f"fresh slot ({n},{g}) born inconsistent at "
                                 f"{ta} = {Fraction(va, den)} vs {tb} = {Fraction(vb, den)}"
                             )
+            base_entries: list[tuple[tuple[str, ...], int]] = []
             added: dict[tuple[str, ...], int] = {}
             for mt, v in entries:
-                if not fresh_slot and new_id in mt:
-                    # both directions of the 1-Lipschitz law against every
-                    # existing pin, with the distance sum cut early
-                    for ptup, w in existing.items():
-                        gap_needed = w - v if w >= v else v - w
-                        s = 0
-                        short = False
-                        for x, y in zip(mt, ptup):
-                            if x != y:
-                                s += dd[(x, y)]
-                                if s >= gap_needed:
-                                    short = True
-                                    break
-                        if not short and s < gap_needed:
-                            raise OracleGrowthError(
-                                f"value {Fraction(v, den)} at {mt} breaks slot "
-                                f"({n},{g}) against pin {ptup} = {Fraction(w, den)}"
-                            )
-                    env = xenv(list(existing.items()) + list(added.items()), mt)
-                elif not fresh_slot:
-                    env = self._to_den(self.predicate_value(n, g, mt))
+                if fresh_slot:
+                    env = _envelope(added.items(), mt, ld)
+                elif new_id in mt:
+                    env = _envelope(base_entries + list(added.items()), mt, ld)
                 else:
-                    env = xenv(list(existing.items()) + list(added.items()), mt)
+                    env = scaled(self.predicate_value(n, g, mt), den)
+                    base_entries.append((mt, env))
                 if v < env:
                     raise OracleGrowthError(
                         f"value {Fraction(v, den)} at {mt} undershoots the envelope "
@@ -705,8 +742,9 @@ class LimitOracle:
 
         The envelope of any pin set is 1-Lipschitz by construction, so the
         realized state is valid exactly when the distance table is a metric
-        and every pin value is reproduced by its slot's envelope.  Runs in
-        integer arithmetic; cubic in the point count but free of the
+        and every pin value is reproduced by its slot's envelope.  Each
+        logged pin must also sit on a slot registered by its step and on
+        points that exist at that step.  Runs in integer arithmetic; cubic in the point count but free of the
         exponential tuple tables a materialized snapshot would need.
         """
         report = []
@@ -729,6 +767,15 @@ class LimitOracle:
                     if z != x and z != y and dxy > dd[(x, z)] + dd[(z, y)]:
                         report.append(f"metric: triangle ({x},{y}) via {z}")
                         break
+        # where each pin stands is checked against the step that logged it
+        for step, rec in enumerate(self.log, start=1):
+            for slot, delta in rec.pins.items():
+                for tup in delta:
+                    why = self._bad_pin(step, slot, tup)
+                    if why:
+                        report.append(why)
+        if report:
+            return report
         for (n, g), pins in sorted(self._pins_i.items()):
             for ptup, v in pins.items():
                 if self._envelope_i(pins, ptup) != v:
@@ -758,26 +805,47 @@ class LimitOracle:
                         report.append(f"labels of ({x},{y}) break the Lipschitz bound")
         return report
 
+    def _bad_pin(self, step: int, slot: tuple[int, int], tup: tuple[str, ...]) -> str | None:
+        """Why grow could not have stored this pin at ``step``, or None."""
+        born = self.registry.get(slot)
+        if born is None or born > step:
+            return f"step {step}: pin on slot {slot}, which is not registered by then"
+        if len(tup) != slot[0]:
+            return f"step {step}: pin at {tup} has the wrong arity for slot {slot}"
+        for p in tup:
+            if self._pos.get(p, step + 1) > step:
+                return f"step {step}: pin at {tup} on {p!r}, which does not exist yet"
+        return None
+
     def replay_record(self, rec: GrowthRecord):
-        """Re-apply a logged step verbatim (no re-validation)."""
+        """Re-apply a logged step.
+
+        Values are not re-validated (validate_state does that), but every pin
+        must sit on a slot registered at or before its record and on points
+        that exist at that step; OracleGrowthError otherwise.
+        """
         incoming = list(rec.dists.values())
         for delta in rec.pins.values():
-            incoming += list(delta.values())
-        self._ensure_den(incoming)
+            incoming += delta.values()
+        den = self._den_for(incoming)
+        self._rescale(den)
         self._points.append(rec.point)
+        step = len(self._points)
+        self._pos[rec.point] = step
         for p, v in rec.dists.items():
-            vi = self._to_den(v)
+            vi = scaled(v, den)
             self._dist_i[(rec.point, p)] = vi
             self._dist_i[(p, rec.point)] = vi
-        step = len(self._points)
         for n, g in rec.fresh:
             self._counts[n] = max(self._counts.get(n, 0), g)
             self.registry[(n, g)] = step
             self._pins_i[(n, g)] = {}
         for slot, delta in rec.pins.items():
-            self._pins_i.setdefault(slot, {}).update(
-                {tup: self._to_den(v) for tup, v in delta.items()}
-            )
+            for tup in delta:
+                why = self._bad_pin(step, slot, tup)
+                if why:
+                    raise OracleGrowthError(why)
+            self._pins_i[slot].update({tup: scaled(v, den) for tup, v in delta.items()})
         if rec.suitable is not None:
             self._suit[rec.point] = rec.suitable
         if rec.lip_index is not None:

@@ -57,6 +57,29 @@ def _rat(token: str, lineno: int) -> Fraction:
         raise ParseError(lineno, str(exc)) from None
 
 
+def _int(token: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(lineno, f"expected an integer, got {token!r}") from None
+
+
+def _fields(parts: list[str], count: int, lineno: int, what: str):
+    if len(parts) != count:
+        raise ParseError(lineno, f"{parts[0]} record wants {what}")
+
+
+def _tuple_record(parts: list[str], lineno: int) -> tuple[int, int, tuple[str, ...], Fraction]:
+    """``rec n m id_1 .. id_n value``, shared by predicate and pin records."""
+    if len(parts) < 5:
+        raise ParseError(lineno, f"{parts[0]} record wants n m ids value")
+    n, m = _int(parts[1], lineno), _int(parts[2], lineno)
+    tup = tuple(parts[3:-1])
+    if len(tup) != n:
+        raise ParseError(lineno, f"{parts[0]} tuple has {len(tup)} ids, wants {n}")
+    return n, m, tup, _rat(parts[-1], lineno)
+
+
 @dataclass
 class _Collector:
     points: list[str] = field(default_factory=list)
@@ -127,24 +150,21 @@ def parse_structure_file(text: str) -> ParsedFile:
                 raise ParseError(lineno, f"duplicate distance record for ({x}, {y})")
             col.dists[(x, y)] = _rat(parts[3], lineno)
         elif rec == "nA":
+            _fields(parts, 2, lineno, "one integer")
             if col.n_a is not None:
                 raise ParseError(lineno, "duplicate nA record")
-            col.n_a = int(parts[1])
+            col.n_a = _int(parts[1], lineno)
         elif rec == "L":
+            _fields(parts, 2, lineno, "one rational")
             if col.lip is not None:
                 raise ParseError(lineno, "duplicate L record")
             col.lip = _rat(parts[1], lineno)
         elif rec == "p":
-            if len(parts) < 5:
-                raise ParseError(lineno, "predicate record wants n m ids value")
-            n, m = int(parts[1]), int(parts[2])
-            tup = tuple(parts[3:-1])
-            if len(tup) != n:
-                raise ParseError(lineno, f"predicate tuple has {len(tup)} ids, wants {n}")
+            n, m, tup, v = _tuple_record(parts, lineno)
             key = (n, m, tup)
             if key in col.preds:
                 raise ParseError(lineno, f"duplicate predicate record {key}")
-            col.preds[key] = _rat(parts[-1], lineno)
+            col.preds[key] = v
         elif rec == "suit":
             if len(parts) != 3:
                 raise ParseError(lineno, "profile record wants an id and entries")
@@ -156,7 +176,7 @@ def parse_structure_file(text: str) -> ParsedFile:
                 raise ParseError(lineno, "label record wants an id and an index")
             if parts[1] in col.labels:
                 raise ParseError(lineno, f"duplicate label for {parts[1]!r}")
-            col.labels[parts[1]] = int(parts[2])
+            col.labels[parts[1]] = _int(parts[2], lineno)
         else:
             raise ParseError(lineno, f"unknown record {rec!r}")
     return ParsedFile(head, _assemble(head, col, last))
@@ -255,10 +275,12 @@ def _parse_oracle(lines) -> OracleFile:
         parts = line.split()
         rec = parts[0]
         if rec == "mode":
+            _fields(parts, 2, lineno, "one mode name")
             if cur is not None:
                 raise ParseError(lineno, "mode records must precede growth blocks")
             modes.append(parts[1])
         elif rec == "L":
+            _fields(parts, 2, lineno, "one rational")
             lip = _rat(parts[1], lineno)
         elif rec == "grow":
             flush(lineno)
@@ -275,17 +297,20 @@ def _parse_oracle(lines) -> OracleFile:
         elif cur is None:
             raise ParseError(lineno, f"record {rec!r} outside a growth block")
         elif rec == "gd":
+            _fields(parts, 3, lineno, "a point id and a rational")
             cur["dists"][parts[1]] = _rat(parts[2], lineno)
         elif rec == "gp":
-            n, g = int(parts[1]), int(parts[2])
-            tup = tuple(parts[3:-1])
-            cur["pins"].setdefault((n, g), {})[tup] = _rat(parts[-1], lineno)
+            n, g, tup, v = _tuple_record(parts, lineno)
+            cur["pins"].setdefault((n, g), {})[tup] = v
         elif rec == "greg":
-            cur["fresh"].append((int(parts[1]), int(parts[2])))
+            _fields(parts, 3, lineno, "an arity and a slot index")
+            cur["fresh"].append((_int(parts[1], lineno), _int(parts[2], lineno)))
         elif rec == "gsuit":
+            _fields(parts, 2, lineno, "profile entries")
             cur["suit"] = parse_profile_entries(parts[1], lineno)
         elif rec == "gpz":
-            cur["pz"] = int(parts[1])
+            _fields(parts, 2, lineno, "one integer")
+            cur["pz"] = _int(parts[1], lineno)
         else:
             raise ParseError(lineno, f"unknown record {rec!r}")
     flush(0)

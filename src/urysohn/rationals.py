@@ -20,6 +20,14 @@ def pow2(exponent: int) -> Fraction:
     return Fraction(1, 2**-exponent)
 
 
+def scaled(value: Fraction, den: int) -> int:
+    """``value`` as an integer over ``den``, which its denominator must divide."""
+    q, r = divmod(den, value.denominator)
+    if r:
+        raise AssertionError(f"value {value} does not fit denominator {den}")
+    return value.numerator * q
+
+
 def parse_rat(text: str) -> Fraction:
     """Parse the canonical "num/den" form, den > 0, both nonnegative."""
     parts = text.split("/")

@@ -14,10 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
+from math import lcm
 from typing import Iterable, Mapping
 
 from .metric import FinMetric, WitnessError, tuple_dist, validate_metric
-from .rationals import ZERO
+from .rationals import ZERO, scaled
 
 PredTable = dict[tuple[int, int, tuple[str, ...]], Fraction]
 
@@ -115,7 +116,14 @@ def validate_k(s: StructureK) -> list[str]:
 def find_lipschitz_violation(
     metric: FinMetric, values: Mapping[tuple[str, ...], Fraction]
 ):
-    """First pair breaking p(a) <= p(b) + d(a, b) in the sum metric, or None."""
+    """First pair breaking p(a) <= p(b) + d(a, b) in the sum metric, or None.
+
+    Pairs are scanned in sorted order of (a, b).  When every point the
+    tuples use is known and every distance among them is present and
+    nonnegative, the scan runs in integers over one common denominator;
+    otherwise it runs in rationals and raises MetricTableError at the first
+    missing entry it reaches.  Both give the same answer.
+    """
     items = sorted(values.items())
     lo = min((v for _, v in items), default=ZERO)
     hi = max((v for _, v in items), default=ZERO)
@@ -124,13 +132,55 @@ def find_lipschitz_violation(
         return ta, ta, values[ta], ZERO
     if lo == hi:
         return None  # constant tables always satisfy the law
-    for ta, va in items:
-        if va <= lo:
-            continue  # the global minimum can never be the violating side
-        for tb, vb in items:
-            if va > vb + tuple_dist(metric, ta, tb):
-                return ta, tb, va, vb + tuple_dist(metric, ta, tb)
+    scan = _scaled_scan(metric, items)
+    if scan is None:
+        for ta, va in items:
+            if va <= lo:
+                continue  # the global minimum can never be the violating side
+            for tb, vb in items:
+                if va > vb + tuple_dist(metric, ta, tb):
+                    return ta, tb, va, vb + tuple_dist(metric, ta, tb)
+        return None
+    lo_i = min(v for _, v, _, _ in scan)
+    for ta, va, _, rows in scan:
+        if va <= lo_i:
+            continue
+        for tb, vb, idx, _ in scan:
+            need = va - vb
+            if need > 0 and sum(r[j] for r, j in zip(rows, idx)) < need:
+                return ta, tb, values[ta], values[tb] + tuple_dist(metric, ta, tb)
     return None
+
+
+def _scaled_scan(metric, items):
+    """Scan rows (tuple, value, point indices, distance rows) in integers.
+
+    None when some point is unknown or some distance among the used points
+    is missing or negative, so that the rational scan decides instead.
+    """
+    used = sorted({p for t, _ in items for p in t})
+    known = set(metric.points)
+    if any(p not in known for p in used):
+        return None
+    index = {p: i for i, p in enumerate(used)}
+    table = metric.table
+    pairs = {}
+    for x in used:
+        for y in used:
+            if x != y:
+                d = table.get((x, y))
+                if d is None or d < 0:
+                    return None
+                pairs[(index[x], index[y])] = d
+    scale = lcm(*{v.denominator for _, v in items}, *{d.denominator for d in pairs.values()})
+    mat = [[0] * len(used) for _ in used]
+    for (i, j), d in pairs.items():
+        mat[i][j] = scaled(d, scale)
+    scan = []
+    for t, v in items:
+        idx = tuple(index[p] for p in t)
+        scan.append((t, scaled(v, scale), idx, [mat[i] for i in idx]))
+    return scan
 
 
 @dataclass(frozen=True)

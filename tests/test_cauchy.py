@@ -374,3 +374,56 @@ def test_deep_extension_bound_holds_at_depth_ten():
     for (n, g) in o.registry:
         vals = {tup: pred[(n, g, tup)] for tup in tuples_over(metric.points, n)}
         assert find_lipschitz_violation(metric, vals) is None
+
+
+# -- integer clamp windows against the rational ones ---------------------------
+
+
+def _rational_clamped(eps, defined, dist, tup):
+    """The all-rational clamp, kept as the reference for the integer one."""
+    val = eps
+    lo = max((w - dist(t2, tup) for t2, w in defined.items()), default=None)
+    hi = min((w + dist(t2, tup) for t2, w in defined.items()), default=None)
+    if lo is not None and val < lo:
+        val = lo
+    if hi is not None and val > hi:
+        val = hi
+    return val
+
+
+def test_integer_clamp_matches_rational():
+    from math import lcm
+    from random import Random
+
+    from urysohn.cauchy import _clamped
+    from urysohn.rationals import scaled
+
+    rng = Random(5)
+    pts = ("a", "b", "c", "d")
+    for _ in range(400):
+        d = {}
+        for i, x in enumerate(pts):
+            for y in pts[i + 1 :]:
+                d[(x, y)] = d[(y, x)] = F(rng.randint(1, 9), rng.choice([1, 2, 3, 8]))
+        n = rng.randint(1, 2)
+        tups = list(tuples_over(pts, n))
+        defined = {
+            t: F(rng.randint(0, 12), rng.choice([1, 2, 4, 6]))
+            for t in rng.sample(tups, rng.randint(0, min(5, len(tups))))
+        }
+        tup = rng.choice(tups)
+        eps = F(rng.randint(0, 12), rng.choice([1, 3, 5, 8]))
+
+        def rdist(a, b):
+            return sum((d[(x, y)] for x, y in zip(a, b) if x != y), start=F(0))
+
+        want = _rational_clamped(eps, defined, rdist, tup)
+        scale = lcm(eps.denominator, *(v.denominator for v in list(d.values()) + list(defined.values())))
+        got, got_i = _clamped(
+            eps,
+            {t: scaled(v, scale) for t, v in defined.items()},
+            {k: scaled(v, scale) for k, v in d.items()},
+            tup,
+            scale,
+        )
+        assert got == want and got_i == scaled(want, scale)

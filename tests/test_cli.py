@@ -209,3 +209,46 @@ def test_grow_lip_mode(tmp_path):
         ["grow", "--oracle", log, "--zspace", z, "--dist", "u1=2/1", "--pz", "2", "--out-log", log]
     ) == 0
     assert main(["validate", log, "--zspace", z]) == 0
+
+
+# a two-point BARK on which a sandwich step of `homog` has no solution
+BARK_INFEASIBLE = """BARK
+point x1
+point x2
+nA 2
+d x1 x2 1/8
+p 1 2 x1 1/2
+p 1 2 x2 3/8
+p 1 8 x1 1/2
+p 1 8 x2 3/8
+p 2 7 x1 x1 7/8
+p 2 7 x1 x2 3/4
+p 2 7 x2 x1 3/4
+p 2 7 x2 x2 5/8
+"""
+
+
+def test_infeasible_sandwich_is_an_error_not_a_traceback(tmp_path, capsys):
+    x = put(tmp_path, "x.bark", BARK_INFEASIBLE)
+    cert, log = str(tmp_path / "c"), str(tmp_path / "l")
+    argv = ["homog", x, "--wishes", "2", "--depth", "6", "--seed", "31", "--out", cert, "--out-log", log]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no admissible point at level 1")
+
+
+def test_missing_fields_are_parse_errors(tmp_path, capsys):
+    k = put(tmp_path, "short.k", "K\npoint a\nnA\n")
+    assert main(["validate", k]) == 1
+    assert capsys.readouterr().err.startswith("parse error: line 3: nA record wants")
+    log = put(tmp_path, "short.log", "ORACLE\ngrow u1\ngrow u2\ngd 1/1\n")
+    assert main(["validate", log]) == 1
+    assert capsys.readouterr().err.startswith("parse error: line 4: gd record wants")
+
+
+def test_validate_rejects_pin_on_unregistered_slot(tmp_path, capsys):
+    log = put(tmp_path, "pins.log", "ORACLE\ngrow u1\ngp 1 1 u1 1/2\ngrow u2\ngd u1 1/1\n")
+    assert main(["validate", log]) == 1
+    out = capsys.readouterr()
+    assert "valid" not in out.out.split()
+    assert "not registered" in out.err

@@ -349,3 +349,48 @@ def test_validate_state_clean_and_detects_tampering():
     # forge a pin the envelope cannot reproduce
     o._pins_i[(1, 1)][("u2",)] = -1
     assert any("not reproduced" in msg for msg in o.validate_state())
+
+
+def _replayed(records):
+    o = LimitOracle()
+    for rec in records:
+        o.replay_record(rec)
+    return o
+
+
+def test_replay_rejects_pins_grow_could_not_store():
+    from urysohn.engine import GrowthRecord
+
+    def rec(point, dists, pins=None, fresh=()):
+        return GrowthRecord(point, dists, pins or {}, fresh, None, None)
+
+    # the slot is never registered
+    with pytest.raises(OracleGrowthError, match="not registered"):
+        _replayed([rec("u1", {}, {(1, 1): {("u1",): F(1, 2)}})])
+    # the slot is registered only by a later record
+    with pytest.raises(OracleGrowthError, match="not registered"):
+        _replayed([
+            rec("u1", {}, {(1, 1): {("u1",): F(1, 2)}}),
+            rec("u2", {"u1": F(1)}, fresh=((1, 1),)),
+        ])
+    # the pin names a point that comes later
+    with pytest.raises(OracleGrowthError, match="does not exist yet"):
+        _replayed([
+            rec("u1", {}, {(1, 1): {("u2",): F(1, 2)}}, fresh=((1, 1),)),
+            rec("u2", {"u1": F(1)}),
+        ])
+    ok = _replayed([
+        rec("u1", {}, {(1, 1): {("u1",): F(1, 2)}}, fresh=((1, 1),)),
+        rec("u2", {"u1": F(1)}, {(1, 1): {("u2",): F(1)}}),
+    ])
+    assert ok.validate_state() == []
+
+
+def test_validate_state_reports_pins_out_of_place():
+    o = LimitOracle()
+    o.grow({}, rel=one_point_ext(1))
+    o.grow({"u1": F(1)})
+    assert o.log[0].pins == {(1, 1): {("u1",): F(1)}}
+    assert o.validate_state() == []
+    o.registry[(1, 1)] = 2  # as if the slot were registered after its pin
+    assert any("not registered" in msg for msg in o.validate_state())

@@ -128,3 +128,27 @@ def test_oracle_log_with_profiles():
     replayed = replay_oracle(parse_structure_file(text).value, compact=k)
     assert replayed.suitable_at("u2") == o.suitable_at("u2")
     assert serialize_structure("ORACLE", oracle_file(replayed)) == text
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("K\npoint a\nnA\n", 3),
+        ("K\npoint a\nnA one\n", 3),
+        ("L\npoint a\nL\n", 3),
+        ("K\npoint a\npoint b\np 1 x a 1/2\n", 4),
+        ("L\npoint a\nL 1/1\npz a q\n", 4),
+        ("ORACLE\nmode\n", 2),
+        ("ORACLE\ngrow u1\ngrow u2\ngd 1/1\n", 4),
+        ("ORACLE\ngrow u1\ngp 1 1 1/2\n", 3),
+        ("ORACLE\ngrow u1\ngp 2 1 u1 1/2\n", 3),
+        ("ORACLE\ngrow u1\ngreg 1\n", 3),
+        ("ORACLE\ngrow u1\ngreg 1 one\n", 3),
+        ("ORACLE\ngrow u1\ngsuit\n", 3),
+        ("ORACLE\ngrow u1\ngpz\n", 3),
+    ],
+)
+def test_truncated_records_raise_parse_errors(text, line):
+    with pytest.raises(ParseError) as info:
+        parse_structure_file(text)
+    assert info.value.line == line

@@ -251,3 +251,112 @@ def test_random_structures_validate(s):
 def test_identity_embedding_law(s):
     ok, _ = check_embedding_k(s, s, identity_witness(s))
     assert ok
+
+
+# -- integer scan of find_lipschitz_violation against the rational one ---------
+
+
+def _rational_lipschitz_violation(metric, values):
+    """The all-rational scan, kept as the reference for the integer path."""
+    from urysohn.metric import tuple_dist
+
+    items = sorted(values.items())
+    lo = min((v for _, v in items), default=F(0))
+    hi = max((v for _, v in items), default=F(0))
+    if lo < 0:
+        ta = min(items, key=lambda kv: (kv[1], kv[0]))[0]
+        return ta, ta, values[ta], F(0)
+    if lo == hi:
+        return None
+    for ta, va in items:
+        if va <= lo:
+            continue
+        for tb, vb in items:
+            if va > vb + tuple_dist(metric, ta, tb):
+                return ta, tb, va, vb + tuple_dist(metric, ta, tb)
+    return None
+
+
+_small_rat = st.builds(
+    F, st.integers(min_value=-2, max_value=12), st.sampled_from([1, 2, 3, 4, 8])
+)
+
+
+@st.composite
+def lipschitz_tables(draw):
+    """A table over a possibly broken distance table.
+
+    Distances may be negative, asymmetric or missing, and the tuples may use
+    a point the metric does not know; values may be negative or constant.
+    """
+    from urysohn.metric import FinMetric
+
+    pts = ("p", "q", "r")[: draw(st.integers(min_value=1, max_value=3))]
+    table = {}
+    for x in pts:
+        for y in pts:
+            if x < y and draw(st.integers(min_value=0, max_value=15)):
+                table[(x, y)] = draw(_small_rat)
+                table[(y, x)] = (
+                    draw(_small_rat) if draw(st.integers(0, 9)) == 0 else table[(x, y)]
+                )
+    used = pts + ("z",) if draw(st.integers(0, 9)) == 0 else pts
+    n = draw(st.integers(min_value=1, max_value=2))
+    const = draw(_small_rat) if draw(st.integers(0, 5)) == 0 else None
+    values = {
+        tup: const if const is not None else draw(_small_rat)
+        for tup in tuples_over(used, n)
+    }
+    return FinMetric(pts, table), values
+
+
+def _outcome(fn, metric, values):
+    from urysohn.metric import MetricTableError
+
+    try:
+        return fn(metric, values)
+    except MetricTableError as exc:
+        return ("raised", str(exc))
+
+
+@given(lipschitz_tables())
+@settings(max_examples=300, deadline=None)
+def test_integer_lipschitz_scan_matches_rational(case):
+    from urysohn.relational import find_lipschitz_violation
+
+    metric, values = case
+    got = _outcome(find_lipschitz_violation, metric, values)
+    want = _outcome(_rational_lipschitz_violation, metric, values)
+    assert got == want
+    if got is not None and got[0] != "raised":
+        assert all(type(a) is type(b) for a, b in zip(got, want))
+
+
+def test_integer_lipschitz_scan_reports_first_pair_exactly():
+    from urysohn.relational import find_lipschitz_violation
+
+    m = fin_metric(["a", "b", "c"], {("a", "b"): F(1, 3), ("a", "c"): F(1, 2), ("b", "c"): F(1, 2)})
+    values = {("a",): F(0), ("b",): F(1, 2), ("c",): F(7, 6)}
+    assert find_lipschitz_violation(m, values) == (("b",), ("a",), F(1, 2), F(1, 3))
+    assert find_lipschitz_violation(m, values) == _rational_lipschitz_violation(m, values)
+
+
+def test_integer_lipschitz_scan_defers_on_broken_tables():
+    from urysohn.metric import FinMetric, MetricTableError
+    from urysohn.relational import find_lipschitz_violation
+
+    # a negative distance lets equal values violate the law
+    m = FinMetric(
+        ("a", "b", "c"),
+        {("a", "b"): F(-1), ("b", "a"): F(-1), ("a", "c"): F(5), ("c", "a"): F(5),
+         ("b", "c"): F(5), ("c", "b"): F(5)},
+    )
+    values = {("a",): F(1), ("b",): F(1), ("c",): F(0)}
+    want = (("a",), ("b",), F(1), F(0))
+    assert find_lipschitz_violation(m, values) == want
+    assert _rational_lipschitz_violation(m, values) == want
+    # distances to a point the metric does not list still make it unknown
+    m = FinMetric(("p",), {("p", "z"): F(1), ("z", "p"): F(1)})
+    values = {("p",): F(0), ("z",): F(1)}
+    with pytest.raises(MetricTableError, match="unknown point"):
+        find_lipschitz_violation(m, values)
