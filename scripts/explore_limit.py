@@ -34,7 +34,7 @@ def main():
                 pred[(n, m, tup)] = v
     x = indexed_structure(metric, bound, pred)
 
-    oracle = LimitOracle(seed=args.seed)
+    oracle = LimitOracle()
     out = embed_structure(oracle, x, args.depth)
     print(f"oracle grew to {len(oracle)} points; registry: {dict(oracle.registry)}")
     radius = pow2(-args.depth)

@@ -322,12 +322,18 @@ def cmd_eval(args) -> int:
         s: StructureC = parsed.value
         if args.point is None or args.index is None:
             raise UsageError("eval on a C file wants --point and --index")
+        if args.point not in s.fns:
+            raise UsageError(f"{args.file} has no point {args.point!r}")
+        if not 1 <= args.index <= k.size:
+            raise UsageError(f"dense index {args.index} outside 1..{k.size}")
         print(fmt_rat(eval_suitable(s.fns[args.point], args.index, k)))
         return 0
     if parsed.kind == "L":
         s: StructureL = parsed.value
         if args.point is None:
             raise UsageError("eval on an L file wants --point")
+        if args.point not in s.labels:
+            raise UsageError(f"{args.file} has no point {args.point!r}")
         print(s.labels[args.point])
         return 0
     raise UsageError(f"cannot eval a {parsed.kind} file")

@@ -19,10 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import add
 from typing import Iterable, Mapping
 
 from .metric import (
     FinMetric,
+    IntRows,
     MetricTableError,
     WitnessError,
     jep_gap_metric,
@@ -264,7 +266,6 @@ class LimitOracle:
         compact: CompactPresentation | None = None,
         polish: PolishPresentation | None = None,
         lip_const: Fraction | None = None,
-        seed: int = 0,
     ):
         self.modes = tuple(modes)
         for mode in self.modes:
@@ -277,7 +278,6 @@ class LimitOracle:
         self.compact = compact
         self.polish = polish
         self.lip_const = lip_const
-        self.seed = seed
         self._points: list[str] = []
         self._pos: dict[str, int] = {}  # point -> the step that added it
         self._counts: dict[int, int] = {}
@@ -343,9 +343,6 @@ class LimitOracle:
             return Fraction(self._dist_i[(x, y)], self._den)
         except KeyError:
             raise MetricTableError(f"unknown pair ({x!r}, {y!r})") from None
-
-    def realized(self) -> dict[tuple[int, int], int]:
-        return dict(self.registry)
 
     def realized_count(self, arity: int) -> int:
         return self._counts.get(arity, 0)
@@ -702,7 +699,9 @@ class LimitOracle:
                     )
 
     def _check_lip(self, idx: int, full: dict[str, Fraction]):
-        self.polish.check_index(idx)
+        why = self._bad_label(idx)
+        if why:
+            raise OracleGrowthError(why)
         for u, iu in self._lip.items():
             if self.polish.d_idx(idx, iu) > self.lip_const * full[u]:
                 raise OracleGrowthError(
@@ -744,8 +743,18 @@ class LimitOracle:
         realized state is valid exactly when the distance table is a metric
         and every pin value is reproduced by its slot's envelope.  Each
         logged pin must also sit on a slot registered by its step and on
-        points that exist at that step.  Runs in integer arithmetic; cubic in the point count but free of the
-        exponential tuple tables a materialized snapshot would need.
+        points that exist at that step, and each profile must be valid on
+        its own as well as against every other point's.
+
+        The metric and pin checks run on integer rows built once from the
+        distance table.  A pin (p, v) of a slot with pins P is reproduced,
+        E(p) = max(0, max over (q, w) in P of w - d(q, p)) = v, exactly when
+        v >= 0 and min over (q, w) in P of d(q, p) - w + v >= 0: the pin
+        itself gives E(p) >= max(0, v), and the second condition says no
+        pin pushes E(p) above v.  Each test is one row gather per pin, and
+        only a pin that fails it is confirmed by a direct envelope scan.
+        Cubic in the point count and quadratic in the pins of a slot, but
+        free of the exponential tuple tables a materialized snapshot needs.
         """
         report = []
         pts = self._points
@@ -759,14 +768,17 @@ class LimitOracle:
                     report.append(f"metric: nonpositive distance ({x},{y})")
         if report:
             return report
-        for i, x in enumerate(pts):
-            for j in range(i + 1, len(pts)):
-                y = pts[j]
-                dxy = dd[(x, y)]
-                for z in pts:
-                    if z != x and z != y and dxy > dd[(x, z)] + dd[(z, y)]:
-                        report.append(f"metric: triangle ({x},{y}) via {z}")
-                        break
+        ir = IntRows(
+            pts, [[0 if x == y else dd[(x, y)] for y in pts] for x in pts], self._den
+        )
+        rows = ir.rows
+        if not ir.triangle_clear():
+            for i, row in enumerate(rows):
+                for j in range(i + 1, len(pts)):
+                    dxy = row[j]
+                    if dxy > min(map(add, row, rows[j])):
+                        z = next(k for k, r in enumerate(rows[j]) if dxy > row[k] + r)
+                        report.append(f"metric: triangle ({pts[i]},{pts[j]}) via {pts[z]}")
         # where each pin stands is checked against the step that logged it
         for step, rec in enumerate(self.log, start=1):
             for slot, delta in rec.pins.items():
@@ -776,8 +788,16 @@ class LimitOracle:
                         report.append(why)
         if report:
             return report
+        index = ir.index
         for (n, g), pins in sorted(self._pins_i.items()):
-            for ptup, v in pins.items():
+            if not pins:
+                continue
+            tups = [tuple(index[p] for p in ptup) for ptup in pins]
+            neg = [-w for w in pins.values()]
+            gathers = ir.gathers(tups)
+            for (ptup, v), a in zip(pins.items(), tups):
+                if v >= 0 and min(map(add, neg, ir.sums(a, gathers))) + v >= 0:
+                    continue
                 if self._envelope_i(pins, ptup) != v:
                     report.append(
                         f"slot ({n},{g}): pin at {ptup} not reproduced by its envelope"
@@ -788,9 +808,13 @@ class LimitOracle:
                 if fx is None:
                     report.append(f"profile missing for {x!r}")
                     continue
+                for msg in validate_suitable(fx, self.compact):
+                    report.append(f"profile {x!r}: {msg}")
                 for y in pts[i + 1 :]:
+                    fy = self._suit.get(y)
+                    if fy is None:
+                        continue  # reported at its own turn
                     d = Fraction(dd[(x, y)], self._den)
-                    fy = self._suit[y]
                     for idx, v in fx.pins:
                         if v > eval_suitable(fy, idx, self.compact) + d:
                             report.append(f"profiles of ({x},{y}) clash at index {idx}")
@@ -798,8 +822,12 @@ class LimitOracle:
                         if v > eval_suitable(fx, idx, self.compact) + d:
                             report.append(f"profiles of ({x},{y}) clash at index {idx}")
         if self.polish is not None:
-            for i, x in enumerate(pts):
-                for y in pts[i + 1 :]:
+            labelled = [x for x in pts if x in self._lip]
+            for x in pts:
+                if x not in self._lip:
+                    report.append(f"label missing for {x!r}")
+            for i, x in enumerate(labelled):
+                for y in labelled[i + 1 :]:
                     dz = self.polish.d_idx(self._lip[x], self._lip[y])
                     if dz > self.lip_const * Fraction(dd[(x, y)], self._den):
                         report.append(f"labels of ({x},{y}) break the Lipschitz bound")
@@ -817,20 +845,39 @@ class LimitOracle:
                 return f"step {step}: pin at {tup} on {p!r}, which does not exist yet"
         return None
 
+    def _bad_label(self, idx: int) -> str | None:
+        """Why ``idx`` is not a dense index of the polish presentation, or None."""
+        size = self.polish.size
+        if not 1 <= idx <= size:
+            return f"dense index {idx} outside 1..{size}"
+        return None
+
     def replay_record(self, rec: GrowthRecord):
         """Re-apply a logged step.
 
         Values are not re-validated (validate_state does that), but every pin
         must sit on a slot registered at or before its record and on points
-        that exist at that step; OracleGrowthError otherwise.
+        that exist at that step, and every profile support index and label
+        must lie in its presentation; OracleGrowthError otherwise.
         """
+        step = len(self._points) + 1
+        if rec.suitable is not None and self.compact is not None:
+            size = self.compact.size
+            for i in rec.suitable.support:
+                if not 1 <= i <= size:
+                    raise OracleGrowthError(
+                        f"step {step}: profile support index {i} outside 1..{size}"
+                    )
+        if rec.lip_index is not None and self.polish is not None:
+            why = self._bad_label(rec.lip_index)
+            if why:
+                raise OracleGrowthError(f"step {step}: {why}")
         incoming = list(rec.dists.values())
         for delta in rec.pins.values():
             incoming += delta.values()
         den = self._den_for(incoming)
         self._rescale(den)
         self._points.append(rec.point)
-        step = len(self._points)
         self._pos[rec.point] = step
         for p, v in rec.dists.items():
             vi = scaled(v, den)

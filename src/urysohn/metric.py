@@ -4,7 +4,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping
+from math import lcm
+from operator import add, itemgetter
+from typing import Iterable, Mapping, Sequence
 
 from .rationals import ZERO
 
@@ -47,9 +49,6 @@ class FinMetric:
     def diam(self) -> Fraction:
         return max((self.d(x, y) for x, y in self.pairs()), default=ZERO)
 
-    def max_value(self) -> Fraction:
-        return self.diam()
-
     def restrict(self, ids: Iterable[str]) -> "FinMetric":
         keep = tuple(p for p in self.points if p in set(ids))
         return FinMetric(
@@ -85,14 +84,120 @@ def single_point(pid: str) -> FinMetric:
     return FinMetric((pid,), {})
 
 
-EMPTY_METRIC = FinMetric((), {})
+_RATIONAL = {int, Fraction}
+
+
+class IntRows:
+    """Distances among ``points`` as integer rows over one common denominator.
+
+    ``rows[i][j]`` is ``d(points[i], points[j]) * den`` exactly, with a zero
+    diagonal; ``index`` maps each point to its row.  A row gather (one
+    ``itemgetter`` per tuple coordinate, summed with ``map(add, ...)``)
+    gives the sum-metric distances from one index tuple to many at C level,
+    which is what every validator scan is built from.
+    """
+
+    __slots__ = ("index", "rows", "den")
+
+    def __init__(self, points: Sequence[str], rows: list[list[int]], den: int):
+        self.index = {p: i for i, p in enumerate(points)}
+        self.rows = rows
+        self.den = den
+
+    @classmethod
+    def of(cls, points: Sequence[str], table, values: Iterable = ()) -> IntRows | None:
+        """Rows of ``points`` read from a ``(str, str)`` table.
+
+        ``values`` join the common denominator, so ``rationals.scaled``
+        takes them to ``den`` as well.  None when an entry is missing or the
+        type of some entry or value is neither ``int`` nor ``Fraction``; the
+        caller then falls back to its rational loop.
+        """
+        raw = [[0 if x == y else table.get((x, y)) for y in points] for x in points]
+        flat = [v for row in raw for v in row]
+        flat += values
+        if not {type(v) for v in flat} <= _RATIONAL:
+            return None
+        den = lcm(*{v.denominator for v in flat})
+        # rationals.scaled, inlined without its divisibility check: den is the
+        # lcm of these very denominators, and this runs per entry on every call
+        rows = [[v.numerator * (den // v.denominator) for v in row] for row in raw]
+        return cls(points, rows, den)
+
+    def gathers(self, tuples: Sequence[tuple[int, ...]]) -> list:
+        """One getter per coordinate, each picking that coordinate of every
+        index tuple out of a row, in the order of ``tuples``."""
+        return [_getter(col) for col in zip(*tuples)]
+
+    def sums(self, a: tuple[int, ...], gathers: list) -> Iterable[int]:
+        """Sum-metric distances from index tuple ``a`` to every tuple
+        ``gathers`` was made from, in their order."""
+        rows = self.rows
+        out = gathers[0](rows[a[0]])
+        for get, i in zip(gathers[1:], a[1:]):
+            out = map(add, out, get(rows[i]))
+        return out
+
+    def symmetric_positive(self) -> bool:
+        """Every pair of points at one positive distance both ways."""
+        rows = self.rows
+        cols = list(zip(*rows))
+        return all(
+            tuple(row) == cols[i] and min(row[i + 1 :], default=1) > 0
+            for i, row in enumerate(rows)
+        )
+
+    def triangle_clear(self) -> bool:
+        """d(x, y) <= d(x, z) + d(z, y) for every x listed before y and every z.
+
+        One C-level ``min`` per pair; z = x and z = y add a zero diagonal
+        entry, so they never decide it.
+        """
+        rows = self.rows
+        cols = list(zip(*rows))
+        for i, row in enumerate(rows):
+            for j in range(i + 1, len(rows)):
+                if row[j] > min(map(add, row, cols[j])):
+                    return False
+        return True
+
+
+def _getter(idx: tuple[int, ...]):
+    if len(idx) == 1:
+        k = idx[0]
+        return lambda row: (row[k],)
+    return itemgetter(*idx)
 
 
 def validate_metric(m: FinMetric) -> list[str]:
     """Check all four metric axioms; return one message per violation.
 
     A missing table entry raises MetricTableError instead of being reported.
+    When every entry is an int or a Fraction, each axiom is first decided on
+    integer rows over one common denominator; the per-pair and per-triple
+    loops run only to report what fails, and their messages show the
+    table's own values.
     """
+    pts = m.points
+    if len(pts) < 3:
+        return _pair_report(m)
+    ir = IntRows.of(pts, m.table)
+    report = [] if ir is not None and ir.symmetric_positive() else _pair_report(m)
+    if ir is None:
+        for x, z, y in _ordered_triples(pts):
+            if m.d(x, y) > m.d(x, z) + m.d(z, y):
+                report.append(_triangle_msg(m, x, y, z))
+        return report
+    if ir.triangle_clear():
+        return report
+    rows = ir.rows
+    for i, k, j in _ordered_triples(tuple(range(len(pts)))):
+        if rows[i][j] > rows[i][k] + rows[k][j]:
+            report.append(_triangle_msg(m, pts[i], pts[j], pts[k]))
+    return report
+
+
+def _pair_report(m: FinMetric) -> list[str]:
     report = []
     for x, y in m.pairs():
         dxy = m.d(x, y)
@@ -103,12 +208,11 @@ def validate_metric(m: FinMetric) -> list[str]:
             report.append(f"negativity ({x},{y}): {dxy} < 0")
         elif dxy == 0:
             report.append(f"identity ({x},{y}): distinct points at distance 0")
-    for x, z, y in _ordered_triples(m.points):
-        if m.d(x, y) > m.d(x, z) + m.d(z, y):
-            report.append(
-                f"triangle ({x},{y},{z}): {m.d(x, y)} > {m.d(x, z)} + {m.d(z, y)}"
-            )
     return report
+
+
+def _triangle_msg(m: FinMetric, x: str, y: str, z: str) -> str:
+    return f"triangle ({x},{y},{z}): {m.d(x, y)} > {m.d(x, z)} + {m.d(z, y)}"
 
 
 def _ordered_triples(points: tuple[str, ...]):

@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from math import lcm
+from operator import add
 from typing import Iterable, Mapping
 
-from .metric import FinMetric, WitnessError, tuple_dist, validate_metric
+from .metric import FinMetric, IntRows, WitnessError, tuple_dist, validate_metric
 from .rationals import ZERO, scaled
 
 PredTable = dict[tuple[int, int, tuple[str, ...]], Fraction]
@@ -119,10 +119,12 @@ def find_lipschitz_violation(
     """First pair breaking p(a) <= p(b) + d(a, b) in the sum metric, or None.
 
     Pairs are scanned in sorted order of (a, b).  When every point the
-    tuples use is known and every distance among them is present and
-    nonnegative, the scan runs in integers over one common denominator;
-    otherwise it runs in rationals and raises MetricTableError at the first
-    missing entry it reaches.  Both give the same answer.
+    tuples use is known and every distance among them is present, the scan
+    runs on integer rows over one common denominator: a row a is clear when
+    p(a) <= min over b of p(b) + d(a, b), one gather per coordinate, and
+    only a row that is not clear is scanned for its first b.  Otherwise the
+    scan runs in rationals and raises MetricTableError at the first missing
+    entry it reaches.  Both give the same answer.
     """
     items = sorted(values.items())
     lo = min((v for _, v in items), default=ZERO)
@@ -132,8 +134,8 @@ def find_lipschitz_violation(
         return ta, ta, values[ta], ZERO
     if lo == hi:
         return None  # constant tables always satisfy the law
-    scan = _scaled_scan(metric, items)
-    if scan is None:
+    ir = _int_rows(metric, items)
+    if ir is None:
         for ta, va in items:
             if va <= lo:
                 continue  # the global minimum can never be the violating side
@@ -141,46 +143,31 @@ def find_lipschitz_violation(
                 if va > vb + tuple_dist(metric, ta, tb):
                     return ta, tb, va, vb + tuple_dist(metric, ta, tb)
         return None
-    lo_i = min(v for _, v, _, _ in scan)
-    for ta, va, _, rows in scan:
-        if va <= lo_i:
+    index = ir.index
+    tups = [tuple(index[p] for p in t) for t, _ in items]
+    vals = [scaled(v, ir.den) for _, v in items]
+    gathers = ir.gathers(tups)
+    lo_i = min(vals)
+    for (ta, _), a, va in zip(items, tups, vals):
+        if va <= lo_i or va <= min(map(add, vals, ir.sums(a, gathers))):
             continue
-        for tb, vb, idx, _ in scan:
-            need = va - vb
-            if need > 0 and sum(r[j] for r, j in zip(rows, idx)) < need:
+        for (tb, _), vb, d in zip(items, vals, ir.sums(a, gathers)):
+            if va > vb + d:
                 return ta, tb, values[ta], values[tb] + tuple_dist(metric, ta, tb)
     return None
 
 
-def _scaled_scan(metric, items):
-    """Scan rows (tuple, value, point indices, distance rows) in integers.
+def _int_rows(metric: FinMetric, items) -> IntRows | None:
+    """Integer rows over the points the tuples use, values on their scale.
 
     None when some point is unknown or some distance among the used points
-    is missing or negative, so that the rational scan decides instead.
+    is missing, so that the rational scan decides instead.
     """
     used = sorted({p for t, _ in items for p in t})
     known = set(metric.points)
     if any(p not in known for p in used):
         return None
-    index = {p: i for i, p in enumerate(used)}
-    table = metric.table
-    pairs = {}
-    for x in used:
-        for y in used:
-            if x != y:
-                d = table.get((x, y))
-                if d is None or d < 0:
-                    return None
-                pairs[(index[x], index[y])] = d
-    scale = lcm(*{v.denominator for _, v in items}, *{d.denominator for d in pairs.values()})
-    mat = [[0] * len(used) for _ in used]
-    for (i, j), d in pairs.items():
-        mat[i][j] = scaled(d, scale)
-    scan = []
-    for t, v in items:
-        idx = tuple(index[p] for p in t)
-        scan.append((t, scaled(v, scale), idx, [mat[i] for i in idx]))
-    return scan
+    return IntRows.of(used, metric.table, (v for _, v in items))
 
 
 @dataclass(frozen=True)

@@ -39,10 +39,6 @@ class CompactPresentation:
         if not 1 <= i <= self.size:
             raise IndexError(f"dense index {i} outside 1..{self.size}")
 
-    def net(self, eps: Fraction) -> tuple[int, ...]:
-        """Greedy subset leaving every dense point strictly within eps of it."""
-        return self._greedy(eps, seed=())
-
     def net_chain(self, level: int) -> tuple[int, ...]:
         """Net at scale 2^-(level+2); nested along increasing level."""
         if level in self._nets:
@@ -202,11 +198,3 @@ def suitable_from_values(values: Mapping[int, Fraction], k: CompactPresentation)
         if eval_suitable(rest, i, k) == v:
             del kept[i]
     return suitable(kept)
-
-
-def suitable_sup_gap(f: SuitableFn, g: SuitableFn, k: CompactPresentation) -> Fraction:
-    """Exact sup-norm distance between two profiles over the dense set."""
-    gap = ZERO
-    for i in range(1, k.size + 1):
-        gap = max(gap, abs(eval_suitable(f, i, k) - eval_suitable(g, i, k)))
-    return gap

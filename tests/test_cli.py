@@ -252,3 +252,62 @@ def test_validate_rejects_pin_on_unregistered_slot(tmp_path, capsys):
     out = capsys.readouterr()
     assert "valid" not in out.out.split()
     assert "not registered" in out.err
+
+
+def test_eval_unknown_point_or_index_is_a_usage_error(tmp_path, capsys):
+    space = put(tmp_path, "k.compact", COMPACT)
+    cfile = put(tmp_path, "s.c", C_GOOD)
+    lfile = put(tmp_path, "s.l", L_GOOD)
+    assert main(["eval", cfile, "--space", space, "--point", "zz", "--index", "1"]) == 2
+    assert "has no point 'zz'" in capsys.readouterr().err
+    for index in ("99", "0"):
+        assert main(["eval", cfile, "--space", space, "--point", "a", "--index", index]) == 2
+        assert f"dense index {index} outside 1..3" in capsys.readouterr().err
+    assert main(["eval", lfile, "--point", "zz"]) == 2
+    assert "has no point 'zz'" in capsys.readouterr().err
+
+
+def _prod_log(points: int, last_profile: str) -> str:
+    """A prod log of an equilateral space at distance 1, plus one point 5 away
+    from all of them whose profile is ``last_profile``."""
+    lines = ["ORACLE", "mode prod"]
+    for i in range(1, points):
+        lines.append(f"grow u{i}")
+        lines += [f"gd u{j} 1/1" for j in range(1, i)]
+        lines.append("gsuit -")
+    lines.append(f"grow u{points}")
+    lines += [f"gd u{j} 5/1" for j in range(1, points)]
+    lines.append(f"gsuit {last_profile}")
+    return "\n".join(lines) + "\n"
+
+
+TWO_POINT_COMPACT = "COMPACT\npoint q1\npoint q2\nd q1 q2 1/1\n"
+
+
+def test_validate_reports_a_profile_grow_refuses_above_the_snapshot_cut(tmp_path, capsys):
+    # 61 points: too many for the validate_c cross-check of the snapshot,
+    # and 5 away from everything, so no pair of profiles clashes
+    space = put(tmp_path, "k.compact", TWO_POINT_COMPACT)
+    good = put(tmp_path, "good.log", _prod_log(61, "1=1/1,2=0/1"))
+    assert main(["validate", good, "--space", space]) == 0
+    capsys.readouterr()
+    bad = put(tmp_path, "bad.log", _prod_log(61, "1=5/1,2=0/1"))
+    assert main(["validate", bad, "--space", space]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["profile 'u61': support clash: r_1 = 5 > 0 + 1 = r_2 + d"]
+
+
+def test_validate_refuses_profiles_and_labels_outside_their_presentation(tmp_path, capsys):
+    space = put(tmp_path, "k.compact", TWO_POINT_COMPACT)
+    for profile, index in (("0=1/4", 0), ("3=1/4", 3), ("1=1/4,99=1/2", 99)):
+        log = put(tmp_path, "p.log", _prod_log(3, profile))
+        assert main(["validate", log, "--space", space]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: step 3: profile support index {index} outside 1..2")
+    z = put(tmp_path, "z.polish", POLISH)
+    for label in (0, 99):
+        log = put(tmp_path, "l.log", f"ORACLE\nmode lip\nL 1/1\ngrow u1\ngpz {label}\n")
+        assert main(["validate", log, "--zspace", z]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: step 1: dense index {label} outside 1..2"
+        )

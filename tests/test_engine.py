@@ -394,3 +394,30 @@ def test_validate_state_reports_pins_out_of_place():
     assert o.validate_state() == []
     o.registry[(1, 1)] = 2  # as if the slot were registered after its pin
     assert any("not registered" in msg for msg in o.validate_state())
+
+
+def test_labels_outside_the_presentation_are_refused_and_missing_ones_reported():
+    from urysohn.engine import GrowthRecord
+    from urysohn.spaces import PolishPresentation
+
+    z = PolishPresentation(fin_metric(["z1", "z2"], {("z1", "z2"): F(1)}))
+    o = LimitOracle(("lip",), polish=z, lip_const=F(1))
+    for label in (0, 3):
+        with pytest.raises(OracleGrowthError, match=f"dense index {label} outside 1..2"):
+            o.grow({}, lip_index=label)
+    assert len(o) == 0
+    o.grow({}, lip_index=1)
+    o.replay_record(GrowthRecord("u2", {"u1": F(2)}, {}, (), None, None))
+    assert o.validate_state() == ["label missing for 'u2'"]
+
+
+def test_validate_state_reports_every_missing_profile():
+    from urysohn.engine import GrowthRecord
+    from urysohn.spaces import CompactPresentation, SuitableFn
+
+    k = CompactPresentation(fin_metric(["q1", "q2"], {("q1", "q2"): F(1)}))
+    o = LimitOracle(("prod",), compact=k)
+    o.replay_record(GrowthRecord("u1", {}, {}, (), SuitableFn(()), None))
+    o.replay_record(GrowthRecord("u2", {"u1": F(1)}, {}, (), None, None))
+    o.replay_record(GrowthRecord("u3", {"u1": F(1), "u2": F(1)}, {}, (), None, None))
+    assert o.validate_state() == ["profile missing for 'u2'", "profile missing for 'u3'"]

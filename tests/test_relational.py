@@ -284,14 +284,16 @@ _small_rat = st.builds(
 
 @st.composite
 def lipschitz_tables(draw):
-    """A table over a possibly broken distance table.
+    """A table of arity 1 to 3 over a possibly broken distance table.
 
     Distances may be negative, asymmetric or missing, and the tuples may use
     a point the metric does not know; values may be negative or constant.
+    Half the tables are the Katetov envelope of a few random pins, so that
+    clean tables, and tables broken at one late tuple, are common too.
     """
     from urysohn.metric import FinMetric
 
-    pts = ("p", "q", "r")[: draw(st.integers(min_value=1, max_value=3))]
+    pts = ("p", "q", "r", "s", "t")[: draw(st.integers(min_value=1, max_value=5))]
     table = {}
     for x in pts:
         for y in pts:
@@ -301,12 +303,25 @@ def lipschitz_tables(draw):
                     draw(_small_rat) if draw(st.integers(0, 9)) == 0 else table[(x, y)]
                 )
     used = pts + ("z",) if draw(st.integers(0, 9)) == 0 else pts
-    n = draw(st.integers(min_value=1, max_value=2))
-    const = draw(_small_rat) if draw(st.integers(0, 5)) == 0 else None
-    values = {
-        tup: const if const is not None else draw(_small_rat)
-        for tup in tuples_over(used, n)
-    }
+    n = draw(st.integers(min_value=1, max_value=3 if len(used) <= 4 else 2))
+    tups = list(tuples_over(used, n))
+    kind = draw(st.integers(0, 5))
+    if kind == 0:
+        const = draw(_small_rat)
+        values = {tup: const for tup in tups}
+    elif kind <= 2:
+        values = {tup: draw(_small_rat) for tup in tups}
+    else:
+        def dist(a, b):
+            return sum(F(0) if x == y else table.get((x, y), F(1)) for x, y in zip(a, b))
+
+        count = draw(st.integers(1, 4))
+        pins = {draw(st.sampled_from(tups)): draw(_small_rat) for _ in range(count)}
+        values = {
+            tup: max([F(0)] + [w - dist(p, tup) for p, w in pins.items()]) for tup in tups
+        }
+        if kind == 5:
+            values[draw(st.sampled_from(tups))] += F(draw(st.integers(1, 8)), 4)
     return FinMetric(pts, table), values
 
 
