@@ -324,8 +324,10 @@ def cmd_eval(args) -> int:
             raise UsageError("eval on a C file wants --point and --index")
         if args.point not in s.fns:
             raise UsageError(f"{args.file} has no point {args.point!r}")
-        if not 1 <= args.index <= k.size:
-            raise UsageError(f"dense index {args.index} outside 1..{k.size}")
+        try:
+            k.check_index(args.index)
+        except IndexError as exc:
+            raise UsageError(str(exc)) from None
         print(fmt_rat(eval_suitable(s.fns[args.point], args.index, k)))
         return 0
     if parsed.kind == "L":

@@ -699,9 +699,10 @@ class LimitOracle:
                     )
 
     def _check_lip(self, idx: int, full: dict[str, Fraction]):
-        why = self._bad_label(idx)
-        if why:
-            raise OracleGrowthError(why)
+        try:
+            self.polish.check_index(idx)
+        except IndexError as exc:
+            raise OracleGrowthError(str(exc)) from None
         for u, iu in self._lip.items():
             if self.polish.d_idx(idx, iu) > self.lip_const * full[u]:
                 raise OracleGrowthError(
@@ -772,13 +773,10 @@ class LimitOracle:
             pts, [[0 if x == y else dd[(x, y)] for y in pts] for x in pts], self._den
         )
         rows = ir.rows
-        if not ir.triangle_clear():
-            for i, row in enumerate(rows):
-                for j in range(i + 1, len(pts)):
-                    dxy = row[j]
-                    if dxy > min(map(add, row, rows[j])):
-                        z = next(k for k, r in enumerate(rows[j]) if dxy > row[k] + r)
-                        report.append(f"metric: triangle ({pts[i]},{pts[j]}) via {pts[z]}")
+        for i, j in ir.triangle_breaks():
+            dxy = rows[i][j]
+            z = next(k for k, r in enumerate(rows[j]) if dxy > rows[i][k] + r)
+            report.append(f"metric: triangle ({pts[i]},{pts[j]}) via {pts[z]}")
         # where each pin stands is checked against the step that logged it
         for step, rec in enumerate(self.log, start=1):
             for slot, delta in rec.pins.items():
@@ -845,13 +843,6 @@ class LimitOracle:
                 return f"step {step}: pin at {tup} on {p!r}, which does not exist yet"
         return None
 
-    def _bad_label(self, idx: int) -> str | None:
-        """Why ``idx`` is not a dense index of the polish presentation, or None."""
-        size = self.polish.size
-        if not 1 <= idx <= size:
-            return f"dense index {idx} outside 1..{size}"
-        return None
-
     def replay_record(self, rec: GrowthRecord):
         """Re-apply a logged step.
 
@@ -861,17 +852,14 @@ class LimitOracle:
         must lie in its presentation; OracleGrowthError otherwise.
         """
         step = len(self._points) + 1
-        if rec.suitable is not None and self.compact is not None:
-            size = self.compact.size
-            for i in rec.suitable.support:
-                if not 1 <= i <= size:
-                    raise OracleGrowthError(
-                        f"step {step}: profile support index {i} outside 1..{size}"
-                    )
-        if rec.lip_index is not None and self.polish is not None:
-            why = self._bad_label(rec.lip_index)
-            if why:
-                raise OracleGrowthError(f"step {step}: {why}")
+        try:
+            if rec.suitable is not None and self.compact is not None:
+                for i in rec.suitable.support:
+                    self.compact.check_index(i)
+            if rec.lip_index is not None and self.polish is not None:
+                self.polish.check_index(rec.lip_index)
+        except IndexError as exc:
+            raise OracleGrowthError(f"step {step}: {exc}") from None
         incoming = list(rec.dists.values())
         for delta in rec.pins.values():
             incoming += delta.values()

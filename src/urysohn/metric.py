@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from operator import add, itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .rationals import ZERO
 
@@ -84,9 +84,6 @@ def single_point(pid: str) -> FinMetric:
     return FinMetric((pid,), {})
 
 
-_RATIONAL = {int, Fraction}
-
-
 class IntRows:
     """Distances among ``points`` as integer rows over one common denominator.
 
@@ -106,18 +103,18 @@ class IntRows:
 
     @classmethod
     def of(cls, points: Sequence[str], table, values: Iterable = ()) -> IntRows | None:
-        """Rows of ``points`` read from a ``(str, str)`` table.
+        """Rows of ``points`` read from a ``(str, str)`` table of ints and
+        Fractions.
 
         ``values`` join the common denominator, so ``rationals.scaled``
-        takes them to ``den`` as well.  None when an entry is missing or the
-        type of some entry or value is neither ``int`` nor ``Fraction``; the
-        caller then falls back to its rational loop.
+        takes them to ``den`` as well.  None when an entry is missing; the
+        caller then falls back to its rational loop, which names it.
         """
         raw = [[0 if x == y else table.get((x, y)) for y in points] for x in points]
+        if any(None in row for row in raw):
+            return None
         flat = [v for row in raw for v in row]
         flat += values
-        if not {type(v) for v in flat} <= _RATIONAL:
-            return None
         den = lcm(*{v.denominator for v in flat})
         # rationals.scaled, inlined without its divisibility check: den is the
         # lcm of these very denominators, and this runs per entry on every call
@@ -147,19 +144,19 @@ class IntRows:
             for i, row in enumerate(rows)
         )
 
-    def triangle_clear(self) -> bool:
-        """d(x, y) <= d(x, z) + d(z, y) for every x listed before y and every z.
+    def triangle_breaks(self) -> Iterator[tuple[int, int]]:
+        """Index pairs i < j with d(x_i, x_j) > d(x_i, z) + d(z, x_j) for
+        some z, in row order.
 
-        One C-level ``min`` per pair; z = x and z = y add a zero diagonal
-        entry, so they never decide it.
+        One C-level ``min`` per pair; z = x_i and z = x_j add a zero
+        diagonal entry, so they never decide it.
         """
         rows = self.rows
         cols = list(zip(*rows))
         for i, row in enumerate(rows):
             for j in range(i + 1, len(rows)):
                 if row[j] > min(map(add, row, cols[j])):
-                    return False
-        return True
+                    yield i, j
 
 
 def _getter(idx: tuple[int, ...]):
@@ -173,22 +170,17 @@ def validate_metric(m: FinMetric) -> list[str]:
     """Check all four metric axioms; return one message per violation.
 
     A missing table entry raises MetricTableError instead of being reported.
-    When every entry is an int or a Fraction, each axiom is first decided on
-    integer rows over one common denominator; the per-pair and per-triple
-    loops run only to report what fails, and their messages show the
-    table's own values.
+    Each axiom is first decided on integer rows over one common denominator;
+    the per-pair and per-triple loops run only to report what fails, and
+    their messages show the table's own values.
     """
     pts = m.points
     if len(pts) < 3:
         return _pair_report(m)
     ir = IntRows.of(pts, m.table)
+    # without rows some entry is missing, and _pair_report raises on it
     report = [] if ir is not None and ir.symmetric_positive() else _pair_report(m)
-    if ir is None:
-        for x, z, y in _ordered_triples(pts):
-            if m.d(x, y) > m.d(x, z) + m.d(z, y):
-                report.append(_triangle_msg(m, x, y, z))
-        return report
-    if ir.triangle_clear():
+    if next(ir.triangle_breaks(), None) is None:
         return report
     rows = ir.rows
     for i, k, j in _ordered_triples(tuple(range(len(pts)))):

@@ -303,7 +303,7 @@ def test_validate_refuses_profiles_and_labels_outside_their_presentation(tmp_pat
         log = put(tmp_path, "p.log", _prod_log(3, profile))
         assert main(["validate", log, "--space", space]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: step 3: profile support index {index} outside 1..2")
+        assert err.startswith(f"error: step 3: dense index {index} outside 1..2")
     z = put(tmp_path, "z.polish", POLISH)
     for label in (0, 99):
         log = put(tmp_path, "l.log", f"ORACLE\nmode lip\nL 1/1\ngrow u1\ngpz {label}\n")

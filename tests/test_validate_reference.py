@@ -62,7 +62,7 @@ def _outcome(fn, m):
 _entry = st.builds(F, st.integers(min_value=1, max_value=24), st.sampled_from([1, 2, 3, 4, 6, 8]))
 
 
-_DAMAGE = ["bump", "bump", "zero", "negative", "asym", "int", "float", "missing"]
+_DAMAGE = ["bump", "bump", "zero", "negative", "asym", "int", "missing"]
 
 
 @st.composite
@@ -71,8 +71,8 @@ def metric_tables(draw):
 
     Points sit on a random tree-like metric (distances through a hub), so
     clean tables are common; then a few entries may be bumped (triangle
-    violations), zeroed, negated, made asymmetric, written as an int or a
-    float, or deleted in one direction.
+    violations), zeroed, negated, made asymmetric, written as an int, or
+    deleted in one direction.
     """
     n = draw(st.integers(min_value=1, max_value=8))
     pts = tuple(f"p{i}" for i in range(n))
@@ -96,8 +96,6 @@ def metric_tables(draw):
             table[(y, x)] = draw(_entry)
         elif kind == "int":
             table[(x, y)] = table[(y, x)] = draw(st.integers(min_value=0, max_value=6))
-        elif kind == "float":
-            table[(x, y)] = table[(y, x)] = 0.5
         else:
             table.pop(draw(st.sampled_from([(x, y), (y, x)])), None)
     return FinMetric(pts, table)
