@@ -306,14 +306,7 @@ def extend_one_point(
     if report:
         raise SolverError(f"target structure invalid: {report[0]}")
     k = len(target)
-    if len(anchors) != k - 1:
-        raise SolverError(f"{k}-point target needs {k - 1} anchors")
-    need = required_depth(k, depth)
-    for i, a in enumerate(anchors):
-        if a.depth < need:
-            raise SolverError(
-                f"anchor {i} of depth {a.depth} too shallow: depth {need} required"
-            )
+    _check_anchors(anchors, k, depth)
     pts = target.points
     olds, new_pt = pts[:-1], pts[-1]
     canon: dict[Slot, Slot] = {}
@@ -327,43 +320,16 @@ def extend_one_point(
             raise SolverError(f"oracle slot ({slot[0]}, {g}) not realized")
     assigned: dict[Slot, int] = {canon[s]: g for s, g in known.items()}
 
-    ids: list[str] = []
-    certs: list[Fraction] = []
     all_checks: list[Check] = []
     values: list[StepValue] = []
     # windows are clamped in integers over a scale that holds every target
     # value, every oracle value and the step's own distances
     pred_den = lcm(1, *{v.denominator for v in target.pred.values()})
-    for level in range(1, depth + 1):
-        avec = [a.at(required_depth(k, level)) for a in anchors]
-        if len(set(avec)) != len(avec):
-            raise SolverError(f"anchors coincide at level {required_depth(k, level)}")
-        bound = pow2(-(level + k + 1 - drift_slack))
-        for i in range(len(avec)):
-            for j in range(i + 1, len(avec)):
-                drift = abs(o.distance(avec[i], avec[j]) - target.metric.d(olds[i], olds[j]))
-                all_checks.append(Check(f"drift-{level}-{olds[i]}-{olds[j]}", drift, "<", bound))
-                if drift >= bound:
-                    raise SolverError(
-                        f"anchor drift {drift} at level {level} reaches the bound {bound} "
-                        f"for ({olds[i]}, {olds[j]})"
-                    )
-        prev = ids[-1] if ids else None
-        sol = solve_sandwich(
-            avec,
-            [target.metric.d(olds[i], new_pt) for i in range(len(olds))],
-            o.distance,
-            level,
-            prev,
-        )
-        all_checks.extend(sol.checks)
-        base_pts = list(avec) + ([prev] if prev else [])
-        base_dists = {a: sol.eta[i] for i, a in enumerate(avec)}
-        if prev:
-            base_dists[prev] = sol.link
 
+    def step(level, avec, prev, base_dists):
         rel = None
         if target.bound > 0:
+            base_pts = list(base_dists)
             temp = "g"
             assert temp not in base_pts
             entries = {
@@ -465,14 +431,82 @@ def extend_one_point(
         result = o.grow(base_dists, rel=rel)
         if rel is not None and level == 1:
             assigned.update(result.slot_globals)
-        ids.append(result.point)
+        return result.point
+
+    point = _sandwich_chain(o, anchors, target.metric, depth, drift_slack, all_checks, step)
+    outcome_slots = {s: assigned[canon[s]] for s in canon} if target.bound > 0 else {}
+    return ExtensionOutcome(point, outcome_slots, tuple(values), tuple(all_checks))
+
+
+def _check_anchors(anchors: Sequence[CauchyPoint], k: int, depth: int) -> int:
+    """Refuse a wrong anchor count or a shallow anchor; returns the deepest
+    level a k-point run to ``depth`` reads its anchors at."""
+    if len(anchors) != k - 1:
+        raise SolverError(f"{k}-point target needs {k - 1} anchors")
+    need = required_depth(k, depth)
+    for i, a in enumerate(anchors):
+        if a.depth < need:
+            raise SolverError(
+                f"anchor {i} of depth {a.depth} too shallow: depth {need} required"
+            )
+    return need
+
+
+def _sandwich_chain(
+    o: LimitOracle,
+    anchors: Sequence[CauchyPoint],
+    target_metric: FinMetric,
+    depth: int,
+    drift_slack: int,
+    checks: list[Check],
+    step,
+) -> CauchyPoint:
+    """The per-level loop every one-point solver shares.
+
+    ``anchors[i]`` stands for point i of ``target_metric``, whose last point
+    is the one realized.  Level l reads the anchors at ``required_depth(k,
+    l)``, checks their pairwise drift against the target metric (within
+    2^-(l+k+1), widened by ``drift_slack`` powers of two) and solves the
+    sandwich system.  ``step(level, avec, prev, base_dists)`` then adds the
+    solver's decoration, grows the oracle over ``base_dists`` (the anchors,
+    then the previous approximant ``prev``) and returns the new point id.
+    Every check made is appended to ``checks``.
+    """
+    k = len(target_metric)
+    pts = target_metric.points
+    olds, new_pt = pts[:-1], pts[-1]
+    ids: list[str] = []
+    certs: list[Fraction] = []
+    for level in range(1, depth + 1):
+        avec = [a.at(required_depth(k, level)) for a in anchors]
+        if len(set(avec)) != len(avec):
+            raise SolverError(f"anchors coincide at level {required_depth(k, level)}")
+        bound = pow2(-(level + k + 1 - drift_slack))
+        for i in range(len(avec)):
+            for j in range(i + 1, len(avec)):
+                drift = abs(o.distance(avec[i], avec[j]) - target_metric.d(olds[i], olds[j]))
+                checks.append(Check(f"drift-{level}-{olds[i]}-{olds[j]}", drift, "<", bound))
+                if drift >= bound:
+                    raise SolverError(
+                        f"anchor drift {drift} at level {level} reaches the bound {bound} "
+                        f"for ({olds[i]}, {olds[j]})"
+                    )
+        prev = ids[-1] if ids else None
+        sol = solve_sandwich(
+            avec,
+            [target_metric.d(olds[i], new_pt) for i in range(len(olds))],
+            o.distance,
+            level,
+            prev,
+        )
+        checks.extend(sol.checks)
+        base_dists = {a: sol.eta[i] for i, a in enumerate(avec)}
+        if prev:
+            base_dists[prev] = sol.link
+        ids.append(step(level, avec, prev, base_dists))
         if prev:
             certs.append(sol.link)
-
-    outcome_slots = {s: assigned[canon[s]] for s in canon} if target.bound > 0 else {}
-    return ExtensionOutcome(
-        CauchyPoint(tuple(ids), tuple(certs)), outcome_slots, tuple(values), tuple(all_checks)
-    )
+    return CauchyPoint(tuple(ids), tuple(certs))
 
 
 def _clamped(eps, defined, dist, tup, scale) -> tuple[Fraction, int]:

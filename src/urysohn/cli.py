@@ -49,7 +49,7 @@ from .product import (
 )
 from .randgen import random_wish_extension
 from .rationals import RatParseError, fmt_rat, parse_rat, pow2
-from .relational import EmbeddingWitness, StructureK, validate_k
+from .relational import EmbeddingWitness, StructureK, identity_witness, validate_k
 from .spaces import eval_suitable, validate_compact, validate_polish
 
 
@@ -81,10 +81,6 @@ def _point_map(pairs: list[str]) -> dict[str, str]:
         src, dst = pair.split("=", 1)
         out[src] = dst
     return out
-
-
-def _identity_pi(a) -> dict[int, dict[int, int]]:
-    return {n: {m: m for m in range(1, a.n_a + 2 - n)} for n in range(1, a.n_a + 1)}
 
 
 def _write(path: str | None, data: bytes | str):
@@ -153,8 +149,9 @@ def cmd_amalgamate(args) -> int:
     map_b = _point_map(args.map_b) or {p: p for p in a.metric.points}
     map_c = _point_map(args.map_c) or {p: p for p in a.metric.points}
     if kind == "K":
-        wab = EmbeddingWitness(map_b, _identity_pi(a))
-        wac = EmbeddingWitness(map_c, _identity_pi(a))
+        pi = identity_witness(a).pi
+        wab = EmbeddingWitness(map_b, pi)
+        wac = EmbeddingWitness(map_c, pi)
         out = amalgamate_k(b, c, a, wab, wac).result
     elif kind == "C":
         out = amalgamate_c(b, c, a, map_b, map_c, _load_kind(args.space, "COMPACT"))

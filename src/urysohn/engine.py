@@ -38,6 +38,7 @@ from .relational import (
     StructureK,
     canonical_extend,
     check_embedding_k,
+    identity_witness,
     pattern_slots,
     tuples_over,
     validate_k,
@@ -88,14 +89,7 @@ def joint_embed_k(a: StructureK, b: StructureK) -> Amalgam:
             else:
                 pred[(n, md, tup)] = ZERO
     d = StructureK(metric, n_d, pred)
-    return Amalgam(d, _inclusion_witness(a), _inclusion_witness(b))
-
-
-def _inclusion_witness(s: StructureK) -> EmbeddingWitness:
-    return EmbeddingWitness(
-        {p: p for p in s.points},
-        {n: {m: m for m in range(1, s.n_a + 2 - n)} for n in range(1, s.n_a + 1)},
-    )
+    return Amalgam(d, identity_witness(a), identity_witness(b))
 
 
 def _normalizing_perm(s: StructureK, a: StructureK, w: EmbeddingWitness) -> dict[int, dict[int, int]]:
@@ -846,12 +840,38 @@ class LimitOracle:
     def replay_record(self, rec: GrowthRecord):
         """Re-apply a logged step.
 
-        Values are not re-validated (validate_state does that), but every pin
-        must sit on a slot registered at or before its record and on points
-        that exist at that step, and every profile support index and label
-        must lie in its presentation; OracleGrowthError otherwise.
+        Values are not re-validated (validate_state does that), but the
+        record must have the shape grow writes: a new point id, distances to
+        exactly the earlier points, fresh slots that take the next free
+        index of their arity within the budget len + 2 - n, pins on slots
+        registered at or before the record and on points that exist at that
+        step, and profile support indices and labels inside their
+        presentations; OracleGrowthError otherwise.
         """
         step = len(self._points) + 1
+        if rec.point in self._pos:
+            raise OracleGrowthError(f"step {step}: point {rec.point!r} already exists")
+        if rec.dists.keys() != self._pos.keys():
+            stray = sorted(rec.dists.keys() - self._pos.keys())
+            missing = [p for p in self._points if p not in rec.dists]
+            raise OracleGrowthError(
+                f"step {step}: distances must cover exactly the earlier points; "
+                f"stray {stray}, missing {missing}"
+            )
+        taken = dict(self._counts)
+        for n, g in rec.fresh:
+            want = taken.get(n, 0) + 1
+            if n < 1 or g != want:
+                raise OracleGrowthError(
+                    f"step {step}: fresh slot ({n}, {g}) is not the next free "
+                    f"arity-{n} index {want}"
+                )
+            budget = len(self._points) + 2 - n
+            if g > budget:
+                raise OracleGrowthError(
+                    f"step {step}: no room for a fresh arity-{n} slot: {g} of {budget}"
+                )
+            taken[n] = g
         try:
             if rec.suitable is not None and self.compact is not None:
                 for i in rec.suitable.support:
@@ -871,8 +891,8 @@ class LimitOracle:
             vi = scaled(v, den)
             self._dist_i[(rec.point, p)] = vi
             self._dist_i[(p, rec.point)] = vi
+        self._counts = taken
         for n, g in rec.fresh:
-            self._counts[n] = max(self._counts.get(n, 0), g)
             self.registry[(n, g)] = step
             self._pins_i[(n, g)] = {}
         for slot, delta in rec.pins.items():

@@ -10,10 +10,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .cauchy import CauchyPoint, SolverError, required_depth, solve_sandwich
+from .cauchy import CauchyPoint, SolverError, _check_anchors, _sandwich_chain
 from .certificates import Check
 from .engine import LimitOracle
-from .metric import FinMetric, jep_gap_metric, path_amalgam_metric, validate_metric
+from .metric import FinMetric, jep_gap_metric, path_amalgam_carry, validate_metric
 from .rationals import ZERO, pow2
 from .spaces import PolishPresentation
 
@@ -68,14 +68,9 @@ def amalgamate_l(
     for p in a.points:
         if b.labels[map_b[p]] != c.labels[map_c[p]]:
             raise ValueError(f"sides disagree on the label of {p!r}")
-    metric = path_amalgam_metric(b.metric, c.metric, a.metric, map_b, map_c)
-    back_b = {map_b[p]: p for p in a.points}
-    back_c = {map_c[p]: p for p in a.points}
-    labels = {}
-    for p in b.points:
-        labels[back_b.get(p, p)] = b.labels[p]
-    for p in c.points:
-        labels.setdefault(back_c.get(p, p), c.labels[p])
+    metric, labels = path_amalgam_carry(
+        b.metric, c.metric, a.metric, map_b, map_c, b.labels, c.labels
+    )
     return StructureL(metric, labels, b.lip)
 
 
@@ -153,63 +148,40 @@ def extend_one_point_l(
     for c in checks:
         if not c.holds:
             raise SolverError(f"label sequence breaks its modulus: {c.name}")
-    if len(anchors) != k - 1:
-        raise SolverError(f"{k}-point target needs {k - 1} anchors")
-    need = required_depth(k, depth)
-    for i, a in enumerate(anchors):
-        if a.depth < need:
-            raise SolverError(f"anchor {i} too shallow: depth {need} required")
-    pts = target_metric.points
-    olds, new_pt = pts[:-1], pts[-1]
+    _check_anchors(anchors, k, depth)
 
-    ids: list[str] = []
-    certs: list[Fraction] = []
-    for level in range(1, depth + 1):
-        avec = [a.at(required_depth(k, level)) for a in anchors]
-        bound = pow2(-(level + k + 1 - drift_slack))
-        for i in range(len(avec)):
-            for j in range(i + 1, len(avec)):
-                drift = abs(
-                    o.distance(avec[i], avec[j]) - target_metric.d(olds[i], olds[j])
-                )
-                checks.append(Check(f"drift-{level}-{olds[i]}-{olds[j]}", drift, "<", bound))
-                if drift >= bound:
-                    raise SolverError(
-                        f"anchor drift {drift} at level {level} reaches {bound}"
-                    )
-        prev = ids[-1] if ids else None
-        sol = solve_sandwich(
-            avec,
-            [target_metric.d(olds[i], new_pt) for i in range(len(olds))],
-            o.distance,
-            level,
-            prev,
-        )
-        checks.extend(sol.checks)
-        base_dists = {a: sol.eta[i] for i, a in enumerate(avec)}
-        if prev:
-            base_dists[prev] = sol.link
+    def step(level, avec, prev, base_dists):
         label = seq[level - 1]
-        for u, du in base_dists.items():
-            c = Check(
-                f"step-lipschitz-{level}-{u}",
-                z.d_idx(label, o.lip_index_at(u)),
-                "<=",
-                lip * du,
+        _check_label(o, label, level, base_dists, "step-lipschitz", checks)
+        return o.grow(base_dists, lip_index=label).point
+
+    point = _sandwich_chain(o, anchors, target_metric, depth, drift_slack, checks, step)
+    return LipschitzExtensionOutcome(point, tuple(checks))
+
+
+def _check_label(
+    o: LimitOracle,
+    label: int,
+    level: int,
+    base_dists: Mapping[str, Fraction],
+    prefix: str,
+    checks: list[Check],
+):
+    """The label of a new point at ``level`` must keep the Lipschitz bound
+    against every base point; one check per base point, named by ``prefix``."""
+    for u, du in base_dists.items():
+        c = Check(
+            f"{prefix}-{level}-{u}",
+            o.polish.d_idx(label, o.lip_index_at(u)),
+            "<=",
+            o.lip_const * du,
+        )
+        checks.append(c)
+        if not c.holds:
+            raise SolverError(
+                f"label {label} at level {level} breaks the Lipschitz bound "
+                f"against {u!r}"
             )
-            checks.append(c)
-            if not c.holds:
-                raise SolverError(
-                    f"label {label} at level {level} breaks the Lipschitz bound "
-                    f"against {u!r}"
-                )
-        result = o.grow(base_dists, lip_index=label)
-        ids.append(result.point)
-        if prev:
-            certs.append(sol.link)
-    return LipschitzExtensionOutcome(
-        CauchyPoint(tuple(ids), tuple(certs)), tuple(checks)
-    )
 
 
 def snapshot_lipschitz(o: LimitOracle) -> StructureL:

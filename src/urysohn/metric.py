@@ -6,9 +6,11 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from operator import add, itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .rationals import ZERO
+
+T = TypeVar("T")
 
 
 class MetricTableError(Exception):
@@ -262,6 +264,26 @@ def path_amalgam_metric(
                 b.d(x, map_b[z]) + c.d(map_c[z], y) for z in a.points
             )
     return fin_metric(points, entries)
+
+
+def path_amalgam_carry(
+    b: FinMetric,
+    c: FinMetric,
+    a: FinMetric,
+    map_b: Mapping[str, str],
+    map_c: Mapping[str, str],
+    data_b: Mapping[str, T],
+    data_c: Mapping[str, T],
+) -> tuple[FinMetric, dict[str, T]]:
+    """``path_amalgam_metric`` plus one datum per point, carried over
+    unchanged: a common point keeps b's, every other point its own side's."""
+    metric = path_amalgam_metric(b, c, a, map_b, map_c)
+    back_b = {map_b[p]: p for p in a.points}
+    back_c = {map_c[p]: p for p in a.points}
+    data = {back_b.get(p, p): data_b[p] for p in b.points}
+    for p in c.points:
+        data.setdefault(back_c.get(p, p), data_c[p])
+    return metric, data
 
 
 def _check_isometric(a: FinMetric, target: FinMetric, phi: Mapping[str, str], label: str):

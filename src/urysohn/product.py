@@ -16,10 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .cauchy import CauchyPoint, SolverError, required_depth, solve_sandwich
+from .cauchy import CauchyPoint, SolverError, _check_anchors, _sandwich_chain
 from .certificates import Check
 from .engine import LimitOracle
-from .metric import FinMetric, jep_gap_metric, path_amalgam_metric
+from .lipschitz import _check_label
+from .metric import FinMetric, jep_gap_metric, path_amalgam_carry
 from .rationals import ZERO, pow2
 from .spaces import (
     CompactPresentation,
@@ -100,14 +101,7 @@ def amalgamate_c(
         for i in range(1, k.size + 1):
             if eval_suitable(fb, i, k) != eval_suitable(fc, i, k):
                 raise ValueError(f"sides disagree on the profile of {p!r} at index {i}")
-    metric = path_amalgam_metric(b.metric, c.metric, a.metric, map_b, map_c)
-    back_b = {map_b[p]: p for p in a.points}
-    back_c = {map_c[p]: p for p in a.points}
-    fns = {}
-    for p in b.points:
-        fns[back_b.get(p, p)] = b.fns[p]
-    for p in c.points:
-        fns.setdefault(back_c.get(p, p), c.fns[p])
+    metric, fns = path_amalgam_carry(b.metric, c.metric, a.metric, map_b, map_c, b.fns, c.fns)
     return StructureC(metric, fns)
 
 
@@ -176,12 +170,7 @@ def extend_one_point_c(
     if bad:
         raise SolverError(f"target profile invalid: {bad[0]}")
     k = len(target_metric)
-    if len(anchors) != k - 1:
-        raise SolverError(f"{k}-point target needs {k - 1} anchors")
-    need = required_depth(k, depth)
-    for i, a in enumerate(anchors):
-        if a.depth < need:
-            raise SolverError(f"anchor {i} too shallow: depth {need} required")
+    need = _check_anchors(anchors, k, depth)
     pts = target_metric.points
     olds, new_pt = pts[:-1], pts[-1]
     # the implied extension must be plausible against the realized base
@@ -201,73 +190,25 @@ def extend_one_point_c(
                     f"{gap} > {d_t} + {slack}"
                 )
 
-    ids: list[str] = []
-    certs: list[Fraction] = []
     checks: list[Check] = []
     values: list[ProfileValue] = []
-    for level in range(1, depth + 1):
-        avec = [a.at(required_depth(k, level)) for a in anchors]
-        bound = pow2(-(level + k + 1 - drift_slack))
-        for i in range(len(avec)):
-            for j in range(i + 1, len(avec)):
-                drift = abs(
-                    o.distance(avec[i], avec[j]) - target_metric.d(olds[i], olds[j])
-                )
-                checks.append(Check(f"drift-{level}-{olds[i]}-{olds[j]}", drift, "<", bound))
-                if drift >= bound:
-                    raise SolverError(
-                        f"anchor drift {drift} at level {level} reaches {bound}"
-                    )
-        prev = ids[-1] if ids else None
-        sol = solve_sandwich(
-            avec,
-            [target_metric.d(olds[i], new_pt) for i in range(len(olds))],
-            o.distance,
-            level,
-            prev,
-        )
-        checks.extend(sol.checks)
-        base_dists = {a: sol.eta[i] for i, a in enumerate(avec)}
-        if prev:
-            base_dists[prev] = sol.link
 
+    def step(level, avec, prev, base_dists):
+        base = [(o.suitable_at(u), du) for u, du in base_dists.items()]
         support = set(k_space.net_chain(level))
-        for u in base_dists:
-            support.update(o.suitable_at(u).support)
+        for fu, _ in base:
+            support.update(fu.support)
         gamma: dict[int, Fraction] = {}
         for i in sorted(support):
             eps = eval_suitable(new_fn, i, k_space)
-            lo = max(
-                (
-                    eval_suitable(o.suitable_at(u), i, k_space) - du
-                    for u, du in base_dists.items()
-                ),
-                default=None,
-            )
-            hi = min(
-                (
-                    eval_suitable(o.suitable_at(u), i, k_space) + du
-                    for u, du in base_dists.items()
-                ),
-                default=None,
-            )
-            val = eps
-            if lo is not None and val < lo:
-                val = lo
-            if hi is not None and val > hi:
-                val = hi
-            gamma[i] = val
+            lo = max((eval_suitable(fu, i, k_space) - du for fu, du in base), default=None)
+            hi = min((eval_suitable(fu, i, k_space) + du for fu, du in base), default=None)
+            gamma[i] = eps if lo is None else min(max(eps, lo), hi)
         f = build_suitable(gamma, k_space)
         lip_index = None
         if lip_seq is not None:
             lip_index = lip_seq[level - 1]
-            for u, du in base_dists.items():
-                dz = o.polish.d_idx(lip_index, o.lip_index_at(u))
-                checks.append(Check(f"label-{level}-{u}", dz, "<=", o.lip_const * du))
-                if dz > o.lip_const * du:
-                    raise SolverError(
-                        f"label {lip_index} at level {level} breaks the bound against {u!r}"
-                    )
+            _check_label(o, lip_index, level, base_dists, "label", checks)
         result = o.grow(base_dists, suitable=f, lip_index=lip_index)
         for n in range(1, k_space.size + 1):
             pv = ProfileValue(
@@ -282,12 +223,10 @@ def extend_one_point_c(
                     f"profile deviation {pv.deviation} at level {level}, index {n} "
                     f"exceeds 2^-{level}"
                 )
-        ids.append(result.point)
-        if prev:
-            certs.append(sol.link)
-    return ProductExtensionOutcome(
-        CauchyPoint(tuple(ids), tuple(certs)), tuple(values), tuple(checks)
-    )
+        return result.point
+
+    point = _sandwich_chain(o, anchors, target_metric, depth, drift_slack, checks, step)
+    return ProductExtensionOutcome(point, tuple(values), tuple(checks))
 
 
 def embed_point_c(

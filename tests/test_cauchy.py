@@ -427,3 +427,33 @@ def test_integer_clamp_matches_rational():
             scale,
         )
         assert got == want and got_i == scaled(want, scale)
+
+
+def test_coinciding_anchors_are_refused_by_every_solver():
+    # the shared driver refuses them before any drift check or growth
+    from urysohn.lipschitz import extend_one_point_l
+    from urysohn.product import embed_point_c, extend_one_point_c
+    from urysohn.spaces import CompactPresentation, PolishPresentation, suitable
+
+    m = fin_metric(
+        ["b1", "b2", "b3"], {("b1", "b2"): F(1), ("b1", "b3"): F(1), ("b2", "b3"): F(1)}
+    )
+    depth = 2
+    need = required_depth(3, depth)
+    one = fin_metric(["q1"], {})
+
+    o = LimitOracle()
+    a = extend_singleton(o, None, need).point
+    with pytest.raises(SolverError, match="anchors coincide"):
+        extend_one_point(o, [a, a], indexed_structure(m, bound=0), {}, depth)
+
+    o = LimitOracle(modes=("lip",), polish=PolishPresentation(one), lip_const=F(1))
+    a = extend_one_point_l(o, [], fin_metric(["b1"], {}), 1, need).point
+    with pytest.raises(SolverError, match="anchors coincide"):
+        extend_one_point_l(o, [a, a], m, 1, depth)
+
+    o = LimitOracle(modes=("prod",), compact=CompactPresentation(one))
+    a = embed_point_c(o, suitable({1: F(1)}), need).point
+    with pytest.raises(SolverError, match="anchors coincide"):
+        extend_one_point_c(o, [a, a], m, suitable({1: F(1)}), depth)
+    assert len(o) == need

@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 from urysohn.cli import main
 from urysohn.certificates import verify_certificate
 
@@ -311,3 +313,60 @@ def test_validate_refuses_profiles_and_labels_outside_their_presentation(tmp_pat
         assert capsys.readouterr().err.startswith(
             f"error: step 1: dense index {label} outside 1..2"
         )
+
+
+def _shape_case(name, records, error):
+    return pytest.param("ORACLE\n" + "\n".join(records) + "\n", error, id=name)
+
+
+@pytest.mark.parametrize(
+    "log, error",
+    [
+        _shape_case(
+            "distance-to-unknown-point",
+            ["grow u1", "grow u2", "gd u1 1/1", "gd u9 1/1"],
+            "step 2: distances must cover exactly the earlier points; stray ['u9'], missing []",
+        ),
+        _shape_case(
+            "self-distance",
+            ["grow u1", "grow u2", "gd u1 1/1", "gd u2 1/1"],
+            "step 2: distances must cover exactly the earlier points; stray ['u2'], missing []",
+        ),
+        _shape_case(
+            "distance-left-out",
+            ["grow u1", "grow u2", "gd u1 1/1", "grow u3", "gd u2 1/1"],
+            "step 3: distances must cover exactly the earlier points; stray [], missing ['u1']",
+        ),
+        _shape_case(
+            "point-id-twice",
+            ["grow u1", "grow u1", "gd u1 1/1"],
+            "step 2: point 'u1' already exists",
+        ),
+        _shape_case(
+            "slot-registered-again",
+            ["grow u1", "greg 1 1", "gp 1 1 u1 1/2", "grow u2", "gd u1 1/1", "greg 1 1"],
+            "step 2: fresh slot (1, 1) is not the next free arity-1 index 2",
+        ),
+        _shape_case(
+            "registration-skips-an-index",
+            ["grow u1", "greg 1 2", "gp 1 2 u1 1/2", "grow u2", "gd u1 1/1"],
+            "step 1: fresh slot (1, 2) is not the next free arity-1 index 1",
+        ),
+        _shape_case(
+            "registration-over-budget",
+            ["grow u1", "greg 1 1", "greg 1 2"],
+            "step 1: no room for a fresh arity-1 slot: 2 of 1",
+        ),
+        _shape_case(
+            "arity-over-budget",
+            ["grow u1", "greg 2 1"],
+            "step 1: no room for a fresh arity-2 slot: 1 of 0",
+        ),
+    ],
+)
+def test_validate_refuses_records_grow_cannot_write(tmp_path, capsys, log, error):
+    path = put(tmp_path, "shape.log", log)
+    assert main(["validate", path]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {error}\n"
