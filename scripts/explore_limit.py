@@ -6,17 +6,18 @@ then reads back realized distances and predicate values at the final depth
 with their certified error radii.
 """
 import argparse
+import sys
 from fractions import Fraction
 from random import Random
 
-from urysohn.cauchy import embed_structure, indexed_structure
+from urysohn.cauchy import embed_structure
 from urysohn.engine import LimitOracle
 from urysohn.randgen import random_metric, random_table
 from urysohn.rationals import fmt_rat, pow2
-from urysohn.relational import tuples_over, validate_k
+from urysohn.relational import indexed_structure, tuples_over, validate_k
 
 
-def main():
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--depth", type=int, default=6)
     ap.add_argument("--seed", type=int, default=0)
@@ -56,7 +57,8 @@ def main():
         print(f"slot ({n},{m}) -> global {g}: worst deviation {fmt_rat(worst)}")
     report = validate_k(oracle.snapshot())
     print("snapshot valid" if not report else f"snapshot INVALID: {report[0]}")
+    return 1 if report else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

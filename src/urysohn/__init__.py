@@ -11,7 +11,6 @@ Cauchy approximants of limit points.
 
 from .cauchy import (
     CauchyPoint,
-    IndexedStructure,
     PartialIso,
     SandwichInfeasible,
     SandwichSolution,
@@ -20,10 +19,8 @@ from .cauchy import (
     extend_one_point,
     extend_partial_iso,
     extend_singleton,
-    indexed_structure,
     required_depth,
     solve_sandwich,
-    validate_bark,
     validate_witness,
     verify_cauchy,
 )
@@ -72,12 +69,12 @@ from .relational import (
     EmbeddingWitness,
     FixedArityConfig,
     FixedArityStructure,
-    StructureK,
+    IndexedStructure,
     canonical_extend,
     check_embedding_k,
     find_isomorphism,
     find_isomorphism_fixed,
-    make_structure,
+    indexed_structure,
     validate_fixed,
     validate_k,
 )

@@ -18,9 +18,17 @@ from typing import Iterable, Mapping, Sequence
 
 from .certificates import Check
 from .engine import LimitOracle, RelExtension
-from .metric import FinMetric, OnePointSpec, fin_metric, one_point_feasible, validate_metric
+from .metric import FinMetric, OnePointSpec, fin_metric, one_point_feasible
 from .rationals import ZERO, pow2, scaled
-from .relational import PredTable, StructureK, find_lipschitz_violation, tuples_over
+from .relational import (
+    IndexedStructure,
+    PredTable,
+    indexed_structure,
+    pattern_indices,
+    restrict_k,
+    tuples_over,
+    validate_k,
+)
 
 Slot = tuple[int, int]
 
@@ -31,108 +39,6 @@ class SolverError(Exception):
 
 class SandwichInfeasible(Exception):
     """The sandwich system had no solution; indicates corrupted input state."""
-
-
-@dataclass(frozen=True)
-class IndexedStructure:
-    """Finite metric space with predicate tables over arbitrary finite index sets.
-
-    For each arity n <= bound the index set has exactly bound - n + 1
-    members; every indexed table is total and 1-Lipschitz in the sum metric.
-    A bound of zero means a bare metric space.
-    """
-
-    metric: FinMetric
-    bound: int
-    indices: dict[int, tuple[int, ...]]
-    pred: dict[tuple[int, int, tuple[str, ...]], Fraction]
-
-    @property
-    def points(self) -> tuple[str, ...]:
-        return self.metric.points
-
-    def slots(self) -> list[Slot]:
-        return [(n, m) for n in sorted(self.indices) for m in self.indices[n]]
-
-    def __len__(self) -> int:
-        return len(self.metric)
-
-
-def indexed_structure(
-    metric: FinMetric,
-    bound: int | None = None,
-    pred: Mapping[tuple[int, int, tuple[str, ...]], Fraction] | None = None,
-    indices: Mapping[int, Iterable[int]] | None = None,
-) -> IndexedStructure:
-    """Build with initial-segment index sets by default; zero-fill missing slots."""
-    if bound is None:
-        bound = len(metric)
-    if indices is None:
-        idx = {n: tuple(range(1, bound + 2 - n)) for n in range(1, bound + 1)}
-    else:
-        idx = {n: tuple(sorted(indices[n])) for n in indices}
-    table = dict(pred or {})
-    for n in idx:
-        for m in idx[n]:
-            for tup in tuples_over(metric.points, n):
-                table.setdefault((n, m, tup), ZERO)
-    return IndexedStructure(metric, bound, idx, table)
-
-
-def validate_bark(s: IndexedStructure) -> list[str]:
-    report = [f"metric: {msg}" for msg in validate_metric(s.metric)]
-    if s.bound < 0 or s.bound > len(s):
-        report.append(f"arity bound {s.bound} outside 0..{len(s)}")
-        return report
-    if set(s.indices.keys()) != set(range(1, s.bound + 1)):
-        report.append("index sets must cover exactly the arities 1..bound")
-        return report
-    for n, members in s.indices.items():
-        if len(set(members)) != len(members) or list(members) != sorted(members):
-            report.append(f"index set for arity {n} must be sorted and duplicate-free")
-        if len(members) != s.bound - n + 1:
-            report.append(
-                f"index set for arity {n} has {len(members)} members, "
-                f"wants {s.bound - n + 1}"
-            )
-        if any(m < 1 for m in members):
-            report.append(f"index set for arity {n} has a non-positive member")
-    if any("index set" in msg for msg in report):
-        return report
-    expected = {
-        (n, m, tup)
-        for n, m in s.slots()
-        for tup in tuples_over(s.points, n)
-    }
-    missing = expected - set(s.pred.keys())
-    stray = set(s.pred.keys()) - expected
-    for n, m, tup in sorted(missing):
-        report.append(f"totality: slot ({n},{m}) missing on {tup}")
-    for n, m, tup in sorted(stray):
-        report.append(f"totality: stray entry at slot ({n},{m}) on {tup}")
-    if missing or stray:
-        return report
-    for n, m in s.slots():
-        values = {tup: s.pred[(n, m, tup)] for tup in tuples_over(s.points, n)}
-        bad = find_lipschitz_violation(s.metric, values)
-        if bad is not None:
-            ta, tb, lhs, rhs = bad
-            report.append(f"lipschitz: slot ({n},{m}) at {ta} vs {tb} ({lhs} > {rhs})")
-    return report
-
-
-def restrict_bark(s: IndexedStructure, keep: Sequence[str], bound: int | None = None) -> IndexedStructure:
-    """Substructure on a point prefix, index sets truncated to leading members."""
-    keep = tuple(keep)
-    new_bound = min(s.bound, len(keep)) if bound is None else bound
-    idx = {n: s.indices[n][: new_bound + 1 - n] for n in range(1, new_bound + 1)}
-    pred = {}
-    keepset = set(keep)
-    for n in idx:
-        for m in idx[n]:
-            for tup in tuples_over(keep, n):
-                pred[(n, m, tup)] = s.pred[(n, m, tup)]
-    return IndexedStructure(s.metric.restrict(keepset), new_bound, idx, pred)
 
 
 @dataclass(frozen=True)
@@ -302,7 +208,7 @@ def extend_one_point(
     predicate values into their Katetov windows and grows the oracle.
     """
     known = dict(known or {})
-    report = validate_bark(target)
+    report = validate_k(target)
     if report:
         raise SolverError(f"target structure invalid: {report[0]}")
     k = len(target)
@@ -420,12 +326,8 @@ def extend_one_point(
                         defined_i[tup] = val_i
                     for tup, val in defined.items():
                         pred[(n, pos, tup)] = val
-            ext = StructureK(ext_metric, target.bound, pred)
-            slot_map: dict[Slot, int | None] = {
-                (n, pos): assigned.get((n, pos))
-                for n in sorted(target.indices)
-                for pos in range(1, target.bound + 2 - n)
-            }
+            ext = IndexedStructure(ext_metric, target.bound, pattern_indices(target.bound), pred)
+            slot_map: dict[Slot, int | None] = {s: assigned.get(s) for s in ext.slots()}
             rel = RelExtension(ext, {p: p for p in base_pts}, slot_map, birth_pins)
 
         result = o.grow(base_dists, rel=rel)
@@ -582,7 +484,7 @@ def embed_structure(o: LimitOracle, x: IndexedStructure, depth: int) -> Embeddin
     the slot registrations made so far; earlier stages are built deeper so
     every later stage finds its anchors.
     """
-    report = validate_bark(x)
+    report = validate_k(x)
     if report:
         raise SolverError(f"structure invalid: {report[0]}")
     depths = stage_depths(len(x), depth)
@@ -591,7 +493,7 @@ def embed_structure(o: LimitOracle, x: IndexedStructure, depth: int) -> Embeddin
     values: list[StepValue] = []
     checks: list[Check] = []
     for k in range(1, len(x) + 1):
-        stage = restrict_bark(x, x.points[:k])
+        stage = restrict_k(x, x.points[:k])
         outcome = extend_one_point(
             o,
             built,

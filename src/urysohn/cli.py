@@ -12,7 +12,6 @@ from pathlib import Path
 from random import Random
 
 from .cauchy import (
-    IndexedStructure,
     PartialIso,
     SandwichInfeasible,
     SolverError,
@@ -20,7 +19,6 @@ from .cauchy import (
     extend_one_point,
     extend_partial_iso,
     homog_depth_plan,
-    validate_bark,
     witness_checks,
 )
 from .certificates import Check, emit_certificate, verify_certificate
@@ -49,7 +47,7 @@ from .product import (
 )
 from .randgen import random_wish_extension
 from .rationals import RatParseError, fmt_rat, parse_rat, pow2
-from .relational import EmbeddingWitness, StructureK, identity_witness, validate_k
+from .relational import EmbeddingWitness, identity_witness, validate_k
 from .spaces import eval_suitable, validate_compact, validate_polish
 
 
@@ -95,10 +93,8 @@ def _write(path: str | None, data: bytes | str):
 def cmd_validate(args) -> int:
     parsed = _load(args.file)
     report: list[str] = []
-    if parsed.kind == "K":
+    if parsed.kind in ("K", "BARK"):
         report = validate_k(parsed.value)
-    elif parsed.kind == "BARK":
-        report = validate_bark(parsed.value)
     elif parsed.kind == "COMPACT":
         report = validate_compact(parsed.value)
     elif parsed.kind == "POLISH":
@@ -236,13 +232,6 @@ def cmd_grow(args) -> int:
 
 def cmd_embed(args) -> int:
     x = _load_kind(args.file, "BARK", "K")
-    if isinstance(x, StructureK):
-        x = IndexedStructure(
-            x.metric,
-            x.n_a,
-            {n: tuple(range(1, x.n_a + 2 - n)) for n in range(1, x.n_a + 1)},
-            x.pred,
-        )
     o = _load_oracle(args)
     out = embed_structure(o, x, args.depth)
     checks = list(out.checks)

@@ -16,7 +16,7 @@ change afterwards.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
 from operator import add
@@ -27,6 +27,7 @@ from .metric import (
     IntRows,
     MetricTableError,
     WitnessError,
+    jep_gap,
     jep_gap_metric,
     path_amalgam_metric,
 )
@@ -34,11 +35,13 @@ from .rationals import ZERO, scaled
 from .relational import (
     EMPTY_STRUCTURE,
     EmbeddingWitness,
+    IndexedStructure,
     PredTable,
-    StructureK,
     canonical_extend,
     check_embedding_k,
     identity_witness,
+    indexed_structure,
+    pattern_indices,
     pattern_slots,
     tuples_over,
     validate_k,
@@ -56,50 +59,48 @@ from .spaces import (
 class Amalgam:
     """Amalgamation output with the two commuting embedding witnesses."""
 
-    result: StructureK
+    result: IndexedStructure
     wit_b: EmbeddingWitness
     wit_c: EmbeddingWitness
 
 
-def _all_values(s: StructureK) -> Iterable[Fraction]:
-    yield from s.metric.table.values()
-    yield from s.pred.values()
-
-
-def joint_embed_k(a: StructureK, b: StructureK) -> Amalgam:
+def joint_embed_k(a: IndexedStructure, b: IndexedStructure) -> Amalgam:
     """Joint embedding: disjoint union at constant gap twice the largest value.
 
-    Predicate slots undefined on a side are filled with zero, which the gap
-    makes consistent.
+    Both sides must have initial-segment index sets.  Predicate slots
+    undefined on a side are filled with zero, which the gap makes consistent.
     """
     if set(a.points) & set(b.points):
         raise MetricTableError("point ids must be disjoint for joint embedding")
-    m = max((v for s in (a, b) for v in _all_values(s)), default=ZERO)
-    gap = 2 * m if m > 0 else Fraction(1)
+    gap = jep_gap(
+        v for s in (a, b) for vals in (s.metric.table, s.pred) for v in vals.values()
+    )
     metric = jep_gap_metric(a.metric, b.metric, gap)
-    n_d = max(a.n_a, b.n_a)
+    n_d = max(a.bound, b.bound)
     a_set, b_set = set(a.points), set(b.points)
     pred: PredTable = {}
     for n, md in pattern_slots(n_d):
         for tup in tuples_over(metric.points, n):
-            if n <= a.n_a and md <= a.n_a + 1 - n and all(p in a_set for p in tup):
+            if n <= a.bound and md <= a.bound + 1 - n and all(p in a_set for p in tup):
                 pred[(n, md, tup)] = a.pred[(n, md, tup)]
-            elif n <= b.n_a and md <= b.n_a + 1 - n and all(p in b_set for p in tup):
+            elif n <= b.bound and md <= b.bound + 1 - n and all(p in b_set for p in tup):
                 pred[(n, md, tup)] = b.pred[(n, md, tup)]
             else:
                 pred[(n, md, tup)] = ZERO
-    d = StructureK(metric, n_d, pred)
+    d = IndexedStructure(metric, n_d, pattern_indices(n_d), pred)
     return Amalgam(d, identity_witness(a), identity_witness(b))
 
 
-def _normalizing_perm(s: StructureK, a: StructureK, w: EmbeddingWitness) -> dict[int, dict[int, int]]:
+def _normalizing_perm(
+    s: IndexedStructure, a: IndexedStructure, w: EmbeddingWitness
+) -> dict[int, dict[int, int]]:
     """Index permutation of s sending the transported common slots to initial segments."""
     rho: dict[int, dict[int, int]] = {}
-    for n in range(1, s.n_a + 1):
-        size = s.n_a + 1 - n
+    for n in range(1, s.bound + 1):
+        size = s.bound + 1 - n
         perm: dict[int, int] = {}
-        if n <= a.n_a:
-            for m in range(1, a.n_a + 2 - n):
+        if n <= a.bound:
+            for m in range(1, a.bound + 2 - n):
                 perm[w.pi[n][m]] = m
         free_targets = [t for t in range(1, size + 1) if t not in perm.values()]
         free_sources = [m for m in range(1, size + 1) if m not in perm]
@@ -109,24 +110,24 @@ def _normalizing_perm(s: StructureK, a: StructureK, w: EmbeddingWitness) -> dict
     return rho
 
 
-def _reindex(s: StructureK, rho: dict[int, dict[int, int]]) -> StructureK:
+def _reindex(s: IndexedStructure, rho: dict[int, dict[int, int]]) -> IndexedStructure:
     pred = {(n, rho[n][m], tup): v for (n, m, tup), v in s.pred.items()}
-    return StructureK(s.metric, s.n_a, pred)
+    return replace(s, pred=pred)
 
 
 def amalgamate_k(
-    b: StructureK,
-    c: StructureK,
-    a: StructureK,
+    b: IndexedStructure,
+    c: IndexedStructure,
+    a: IndexedStructure,
     wab: EmbeddingWitness,
     wac: EmbeddingWitness,
 ) -> Amalgam:
-    """Amalgamate b and c over a.
+    """Amalgamate b and c over a, all three with initial-segment index sets.
 
     Both witnesses must transport a's data exactly.  The two sides are first
     reindexed so the common slots sit at initial segments; b then keeps its
     slot indices in the output while c's slots beyond the common pattern are
-    shifted up by n_b - n_a.  Tuples mixing the two new sides are filled by
+    shifted up by b.bound - a.bound.  Tuples mixing the two new sides are filled by
     the Katetov extension, brand-new slots with zero.
     """
     ok, why = check_embedding_k(a, b, wab)
@@ -145,13 +146,13 @@ def amalgamate_k(
     out_b = {p: back_b.get(p, p) for p in b.points}
     out_c = {p: back_c.get(p, p) for p in c.points}
 
-    n_d = b.n_a + c.n_a - a.n_a
-    shift = b.n_a - a.n_a
+    n_d = b.bound + c.bound - a.bound
+    shift = b.bound - a.bound
     partial: dict[tuple[int, int], dict[tuple[str, ...], Fraction]] = {}
     for (n, m, tup), v in b2.pred.items():
         partial.setdefault((n, m), {})[tuple(out_b[p] for p in tup)] = v
     for (n, m, tup), v in c2.pred.items():
-        slot = (n, m) if n <= a.n_a and m <= a.n_a + 1 - n else (n, m + shift)
+        slot = (n, m) if n <= a.bound and m <= a.bound + 1 - n else (n, m + shift)
         mt = tuple(out_c[p] for p in tup)
         known = partial.setdefault(slot, {})
         if mt in known and known[mt] != v:
@@ -169,18 +170,18 @@ def amalgamate_k(
         else:
             for tup, v in canonical_extend(metric, vals, n).items():
                 pred[(n, m, tup)] = v
-    d = StructureK(metric, n_d, pred)
+    d = IndexedStructure(metric, n_d, pattern_indices(n_d), pred)
 
     wit_b = EmbeddingWitness(
         out_b,
-        {n: dict(rho_b[n]) for n in range(1, b.n_a + 1)},
+        {n: dict(rho_b[n]) for n in range(1, b.bound + 1)},
     )
     pi_c: dict[int, dict[int, int]] = {}
-    for n in range(1, c.n_a + 1):
+    for n in range(1, c.bound + 1):
         pi_c[n] = {}
-        for m in range(1, c.n_a + 2 - n):
+        for m in range(1, c.bound + 2 - n):
             t = rho_c[n][m]
-            pi_c[n][m] = t if n <= a.n_a and t <= a.n_a + 1 - n else t + shift
+            pi_c[n][m] = t if n <= a.bound and t <= a.bound + 1 - n else t + shift
     wit_c = EmbeddingWitness(out_c, pi_c)
     return Amalgam(d, wit_b, wit_c)
 
@@ -225,7 +226,7 @@ class RelExtension:
     whole pin set of a fresh slot must be mutually 1-Lipschitz.
     """
 
-    ext: StructureK
+    ext: IndexedStructure
     base_map: dict[str, str]
     slot_map: dict[tuple[int, int], int | None]
     birth_pins: dict[tuple[int, int], dict[tuple[str, ...], Fraction]] = field(
@@ -395,6 +396,10 @@ class LimitOracle:
             raise OracleGrowthError("lip mode requires a dense index for the new point")
         if rel is not None and "rel" not in self.modes:
             raise OracleGrowthError("oracle does not carry indexed predicates")
+        if suitable is not None and "prod" not in self.modes:
+            raise OracleGrowthError("oracle does not carry profiles")
+        if lip_index is not None and "lip" not in self.modes:
+            raise OracleGrowthError("oracle does not carry labels")
 
         for i, p in enumerate(base):
             ep = base_dists[p]
@@ -484,23 +489,21 @@ class LimitOracle:
         return row
 
     def _gap(self, rel, suitable, lip_index) -> Fraction:
-        """Joint-embedding gap: twice the largest value anywhere, or 1."""
-        m = Fraction(max(self._dist_i.values(), default=0), self._den)
-        for pins in self._pins_i.values():
-            m = max(m, Fraction(max(pins.values(), default=0), self._den))
+        """Joint-embedding gap over every value anywhere, the request's too."""
+        values = [
+            Fraction(max(ints.values(), default=0), self._den)
+            for ints in (self._dist_i, *self._pins_i.values())
+        ]
         if rel is not None:
-            m = max(m, max(rel.ext.pred.values(), default=ZERO))
-        for f in self._suit.values():
-            m = max(m, f.max_value())
+            values += rel.ext.pred.values()
+        values += (f.max_value() for f in self._suit.values())
         if suitable is not None:
-            m = max(m, suitable.max_value())
-        if lip_index is not None and self._lip:
-            m_f = max(
-                self.polish.d_idx(lip_index, i) / self.lip_const
-                for i in self._lip.values()
+            values.append(suitable.max_value())
+        if lip_index is not None:
+            values += (
+                self.polish.d_idx(lip_index, i) / self.lip_const for i in self._lip.values()
             )
-            m = max(m, m_f)
-        return 2 * m if m > 0 else Fraction(1)
+        return jep_gap(values)
 
     def _check_rel(self, rel: RelExtension, base, base_dists):
         ext, bm = rel.ext, rel.base_map
@@ -705,7 +708,7 @@ class LimitOracle:
 
     # -- snapshots -----------------------------------------------------------
 
-    def snapshot(self) -> StructureK:
+    def snapshot(self) -> IndexedStructure:
         """Materialize the relational state as one pattern-total structure.
 
         The arity bound is the least one admitting every realized slot;
@@ -723,13 +726,11 @@ class LimitOracle:
             raise OracleGrowthError("realized slots exceed the structure pattern")
         metric = self.metric()
         pred: PredTable = {}
-        for n, m in pattern_slots(n_u):
-            realized = m <= self._counts.get(n, 0)
-            for tup in tuples_over(metric.points, n):
-                pred[(n, m, tup)] = (
-                    self.predicate_value(n, m, tup) if realized else ZERO
-                )
-        return StructureK(metric, n_u, pred)
+        for n, ms in pattern_indices(n_u).items():
+            for m in ms[: self._counts.get(n, 0)]:
+                for tup in tuples_over(metric.points, n):
+                    pred[(n, m, tup)] = self.predicate_value(n, m, tup)
+        return indexed_structure(metric, n_u, pred)
 
     def validate_state(self) -> list[str]:
         """Check the oracle's invariants directly on the lazy representation.

@@ -11,13 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cauchy import IndexedStructure
 from .engine import GrowthRecord, LimitOracle
 from .lipschitz import StructureL
 from .metric import FinMetric, fin_metric
 from .product import StructureC
 from .rationals import RatParseError, fmt_rat, parse_rat
-from .relational import StructureK
+from .relational import IndexedStructure, pattern_indices
 from .spaces import CompactPresentation, PolishPresentation, SuitableFn, suitable
 
 KINDS = ("K", "BARK", "C", "L", "COMPACT", "POLISH", "ORACLE")
@@ -84,7 +83,7 @@ def _tuple_record(parts: list[str], lineno: int) -> tuple[int, int, tuple[str, .
 class _Collector:
     points: list[str] = field(default_factory=list)
     dists: dict[tuple[str, str], Fraction] = field(default_factory=dict)
-    n_a: int | None = None
+    bound: int | None = None
     lip: Fraction | None = None
     preds: dict[tuple[int, int, tuple[str, ...]], Fraction] = field(default_factory=dict)
     suits: dict[str, SuitableFn] = field(default_factory=dict)
@@ -151,9 +150,9 @@ def parse_structure_file(text: str) -> ParsedFile:
             col.dists[(x, y)] = _rat(parts[3], lineno)
         elif rec == "nA":
             _fields(parts, 2, lineno, "one integer")
-            if col.n_a is not None:
+            if col.bound is not None:
                 raise ParseError(lineno, "duplicate nA record")
-            col.n_a = _int(parts[1], lineno)
+            col.bound = _int(parts[1], lineno)
         elif rec == "L":
             _fields(parts, 2, lineno, "one rational")
             if col.lip is not None:
@@ -185,27 +184,29 @@ def parse_structure_file(text: str) -> ParsedFile:
 def _assemble(kind: str, col: _Collector, lineno: int):
     metric = col.metric(lineno)
     if kind in ("COMPACT", "POLISH"):
-        if col.preds or col.suits or col.labels or col.n_a is not None:
+        if col.preds or col.suits or col.labels or col.bound is not None:
             raise ParseError(lineno, f"{kind} files carry only points and distances")
         return (
             CompactPresentation(metric)
             if kind == "COMPACT"
             else PolishPresentation(metric)
         )
-    if kind == "K":
-        n_a = col.n_a if col.n_a is not None else len(metric)
-        return StructureK(metric, n_a, col.preds)
-    if kind == "BARK":
-        indices: dict[int, list[int]] = {}
-        for n, m, _ in col.preds:
-            if m not in indices.setdefault(n, []):
-                indices[n].append(m)
-        bound = col.n_a if col.n_a is not None else (
-            max((n + len(ms) - 1 for n, ms in indices.items()), default=0)
-        )
-        return IndexedStructure(
-            metric, bound, {n: tuple(sorted(ms)) for n, ms in indices.items()}, col.preds
-        )
+    if kind in ("K", "BARK"):
+        # a K file indexes its tables by initial segments of the bound (the
+        # point count by default), a BARK file by the indices its records
+        # use; a bound above the point count is left to validate_k to report
+        if kind == "K":
+            bound = len(metric) if col.bound is None else col.bound
+            indices = pattern_indices(min(bound, len(metric)))
+        else:
+            used: dict[int, set[int]] = {}
+            for n, m, _ in col.preds:
+                used.setdefault(n, set()).add(m)
+            indices = {n: tuple(sorted(ms)) for n, ms in used.items()}
+            bound = col.bound if col.bound is not None else (
+                max((n + len(ms) - 1 for n, ms in indices.items()), default=0)
+            )
+        return IndexedStructure(metric, bound, indices, col.preds)
     if kind == "C":
         for p in metric.points:
             col.suits.setdefault(p, SuitableFn(()))
@@ -224,9 +225,8 @@ def serialize_structure(kind: str, value) -> str:
     metric: FinMetric = value.metric
     for p in sorted(metric.points):
         lines.append(f"point {p}")
-    if kind == "K" or kind == "BARK":
-        bound = value.n_a if kind == "K" else value.bound
-        lines.append(f"nA {bound}")
+    if kind in ("K", "BARK"):
+        lines.append(f"nA {value.bound}")
     if kind == "L":
         lines.append(f"L {fmt_rat(value.lip)}")
     seen = set()

@@ -13,8 +13,8 @@ from typing import Mapping, Sequence
 from .cauchy import CauchyPoint, SolverError, _check_anchors, _sandwich_chain
 from .certificates import Check
 from .engine import LimitOracle
-from .metric import FinMetric, jep_gap_metric, path_amalgam_carry, validate_metric
-from .rationals import ZERO, pow2
+from .metric import FinMetric, jep_gap, jep_gap_metric, path_amalgam_carry, validate_metric
+from .rationals import pow2
 from .spaces import PolishPresentation
 
 
@@ -82,17 +82,10 @@ def joint_embed_l(a: StructureL, b: StructureL, z: PolishPresentation) -> Struct
     """
     if a.lip != b.lip:
         raise ValueError(f"mismatched Lipschitz constants: {a.lip} != {b.lip}")
-    m = max(a.metric.diam(), b.metric.diam())
-    m_f = max(
-        (
-            z.d_idx(a.labels[p], b.labels[q]) / a.lip
-            for p in a.points
-            for q in b.points
-        ),
-        default=ZERO,
+    gap = jep_gap(
+        [a.metric.diam(), b.metric.diam()]
+        + [z.d_idx(a.labels[p], b.labels[q]) / a.lip for p in a.points for q in b.points]
     )
-    m = max(m, m_f)
-    gap = 2 * m if m > 0 else Fraction(1)
     metric = jep_gap_metric(a.metric, b.metric, gap)
     return StructureL(metric, {**a.labels, **b.labels}, a.lip)
 

@@ -301,6 +301,12 @@ def _check_isometric(a: FinMetric, target: FinMetric, phi: Mapping[str, str], la
             )
 
 
+def jep_gap(values: Iterable[Fraction]) -> Fraction:
+    """Joint-embedding gap: twice the largest of ``values``, or 1 if none is positive."""
+    m = max(values, default=ZERO)
+    return 2 * m if m > 0 else Fraction(1)
+
+
 def jep_gap_metric(a: FinMetric, b: FinMetric, gap: Fraction) -> FinMetric:
     """Disjoint union of a and b with every cross distance equal to ``gap``.
 

@@ -20,7 +20,7 @@ from .cauchy import CauchyPoint, SolverError, _check_anchors, _sandwich_chain
 from .certificates import Check
 from .engine import LimitOracle
 from .lipschitz import _check_label
-from .metric import FinMetric, jep_gap_metric, path_amalgam_carry
+from .metric import FinMetric, jep_gap, jep_gap_metric, path_amalgam_carry
 from .rationals import ZERO, pow2
 from .spaces import (
     CompactPresentation,
@@ -107,12 +107,10 @@ def amalgamate_c(
 
 def joint_embed_c(a: StructureC, b: StructureC, k: CompactPresentation) -> StructureC:
     """Disjoint union at a constant gap dominating every value on both sides."""
-    m = max(
+    gap = jep_gap(
         [s.metric.diam() for s in (a, b)]
-        + [f.max_value() for s in (a, b) for f in s.fns.values()],
-        default=ZERO,
+        + [f.max_value() for s in (a, b) for f in s.fns.values()]
     )
-    gap = 2 * m if m > 0 else Fraction(1)
     metric = jep_gap_metric(a.metric, b.metric, gap)
     return StructureC(metric, {**a.fns, **b.fns})
 
@@ -161,6 +159,8 @@ def extend_one_point_c(
         raise SolverError("oracle does not carry a compact presentation")
     lip_seq: list[int] | None = None
     if lip_target is not None:
+        if "lip" not in o.modes:
+            raise SolverError("oracle does not carry labels")
         lip_seq = [lip_target] * depth if isinstance(lip_target, int) else list(lip_target)
         if len(lip_seq) < depth:
             raise SolverError("label sequence shorter than the requested depth")

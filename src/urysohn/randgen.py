@@ -12,12 +12,12 @@ from fractions import Fraction
 from random import Random
 from typing import Sequence
 
-from .cauchy import IndexedStructure, indexed_structure
 from .metric import FinMetric, fin_metric, tuple_dist
 from .rationals import ZERO
 from .relational import (
-    StructureK,
-    canonical_extend,
+    IndexedStructure,
+    indexed_structure,
+    pattern_indices,
     pattern_slots,
     tuples_over,
 )
@@ -59,6 +59,27 @@ def random_metric(rng: Random, ids: Sequence[str], den: int = 8, hi: int = 16) -
     return fin_metric(pts, entries)
 
 
+def _random_row(rng: Random, pts: Sequence[str], dist, den: int = 8) -> dict[str, Fraction]:
+    """Random distances from one new point to ``pts``, in order.
+
+    ``dist(a, b)`` reads the existing distances; each entry is clamped into
+    the triangle window the earlier entries leave.
+    """
+    row: dict[str, Fraction] = {}
+    for i, a in enumerate(pts):
+        lo = max(
+            (abs(row[b] - dist(a, b)) for b in pts[:i]),
+            default=Fraction(1, den),
+        )
+        lo = max(lo, Fraction(1, den))
+        cap = min(
+            (row[b] + dist(a, b) for b in pts[:i]),
+            default=None,
+        )
+        row[a] = _clamp(rand_rat(rng, den), lo, cap)
+    return row
+
+
 def random_table(
     rng: Random,
     metric: FinMetric,
@@ -89,61 +110,27 @@ def random_structure_k(
     ids: Sequence[str],
     max_arity: int = 2,
     den: int = 8,
-) -> StructureK:
+) -> IndexedStructure:
     metric = random_metric(rng, ids, den)
-    n_a = rng.randint(1, min(max_arity, len(metric)))
+    bound = rng.randint(1, min(max_arity, len(metric)))
     pred = {}
-    for n, m in pattern_slots(n_a):
+    for n, m in pattern_slots(bound):
         for tup, v in random_table(rng, metric, n, den=den).items():
             pred[(n, m, tup)] = v
-    return StructureK(metric, n_a, pred)
+    return IndexedStructure(metric, bound, pattern_indices(bound), pred)
 
 
-def random_extension_k(
-    rng: Random,
-    s: StructureK,
-    new_id: str,
-    raise_bound: bool = False,
-    den: int = 8,
-) -> StructureK:
-    """One random extra point; optionally one extra predicate slot per arity."""
-    pts = list(s.points)
-    entries = {(x, y): s.metric.d(x, y) for x, y in s.metric.pairs()}
-    new_entries: dict[str, Fraction] = {}
-    for i, x in enumerate(pts):
-        lo = max(
-            (abs(new_entries[y] - s.metric.d(x, y)) for y in pts[:i]),
-            default=Fraction(1, den),
-        )
-        lo = max(lo, Fraction(1, den))
-        cap = min(
-            (new_entries[y] + s.metric.d(x, y) for y in pts[:i]),
-            default=None,
-        )
-        new_entries[x] = _clamp(rand_rat(rng, den), lo, cap)
-    entries.update({(x, new_id): v for x, v in new_entries.items()})
-    metric = fin_metric(pts + [new_id], entries)
-    n_b = min(s.n_a + 1, len(pts) + 1) if raise_bound else s.n_a
-    pred = {}
-    for n, m in pattern_slots(n_b):
-        if n <= s.n_a and m <= s.n_a + 1 - n:
-            base = {tup: s.pred[(n, m, tup)] for tup in tuples_over(s.points, n)}
-        else:
-            base = {}
-        for tup, v in random_table(rng, metric, n, base, den=den).items():
-            pred[(n, m, tup)] = v
-    return StructureK(metric, n_b, pred)
-
-
-def random_slot_permutation(rng: Random, s: StructureK) -> tuple[StructureK, dict[int, dict[int, int]]]:
+def random_slot_permutation(
+    rng: Random, s: IndexedStructure
+) -> tuple[IndexedStructure, dict[int, dict[int, int]]]:
     """Shuffle the slot indices per arity; returns the permuted copy and maps."""
     sigma: dict[int, dict[int, int]] = {}
-    for n in range(1, s.n_a + 1):
-        targets = list(range(1, s.n_a + 2 - n))
+    for n, ms in s.indices.items():
+        targets = list(ms)
         rng.shuffle(targets)
-        sigma[n] = {m: targets[m - 1] for m in range(1, s.n_a + 2 - n)}
+        sigma[n] = dict(zip(ms, targets))
     pred = {(n, sigma[n][m], tup): v for (n, m, tup), v in s.pred.items()}
-    return StructureK(s.metric, s.n_a, pred), sigma
+    return IndexedStructure(s.metric, s.bound, s.indices, pred), sigma
 
 
 def random_extension_bark(
@@ -156,19 +143,8 @@ def random_extension_bark(
     """Random one-point extension; a raised bound brings one fresh slot per arity."""
     pts = list(x.points)
     entries = {(a, b): x.metric.d(a, b) for a, b in x.metric.pairs()}
-    new_entries: dict[str, Fraction] = {}
-    for i, a in enumerate(pts):
-        lo = max(
-            (abs(new_entries[b] - x.metric.d(a, b)) for b in pts[:i]),
-            default=Fraction(1, den),
-        )
-        lo = max(lo, Fraction(1, den))
-        cap = min(
-            (new_entries[b] + x.metric.d(a, b) for b in pts[:i]),
-            default=None,
-        )
-        new_entries[a] = _clamp(rand_rat(rng, den), lo, cap)
-    entries.update({(a, new_id): v for a, v in new_entries.items()})
+    row = _random_row(rng, pts, x.metric.d, den)
+    entries.update({(a, new_id): v for a, v in row.items()})
     metric = fin_metric(pts + [new_id], entries)
     bound = min(x.bound + 1, len(pts) + 1) if raise_bound else x.bound
     indices = {}
@@ -363,19 +339,8 @@ def random_wish_extension(
         for i, a in enumerate(measured)
         for b in measured[i + 1 :]
     }
-    new_entries: dict[str, Fraction] = {}
-    for i, a in enumerate(measured):
-        lo = max(
-            (abs(new_entries[b] - o.distance(a, b)) for b in measured[:i]),
-            default=Fraction(1, den),
-        )
-        lo = max(lo, Fraction(1, den))
-        cap = min(
-            (new_entries[b] + o.distance(a, b) for b in measured[:i]),
-            default=None,
-        )
-        new_entries[a] = _clamp(rand_rat(rng, den), lo, cap)
-    entries.update({(a, "wish"): v for a, v in new_entries.items()})
+    row = _random_row(rng, measured, o.distance, den)
+    entries.update({(a, "wish"): v for a, v in row.items()})
     metric = fin_metric(measured + ["wish"], entries)
     pred = {}
     for n in x.indices:

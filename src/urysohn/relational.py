@@ -1,7 +1,8 @@
 """Finite rational metric spaces carrying indexed n-ary 1-Lipschitz predicate tables.
 
-A structure of arity bound ``n_a`` holds one total table per slot (n, m)
-with 1 <= n <= n_a and 1 <= m <= n_a + 1 - n.  Every table obeys the
+A structure of arity bound ``bound`` holds, for each arity 1 <= n <= bound,
+bound + 1 - n indexed tables, one total table per slot (n, m).  K structures
+index them by the initial segment 1..bound + 1 - n.  Every table obeys the
 1-Lipschitz law in the sum metric:
 
     p(a_1..a_n) <= p(b_1..b_n) + d(a_1,b_1) + ... + d(a_n,b_n)
@@ -24,11 +25,18 @@ PredTable = dict[tuple[int, int, tuple[str, ...]], Fraction]
 
 
 @dataclass(frozen=True)
-class StructureK:
-    """Finite metric space plus pattern-total indexed predicate tables."""
+class IndexedStructure:
+    """Finite metric space with predicate tables over finite index sets.
+
+    For each arity n <= bound the index set has exactly bound - n + 1
+    members; every indexed table is total and 1-Lipschitz in the sum metric.
+    A bound of zero means a bare metric space.  A K structure is one whose
+    index sets are the initial segments 1..bound + 1 - n.
+    """
 
     metric: FinMetric
-    n_a: int
+    bound: int
+    indices: dict[int, tuple[int, ...]]
     pred: PredTable
 
     @property
@@ -36,40 +44,49 @@ class StructureK:
         return self.metric.points
 
     def slots(self) -> list[tuple[int, int]]:
-        return pattern_slots(self.n_a)
-
-    def value(self, n: int, m: int, tup: tuple[str, ...]) -> Fraction:
-        return self.pred[(n, m, tup)]
+        return [(n, m) for n in sorted(self.indices) for m in self.indices[n]]
 
     def __len__(self) -> int:
         return len(self.metric)
 
 
-def pattern_slots(n_a: int) -> list[tuple[int, int]]:
+def pattern_indices(bound: int) -> dict[int, tuple[int, ...]]:
+    """The initial-segment index sets 1..bound + 1 - n of an arity bound."""
+    return {n: tuple(range(1, bound + 2 - n)) for n in range(1, bound + 1)}
+
+
+def pattern_slots(bound: int) -> list[tuple[int, int]]:
     """All (arity, index) slots admitted by an arity bound."""
-    return [(n, m) for n in range(1, n_a + 1) for m in range(1, n_a + 2 - n)]
+    return [(n, m) for n in range(1, bound + 1) for m in range(1, bound + 2 - n)]
 
 
-def make_structure(
+def indexed_structure(
     metric: FinMetric,
-    pred: PredTable | None = None,
-    n_a: int | None = None,
-) -> StructureK:
-    """Construct a structure; the arity bound defaults to the point count.
+    bound: int | None = None,
+    pred: Mapping[tuple[int, int, tuple[str, ...]], Fraction] | None = None,
+    indices: Mapping[int, Iterable[int]] | None = None,
+) -> IndexedStructure:
+    """Construct a structure; the arity bound defaults to the point count and
+    the index sets to initial segments.
 
     Slots missing entirely from ``pred`` are filled with the zero table,
     which is always consistent.
     """
-    if n_a is None:
-        n_a = len(metric)
+    if bound is None:
+        bound = len(metric)
+    if indices is None:
+        idx = pattern_indices(bound)
+    else:
+        idx = {n: tuple(sorted(indices[n])) for n in indices}
     table: PredTable = dict(pred or {})
-    for n, m in pattern_slots(n_a):
-        for tup in tuples_over(metric.points, n):
-            table.setdefault((n, m, tup), ZERO)
-    return StructureK(metric, n_a, table)
+    for n in idx:
+        for m in idx[n]:
+            for tup in tuples_over(metric.points, n):
+                table.setdefault((n, m, tup), ZERO)
+    return IndexedStructure(metric, bound, idx, table)
 
 
-EMPTY_STRUCTURE = StructureK(FinMetric((), {}), 0, {})
+EMPTY_STRUCTURE = IndexedStructure(FinMetric((), {}), 0, {}, {})
 
 
 def tuples_over(points: tuple[str, ...], n: int) -> Iterable[tuple[str, ...]]:
@@ -77,30 +94,36 @@ def tuples_over(points: tuple[str, ...], n: int) -> Iterable[tuple[str, ...]]:
     return product(points, repeat=n)
 
 
-def validate_k(s: StructureK) -> list[str]:
-    """Full validity report: metric axioms, totality pattern, 1-Lipschitz law."""
+def validate_k(s: IndexedStructure) -> list[str]:
+    """Full validity report: metric axioms, index sets, totality, 1-Lipschitz law."""
     report = [f"metric: {msg}" for msg in validate_metric(s.metric)]
-    k = len(s)
-    if k == 0:
-        if s.n_a != 0 or s.pred:
-            report.append("empty structure must have n_a = 0 and no predicates")
+    if not 0 <= s.bound <= len(s):
+        report.append(f"arity bound {s.bound} outside 0..{len(s)}")
         return report
-    if not 0 < s.n_a <= k:
-        report.append(f"arity bound {s.n_a} outside 1..{k}")
+    if set(s.indices) != set(range(1, s.bound + 1)):
+        report.append("index sets must cover exactly the arities 1..bound")
         return report
-    expected = set()
-    for n, m in s.slots():
-        for tup in tuples_over(s.points, n):
-            expected.add((n, m, tup))
-    for key in expected:
-        if key not in s.pred:
-            n, m, tup = key
-            report.append(f"totality: p_{m}^{n} missing on {tup}")
-    for key in s.pred:
-        if key not in expected:
-            n, m, tup = key
-            report.append(f"totality: p_{m}^{n} defined on {tup} outside the pattern")
-    if any(msg.startswith("totality") for msg in report):
+    shape = []
+    for n, members in sorted(s.indices.items()):
+        if len(set(members)) != len(members) or list(members) != sorted(members):
+            shape.append(f"index set for arity {n} must be sorted and duplicate-free")
+        if len(members) != s.bound - n + 1:
+            shape.append(
+                f"index set for arity {n} has {len(members)} members, "
+                f"wants {s.bound - n + 1}"
+            )
+        if any(m < 1 for m in members):
+            shape.append(f"index set for arity {n} has a non-positive member")
+    if shape:
+        return report + shape
+    expected = {(n, m, tup) for n, m in s.slots() for tup in tuples_over(s.points, n)}
+    missing = sorted(expected - s.pred.keys())
+    stray = sorted(s.pred.keys() - expected)
+    for n, m, tup in missing:
+        report.append(f"totality: p_{m}^{n} missing on {tup}")
+    for n, m, tup in stray:
+        report.append(f"totality: p_{m}^{n} defined on {tup} outside the pattern")
+    if missing or stray:
         return report
     for n, m in s.slots():
         values = {tup: s.pred[(n, m, tup)] for tup in tuples_over(s.points, n)}
@@ -178,25 +201,24 @@ class EmbeddingWitness:
     pi: dict[int, dict[int, int]]
 
 
-def identity_witness(s: StructureK) -> EmbeddingWitness:
+def identity_witness(s: IndexedStructure) -> EmbeddingWitness:
     return EmbeddingWitness(
         {p: p for p in s.points},
-        {n: {m: m for m in range(1, s.n_a + 2 - n)} for n in range(1, s.n_a + 1)},
+        {n: {m: m for m in ms} for n, ms in s.indices.items()},
     )
 
 
 def check_embedding_k(
-    a: StructureK, b: StructureK, w: EmbeddingWitness
+    a: IndexedStructure, b: IndexedStructure, w: EmbeddingWitness
 ) -> tuple[bool, str | None]:
     """Does ``w`` embed a into b, transporting every predicate value exactly?"""
-    for n in range(1, a.n_a + 1):
+    for n, members in a.indices.items():
         pin = w.pi.get(n, {})
-        dom = set(range(1, a.n_a + 2 - n))
-        if set(pin.keys()) != dom:
-            raise WitnessError(f"index map for arity {n} does not cover 1..{len(dom)}")
-        if len(set(pin.values())) != len(dom):
+        if set(pin.keys()) != set(members):
+            raise WitnessError(f"index map for arity {n} does not cover {members}")
+        if len(set(pin.values())) != len(members):
             raise WitnessError(f"index map for arity {n} is not injective")
-        if any(not 1 <= g <= b.n_a + 1 - n for g in pin.values()):
+        if any(g not in b.indices.get(n, ()) for g in pin.values()):
             raise WitnessError(f"index map for arity {n} leaves the target range")
     if set(w.phi.keys()) != set(a.points):
         raise WitnessError("point map does not cover the source")
@@ -255,17 +277,16 @@ def canonical_extend(
     return out
 
 
-def find_isomorphism(a: StructureK, b: StructureK) -> EmbeddingWitness | None:
+def find_isomorphism(a: IndexedStructure, b: IndexedStructure) -> EmbeddingWitness | None:
     """Exhaustive isomorphism search; returns the lexicographically first witness.
 
     Candidate point bijections run in permutation order of b's point list,
-    index permutations per arity likewise.
+    index bijections per arity in permutation order of b's index sets.
     """
-    if len(a) != len(b) or a.n_a != b.n_a:
+    if len(a) != len(b) or a.bound != b.bound:
         return None
-    index_choices = [
-        list(permutations(range(1, a.n_a + 2 - n))) for n in range(1, a.n_a + 1)
-    ]
+    arities = sorted(a.indices)
+    index_choices = [list(permutations(b.indices.get(n, ()))) for n in arities]
     for target in permutations(b.points):
         phi = dict(zip(a.points, target))
         if any(
@@ -273,10 +294,7 @@ def find_isomorphism(a: StructureK, b: StructureK) -> EmbeddingWitness | None:
         ):
             continue
         for combo in product(*index_choices):
-            pi = {
-                n: {m: combo[n - 1][m - 1] for m in range(1, a.n_a + 2 - n)}
-                for n in range(1, a.n_a + 1)
-            }
+            pi = {n: dict(zip(a.indices[n], perm)) for n, perm in zip(arities, combo)}
             w = EmbeddingWitness(phi, pi)
             ok, _ = check_embedding_k(a, b, w)
             if ok:
@@ -284,18 +302,26 @@ def find_isomorphism(a: StructureK, b: StructureK) -> EmbeddingWitness | None:
     return None
 
 
-def restrict_k(s: StructureK, ids: Iterable[str], n_a: int | None = None) -> StructureK:
-    """Induced substructure on a subset of points, arity bound clipped to fit."""
-    keep = tuple(p for p in s.points if p in set(ids))
-    new_na = min(s.n_a, len(keep)) if n_a is None else n_a
-    if new_na > min(s.n_a, len(keep)):
+def restrict_k(
+    s: IndexedStructure, ids: Iterable[str], bound: int | None = None
+) -> IndexedStructure:
+    """Induced substructure on a subset of points.
+
+    The arity bound is clipped to fit unless given, and each index set keeps
+    its leading members.
+    """
+    wanted = set(ids)
+    keep = tuple(p for p in s.points if p in wanted)
+    new_bound = min(s.bound, len(keep)) if bound is None else bound
+    if new_bound > min(s.bound, len(keep)):
         raise ValueError("restriction cannot raise the arity bound")
-    metric = s.metric.restrict(keep)
+    idx = {n: s.indices[n][: new_bound + 1 - n] for n in range(1, new_bound + 1)}
     pred: PredTable = {}
-    for n, m in pattern_slots(new_na):
-        for tup in tuples_over(keep, n):
-            pred[(n, m, tup)] = s.pred[(n, m, tup)]
-    return StructureK(metric, new_na, pred)
+    for n, ms in idx.items():
+        for m in ms:
+            for tup in tuples_over(keep, n):
+                pred[(n, m, tup)] = s.pred[(n, m, tup)]
+    return IndexedStructure(s.metric.restrict(keep), new_bound, idx, pred)
 
 
 @dataclass(frozen=True)

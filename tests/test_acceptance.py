@@ -17,12 +17,9 @@ from urysohn.cauchy import (
     extend_one_point,
     extend_partial_iso,
     homog_depth_plan,
-    indexed_structure,
     required_depth,
-    restrict_bark,
     solve_sandwich,
     stage_depths,
-    validate_bark,
 )
 from urysohn.certificates import verify_certificate
 from urysohn.cli import main as cli_main
@@ -55,7 +52,6 @@ from urysohn.randgen import (
     compatible_profile,
     random_compact,
     random_extension_bark,
-    random_extension_k,
     random_metric,
     random_polish,
     random_slot_permutation,
@@ -68,9 +64,9 @@ from urysohn.randgen import (
 from urysohn.rationals import pow2
 from urysohn.relational import (
     EmbeddingWitness,
-    StructureK,
     check_embedding_k,
     canonical_extend,
+    indexed_structure,
     tuples_over,
     validate_k,
 )
@@ -88,12 +84,12 @@ def grow_side(rng, a, max_size, prefix):
     """Random extension of a plus a random slot permutation and its witness."""
     s = a
     for i in range(rng.randint(0, max_size - len(a))):
-        raise_bound = s.n_a < 2 and rng.random() < 0.5
-        s = random_extension_k(rng, s, f"{prefix}{i + 1}", raise_bound=raise_bound)
+        raise_bound = s.bound < 2 and rng.random() < 0.5
+        s = random_extension_bark(rng, s, f"{prefix}{i + 1}", raise_bound=raise_bound)
     s, sigma = random_slot_permutation(rng, s)
     pi = {
-        n: {m: sigma[n][m] for m in range(1, a.n_a + 2 - n)}
-        for n in range(1, a.n_a + 1)
+        n: {m: sigma[n][m] for m in range(1, a.bound + 2 - n)}
+        for n in range(1, a.bound + 1)
     }
     return s, EmbeddingWitness({p: p for p in a.points}, pi)
 
@@ -113,8 +109,8 @@ def test_amalgamation_property_500():
         assert ok, why
         for p in a.points:
             assert out.wit_b.phi[wab.phi[p]] == out.wit_c.phi[wac.phi[p]]
-        for n in range(1, a.n_a + 1):
-            for m in range(1, a.n_a + 2 - n):
+        for n in range(1, a.bound + 1):
+            for m in range(1, a.bound + 2 - n):
                 assert out.wit_b.pi[n][wab.pi[n][m]] == out.wit_c.pi[n][wac.pi[n][m]]
     elapsed = time.time() - start
     assert elapsed < 30.0

@@ -4,20 +4,16 @@ import pytest
 
 from urysohn.cauchy import (
     CauchyPoint,
-    IndexedStructure,
     SolverError,
     deviation_bound,
     embed_structure,
     extend_one_point,
     extend_partial_iso,
     extend_singleton,
-    indexed_structure,
     required_depth,
-    restrict_bark,
     solve_sandwich,
     stage_depths,
     tail_bound,
-    validate_bark,
     validate_witness,
     verify_cauchy,
     PartialIso,
@@ -25,7 +21,14 @@ from urysohn.cauchy import (
 from urysohn.engine import LimitOracle
 from urysohn.metric import FinMetric, fin_metric, validate_metric, OnePointSpec, one_point_feasible
 from urysohn.rationals import pow2
-from urysohn.relational import find_lipschitz_violation, tuples_over, validate_k
+from urysohn.relational import (
+    IndexedStructure,
+    find_lipschitz_violation,
+    indexed_structure,
+    restrict_k,
+    tuples_over,
+    validate_k,
+)
 
 F = Fraction
 
@@ -145,17 +148,17 @@ def test_sandwich_brute_force_agreement():
 def test_indexed_structure_validation():
     m = fin_metric(["x", "y"], {("x", "y"): F(1)})
     s = indexed_structure(m, bound=1, pred={(1, 1, ("x",)): F(0), (1, 1, ("y",)): F(1)})
-    assert validate_bark(s) == []
+    assert validate_k(s) == []
     bad = IndexedStructure(m, 1, {1: (1, 2)}, s.pred)
-    assert any("index set" in msg for msg in validate_bark(bad))
+    assert any("index set" in msg for msg in validate_k(bad))
 
 
 def test_restrict_bark_prefix():
     m = fin_metric(["x", "y"], {("x", "y"): F(1)})
     s = indexed_structure(m, bound=2, indices={1: (3, 7), 2: (4,)})
-    r = restrict_bark(s, ["x"])
+    r = restrict_k(s, ["x"])
     assert r.bound == 1 and r.indices == {1: (3,)}
-    assert validate_bark(r) == []
+    assert validate_k(r) == []
 
 
 def test_extend_singleton_constant_value():
@@ -261,7 +264,7 @@ def test_embed_binary_predicate():
             (2, 1, ("x2", "x1")): F(1, 2),
         },
     )
-    assert validate_bark(x) == []
+    assert validate_k(x) == []
     out = embed_structure(o, x, depth)
     p1, p2 = out.points
     g2 = out.slot_globals[(2, 1)]
@@ -302,11 +305,11 @@ def test_back_and_forth_two_copies():
             (1, 1, ("w",)): F(1, 4),
         },
     )
-    assert validate_bark(wish_x) == []
+    assert validate_k(wish_x) == []
     wish_out = extend_one_point(
         o,
         list(left.points),
-        restrict_bark(wish_x, ["x1", "x2", "w"]),
+        restrict_k(wish_x, ["x1", "x2", "w"]),
         {(1, 1): g_l},
         need - 12,
     )

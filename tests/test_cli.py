@@ -370,3 +370,89 @@ def test_validate_refuses_records_grow_cannot_write(tmp_path, capsys, log, error
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"error: {error}\n"
+
+
+@pytest.mark.parametrize(
+    "flag, value, what", [("--pz", "1", "labels"), ("--suit", "1=1/1", "profiles")]
+)
+def test_grow_refuses_a_label_or_profile_a_rel_oracle_does_not_carry(
+    tmp_path, capsys, flag, value, what
+):
+    log = tmp_path / "rel.log"
+    assert main(["grow", flag, value, "--out-log", str(log)]) == 1
+    assert capsys.readouterr().err == f"error: oracle does not carry {what}\n"
+    assert not log.exists()
+
+
+# three points, arity bound 2, and one predicate record: every other table
+# entry is missing
+K_MOSTLY_MISSING = """K
+point a
+point b
+point c
+nA 2
+d a b 1/1
+d a c 1/1
+d b c 1/1
+p 1 1 a 0/1
+"""
+
+
+def test_validate_reports_totality_in_sorted_order_under_any_hash_seed(tmp_path):
+    import os
+    import subprocess
+    import sys
+
+    import urysohn
+
+    k = put(tmp_path, "missing.k", K_MOSTLY_MISSING)
+    src = str(Path(urysohn.__file__).resolve().parents[1])
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-m", "urysohn.cli", "validate", k],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert run.returncode == 1, run.stderr
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
+    missing = [(1, 1, ("b",)), (1, 1, ("c",))]
+    missing += [(1, 2, (p,)) for p in "abc"]
+    missing += [(2, 1, (p, q)) for p in "abc" for q in "abc"]
+    assert outs[0].splitlines() == [
+        f"totality: p_{m}^{n} missing on {tup}" for n, m, tup in missing
+    ]
+
+
+def test_validate_reads_bound_zero_as_a_bare_metric_space(tmp_path, capsys):
+    for kind in ("K", "BARK"):
+        f = put(tmp_path, f"bare.{kind}", f"{kind}\npoint a\npoint b\nnA 0\nd a b 1/2\n")
+        assert main(["validate", f]) == 0
+        assert capsys.readouterr().out == "valid\n"
+
+
+def test_validate_names_bark_slots_like_k_slots(tmp_path, capsys):
+    bark = put(tmp_path, "gap.bark", BARK.replace("p 1 1 x2 1/2\n", "p 1 1 x2 2/1\n"))
+    assert main(["validate", bark]) == 1
+    assert capsys.readouterr().out == (
+        "lipschitz: p_1^1('x2',) = 2 > 1 = p_1^1('x1',) + d\n"
+    )
+    stray = put(tmp_path, "stray.bark", BARK + "p 1 3 x1 0/1\n")
+    assert main(["validate", stray]) == 1
+    assert capsys.readouterr().out == "index set for arity 1 has 2 members, wants 1\n"
+    short = put(tmp_path, "short.bark", BARK.replace("p 1 1 x2 1/2\n", ""))
+    assert main(["validate", short]) == 1
+    assert capsys.readouterr().out == "totality: p_1^1 missing on ('x2',)\n"
+
+
+def test_embed_reads_a_k_file_like_the_same_bark_file(tmp_path):
+    k = put(tmp_path, "x.k", "K" + BARK[len("BARK"):])
+    bark = put(tmp_path, "x.bark", BARK)
+    outs = []
+    for src in (k, bark):
+        name = Path(src).name
+        cert, log = tmp_path / f"{name}.cert", tmp_path / f"{name}.log"
+        assert main(["embed", src, "--depth", "4", "--out", str(cert), "--out-log", str(log)]) == 0
+        outs.append((cert.read_bytes(), log.read_bytes()))
+    assert outs[0] == outs[1]

@@ -13,11 +13,12 @@ from urysohn.engine import (
 from urysohn.metric import fin_metric, single_point
 from urysohn.relational import (
     EmbeddingWitness,
-    StructureK,
+    IndexedStructure,
     check_embedding_k,
     find_isomorphism,
     identity_witness,
-    make_structure,
+    indexed_structure,
+    pattern_indices,
     restrict_k,
     validate_k,
 )
@@ -26,7 +27,7 @@ F = Fraction
 
 
 def unary_point(pid, value):
-    return make_structure(single_point(pid), pred={(1, 1, (pid,)): F(value)}, n_a=1)
+    return indexed_structure(single_point(pid), pred={(1, 1, (pid,)): F(value)}, bound=1)
 
 
 def test_joint_embed_gap_is_twice_the_max():
@@ -57,19 +58,19 @@ def test_joint_embed_all_zero_gap_one():
 def test_joint_embed_fills_missing_slots_with_zero():
     a = unary_point("a", 1)
     m = fin_metric(["x", "y"], {("x", "y"): F(1)})
-    b = make_structure(m, n_a=2)  # has slots (1,1), (1,2), (2,1)
+    b = indexed_structure(m, bound=2)  # has slots (1,1), (1,2), (2,1)
     out = joint_embed_k(a, b)
-    assert out.result.n_a == 2
+    assert out.result.bound == 2
     assert out.result.pred[(1, 2, ("a",))] == 0
     assert out.result.pred[(2, 1, ("a", "x"))] == 0
     assert validate_k(out.result) == []
 
 
 def three_chain():
-    """A = one point with one unary value; B, C extend it with n_a = 2."""
+    """A = one point with one unary value; B, C extend it with bound 2."""
     a = unary_point("a", 1)
     mb = fin_metric(["a", "b"], {("a", "b"): F(2)})
-    b = make_structure(
+    b = indexed_structure(
         mb,
         pred={
             (1, 1, ("a",)): F(1),
@@ -77,17 +78,17 @@ def three_chain():
             (1, 2, ("b",)): F(1, 2),
             (2, 1, ("a", "b")): F(1),
         },
-        n_a=2,
+        bound=2,
     )
     mc = fin_metric(["a", "c"], {("a", "c"): F(3)})
-    c = make_structure(
+    c = indexed_structure(
         mc,
         pred={
             (1, 1, ("a",)): F(1),
             (1, 1, ("c",)): F(3),
             (1, 2, ("c",)): F(2),
         },
-        n_a=2,
+        bound=2,
     )
     assert validate_k(b) == [] and validate_k(c) == []
     wab = EmbeddingWitness({"a": "a"}, {1: {1: 1}})
@@ -99,8 +100,8 @@ def test_amalgamate_arity_arithmetic_and_shift():
     a, b, c, wab, wac = three_chain()
     out = amalgamate_k(b, c, a, wab, wac)
     d = out.result
-    assert d.n_a == 2 + (2 - 1)
-    # c's slot (1, 2) sits above the common pattern, so it shifts by n_b - n_a
+    assert d.bound == 2 + (2 - 1)
+    # c's slot (1, 2) sits above the common pattern, so it shifts by b.bound - a.bound
     assert out.wit_c.pi[1][2] == 2 + (2 - 1)
     assert d.pred[(1, 3, ("c",))] == F(2)
     assert validate_k(d) == []
@@ -131,7 +132,7 @@ def test_amalgamate_rejects_bad_witness():
 
 
 def one_point_ext(value, slot_fresh=True):
-    s = make_structure(single_point("x"), pred={(1, 1, ("x",)): F(value)}, n_a=1)
+    s = indexed_structure(single_point("x"), pred={(1, 1, ("x",)): F(value)}, bound=1)
     return RelExtension(s, {}, {(1, 1): None if slot_fresh else 1})
 
 
@@ -157,8 +158,8 @@ def test_growth_rejecting_lipschitz_clash():
     o = LimitOracle()
     o.grow({}, rel=one_point_ext(5))
     m = fin_metric(["p", "q"], {("p", "q"): F(1)})
-    ext = make_structure(
-        m, pred={(1, 1, ("p",)): F(5), (1, 1, ("q",)): F(1)}, n_a=1
+    ext = indexed_structure(
+        m, pred={(1, 1, ("p",)): F(5), (1, 1, ("q",)): F(1)}, bound=1
     )
     # 5 > 1 + 1 inside the extension itself
     with pytest.raises(OracleGrowthError):
@@ -169,8 +170,8 @@ def test_growth_rejects_base_disagreement():
     o = LimitOracle()
     o.grow({}, rel=one_point_ext(5))
     m = fin_metric(["p", "q"], {("p", "q"): F(1)})
-    ext = make_structure(
-        m, pred={(1, 1, ("p",)): F(4), (1, 1, ("q",)): F(4)}, n_a=1
+    ext = indexed_structure(
+        m, pred={(1, 1, ("p",)): F(4), (1, 1, ("q",)): F(4)}, bound=1
     )
     with pytest.raises(OracleGrowthError, match="disagrees on base"):
         o.grow({"u1": F(1)}, rel=RelExtension(ext, {"p": "u1"}, {(1, 1): 1}))
@@ -199,10 +200,10 @@ def test_monotone_restriction_is_exact():
     o.grow({}, rel=one_point_ext(2))
     before = o.snapshot()
     m = fin_metric(["p", "q"], {("p", "q"): F(1)})
-    ext = make_structure(m, pred={(1, 1, ("p",)): F(2), (1, 1, ("q",)): F(3)}, n_a=1)
+    ext = indexed_structure(m, pred={(1, 1, ("p",)): F(2), (1, 1, ("q",)): F(3)}, bound=1)
     o.grow({"u1": F(1)}, rel=RelExtension(ext, {"p": "u1"}, {(1, 1): 1}))
     after = o.snapshot()
-    restricted = restrict_k(after, ["u1"], n_a=before.n_a)
+    restricted = restrict_k(after, ["u1"], bound=before.bound)
     assert restricted.pred == before.pred
     assert validate_k(after) == []
 
@@ -210,14 +211,15 @@ def test_monotone_restriction_is_exact():
 def test_fresh_slot_budget_enforced():
     o = LimitOracle()
     m = single_point("x")
-    s = StructureK(
+    s = IndexedStructure(
         m,
         1,
+        pattern_indices(1),
         {(1, 1, ("x",)): F(0)},
     )
     # two fresh unary slots cannot fit a one-point structure pattern
-    two_slots = make_structure(
-        fin_metric(["x", "y"], {("x", "y"): F(1)}), n_a=2
+    two_slots = indexed_structure(
+        fin_metric(["x", "y"], {("x", "y"): F(1)}), bound=2
     )
     o.grow({}, rel=RelExtension(s, {}, {(1, 1): None}))
     with pytest.raises(OracleGrowthError, match="no room"):
@@ -237,7 +239,7 @@ def test_rejected_growth_leaves_state_untouched():
     before_log = len(o.log)
     before_vals = {p: o.predicate_value(1, 1, (p,)) for p in o.points}
     m = fin_metric(["p", "q"], {("p", "q"): F(1)})
-    bad = make_structure(m, pred={(1, 1, ("p",)): F(4), (1, 1, ("q",)): F(4)}, n_a=1)
+    bad = indexed_structure(m, pred={(1, 1, ("p",)): F(4), (1, 1, ("q",)): F(4)}, bound=1)
     with pytest.raises(OracleGrowthError):
         o.grow({"u1": F(1)}, rel=RelExtension(bad, {"p": "u1"}, {(1, 1): 1}))
     assert o.points == before_points and len(o.log) == before_log
@@ -248,9 +250,9 @@ def test_duplicate_global_mapping_rejected():
     o = LimitOracle()
     o.grow({}, rel=one_point_ext(0))
     o.grow({"u1": F(1)}, rel=_two_unary_ext())
-    ext = make_structure(
+    ext = indexed_structure(
         fin_metric(["p", "q", "r"], {("p", "q"): F(1), ("p", "r"): F(1), ("q", "r"): F(1)}),
-        n_a=2,
+        bound=2,
     )
     with pytest.raises(OracleGrowthError, match="used twice"):
         o.grow(
@@ -263,7 +265,7 @@ def test_duplicate_global_mapping_rejected():
 
 def _two_unary_ext():
     m = fin_metric(["p", "q"], {("p", "q"): F(1)})
-    ext = make_structure(m, n_a=2)
+    ext = indexed_structure(m, bound=2)
     return RelExtension(ext, {"p": "u1"}, {(1, 1): 1, (1, 2): None, (2, 1): None})
 
 
@@ -271,7 +273,7 @@ def test_birth_pins_only_on_fresh_slots():
     o = LimitOracle()
     o.grow({}, rel=one_point_ext(0))
     m = fin_metric(["p", "q"], {("p", "q"): F(1)})
-    ext = make_structure(m, n_a=1)
+    ext = indexed_structure(m, bound=1)
     rel = RelExtension(
         ext, {"p": "u1"}, {(1, 1): 1}, birth_pins={(1, 1): {("u1",): F(0)}}
     )
@@ -325,7 +327,7 @@ def test_randomized_growth_snapshots_stay_valid_and_monotone():
                 val = _clamp(rand_rat(rng, 8, 0, 8), max(lo, F(0)), hi)
                 pred = {(1, 1, (names[p],)): o.predicate_value(1, 1, (p,)) for p in base}
                 pred[(1, 1, ("new",))] = val
-                ext = make_structure(metric, pred=pred, n_a=1)
+                ext = indexed_structure(metric, pred=pred, bound=1)
                 o.grow(
                     {p: new_entries[p] for p in base},
                     rel=RelExtension(ext, {names[p]: p for p in base}, {(1, 1): 1}),
@@ -421,3 +423,31 @@ def test_validate_state_reports_every_missing_profile():
     o.replay_record(GrowthRecord("u2", {"u1": F(1)}, {}, (), None, None))
     o.replay_record(GrowthRecord("u3", {"u1": F(1), "u2": F(1)}, {}, (), None, None))
     assert o.validate_state() == ["profile missing for 'u2'", "profile missing for 'u3'"]
+
+
+def test_grow_refuses_profiles_and_labels_the_oracle_does_not_carry():
+    from urysohn.spaces import CompactPresentation, suitable
+
+    k = CompactPresentation(fin_metric(["q1", "q2"], {("q1", "q2"): F(1)}))
+    rel_only = LimitOracle()
+    with pytest.raises(OracleGrowthError, match="oracle does not carry profiles"):
+        rel_only.grow({}, suitable=suitable({1: F(1)}))
+    with pytest.raises(OracleGrowthError, match="oracle does not carry labels"):
+        rel_only.grow({}, lip_index=1)
+    prod_only = LimitOracle(("prod",), compact=k)
+    with pytest.raises(OracleGrowthError, match="oracle does not carry labels"):
+        prod_only.grow({}, suitable=suitable({1: F(1)}), lip_index=1)
+    assert len(rel_only) == len(prod_only) == 0
+    assert rel_only.log == prod_only.log == []
+
+
+def test_label_target_on_an_oracle_without_labels_is_refused_before_growth():
+    from urysohn.cauchy import SolverError
+    from urysohn.product import embed_point_c
+    from urysohn.spaces import CompactPresentation, suitable
+
+    k = CompactPresentation(fin_metric(["q1", "q2"], {("q1", "q2"): F(1)}))
+    o = LimitOracle(("prod",), compact=k)
+    with pytest.raises(SolverError, match="oracle does not carry labels"):
+        embed_point_c(o, suitable({1: F(1)}), 2, lip_target=1)
+    assert len(o) == 0

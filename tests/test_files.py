@@ -11,7 +11,7 @@ from urysohn.files import (
     serialize_structure,
 )
 from urysohn.metric import fin_metric, single_point
-from urysohn.relational import make_structure, validate_k
+from urysohn.relational import indexed_structure, validate_k
 from urysohn.spaces import suitable
 
 F = Fraction
@@ -95,12 +95,12 @@ def test_l_round_trip():
 
 def test_oracle_log_replay_reproduces_state():
     o = LimitOracle()
-    s = make_structure(single_point("x"), pred={(1, 1, ("x",)): F(1, 2)}, n_a=1)
+    s = indexed_structure(single_point("x"), pred={(1, 1, ("x",)): F(1, 2)}, bound=1)
     o.grow({}, rel=RelExtension(s, {}, {(1, 1): None}))
     o.grow({"u1": F(1)})
     m = fin_metric(["p", "q"], {("p", "q"): F(1, 4)})
-    ext = make_structure(
-        m, pred={(1, 1, ("p",)): F(1, 2), (1, 1, ("q",)): F(3, 4)}, n_a=1
+    ext = indexed_structure(
+        m, pred={(1, 1, ("p",)): F(1, 2), (1, 1, ("q",)): F(3, 4)}, bound=1
     )
     o.grow({"u1": F(1, 4)}, rel=RelExtension(ext, {"p": "u1"}, {(1, 1): 1}))
 

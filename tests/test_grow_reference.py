@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from urysohn import engine
 from urysohn.engine import LimitOracle, OracleGrowthError, RelExtension
 from urysohn.metric import fin_metric
-from urysohn.relational import StructureK, pattern_slots, tuples_over
+from urysohn.relational import IndexedStructure, pattern_indices, pattern_slots, tuples_over
 
 F = Fraction
 
@@ -215,7 +215,7 @@ def random_request(rng, o):
         # break agreement with the oracle on one base tuple
         key = rng.choice([k for k in pred if "x" not in k[2]])
         pred[key] += F(1, 2)
-    ext = StructureK(metric, n_a, pred)
+    ext = IndexedStructure(metric, n_a, pattern_indices(n_a), pred)
     return e, RelExtension(ext, dict(inv), slot_map, birth)
 
 
@@ -259,9 +259,10 @@ def test_refused_grow_keeps_denominator_and_state():
     before = state_of(o)
     # a fresh slot pinned at 5 on u2 cannot sit at 0 on a point 8/7 away;
     # the request's sevenths would have rescaled the oracle
-    ext = StructureK(
+    ext = IndexedStructure(
         fin_metric(["b", "x"], {("b", "x"): F(1, 7)}),
         1,
+        pattern_indices(1),
         {(1, 1, ("b",)): F(0), (1, 1, ("x",)): F(0)},
     )
     rel = RelExtension(ext, {"b": "u1"}, {(1, 1): None}, {(1, 1): {("u2",): F(5)}})

@@ -8,13 +8,14 @@ from urysohn.relational import (
     EmbeddingWitness,
     FixedArityConfig,
     FixedArityStructure,
-    StructureK,
+    IndexedStructure,
     canonical_extend,
     check_embedding_k,
     find_isomorphism,
     find_isomorphism_fixed,
     identity_witness,
-    make_structure,
+    indexed_structure,
+    pattern_indices,
     pattern_slots,
     restrict_k,
     tuples_over,
@@ -36,23 +37,23 @@ def test_pattern_slots():
 
 def test_totality_violation_reported():
     m = two_points()
-    s = make_structure(m, n_a=2)
+    s = indexed_structure(m, bound=2)
     broken = dict(s.pred)
     del broken[(1, 2, ("a",))]
-    report = validate_k(StructureK(m, 2, broken))
+    report = validate_k(IndexedStructure(m, 2, pattern_indices(2), broken))
     assert any("totality" in msg and "p_2^1" in msg for msg in report)
 
 
 def test_lipschitz_violation_reported():
     m = two_points()
-    s = make_structure(m, pred={(1, 1, ("a",)): F(5), (1, 1, ("b",)): F(1)}, n_a=1)
+    s = indexed_structure(m, pred={(1, 1, ("a",)): F(5), (1, 1, ("b",)): F(1)}, bound=1)
     report = validate_k(s)
     assert any("lipschitz" in msg and "5" in msg for msg in report)
 
 
 def test_all_zero_tables_valid():
     m = two_points()
-    assert validate_k(make_structure(m, n_a=2)) == []
+    assert validate_k(indexed_structure(m, bound=2)) == []
 
 
 def swapped_pair():
@@ -60,7 +61,7 @@ def swapped_pair():
     q, h = F(3, 2), F(1, 2)
     m1 = fin_metric(["a1", "a2"], {("a1", "a2"): F(2)})
     m2 = fin_metric(["b1", "b2"], {("b1", "b2"): F(2)})
-    s1 = make_structure(
+    s1 = indexed_structure(
         m1,
         pred={
             (1, 1, ("a1",)): q,
@@ -68,9 +69,9 @@ def swapped_pair():
             (1, 2, ("a1",)): h,
             (1, 2, ("a2",)): F(0),
         },
-        n_a=2,
+        bound=2,
     )
-    s2 = make_structure(
+    s2 = indexed_structure(
         m2,
         pred={
             (1, 1, ("b1",)): h,
@@ -78,7 +79,7 @@ def swapped_pair():
             (1, 2, ("b1",)): q,
             (1, 2, ("b2",)): F(0),
         },
-        n_a=2,
+        bound=2,
     )
     return s1, s2
 
@@ -102,8 +103,8 @@ def test_identity_witness_always_accepted():
 
 def test_distorting_point_map_names_the_pair():
     m = two_points()
-    s = make_structure(m, n_a=1)
-    bigger = make_structure(fin_metric(["a", "b"], {("a", "b"): F(3)}), n_a=1)
+    s = indexed_structure(m, bound=1)
+    bigger = indexed_structure(fin_metric(["a", "b"], {("a", "b"): F(3)}), bound=1)
     w = EmbeddingWitness({"a": "a", "b": "b"}, {1: {1: 1}})
     ok, why = check_embedding_k(s, bigger, w)
     assert not ok and "a" in why and "b" in why
@@ -130,7 +131,7 @@ def test_canonical_extend_idempotent_and_consistent():
     total = canonical_extend(m, partial, 2)
     again = canonical_extend(m, total, 2)
     assert again == total
-    s = StructureK(m, 2, {(2, 1, t): v for t, v in total.items()}
+    s = IndexedStructure(m, 2, pattern_indices(2), {(2, 1, t): v for t, v in total.items()}
                    | {(1, 1, t): F(0) for t in tuples_over(m.points, 1)}
                    | {(1, 2, t): F(0) for t in tuples_over(m.points, 1)})
     assert validate_k(s) == []
@@ -158,8 +159,8 @@ def test_find_isomorphism_self_identity():
 
 
 def test_find_isomorphism_distance_multiset_mismatch():
-    a = make_structure(two_points(F(1)), n_a=1)
-    b = make_structure(fin_metric(["x", "y"], {("x", "y"): F(2)}), n_a=1)
+    a = indexed_structure(two_points(F(1)), bound=1)
+    b = indexed_structure(fin_metric(["x", "y"], {("x", "y"): F(2)}), bound=1)
     assert find_isomorphism(a, b) is None
 
 
@@ -171,7 +172,7 @@ def test_find_isomorphism_symmetric_in_success():
 def test_restrict_keeps_values():
     s1, _ = swapped_pair()
     r = restrict_k(s1, ["a1"])
-    assert r.n_a == 1
+    assert r.bound == 1
     assert r.pred[(1, 1, ("a1",))] == s1.pred[(1, 1, ("a1",))]
     assert validate_k(r) == []
 
@@ -237,7 +238,7 @@ def random_structure(draw, ids=("p", "q", "r"), max_arity=2):
                 pins[tup] = v
         for tup, v in canonical_extend(m, pins, n).items():
             pred[(n, idx, tup)] = v
-    return StructureK(m, n_a, pred)
+    return IndexedStructure(m, n_a, pattern_indices(n_a), pred)
 
 
 @given(random_structure())
