@@ -50,7 +50,7 @@ from .spaces import (
     CompactPresentation,
     PolishPresentation,
     SuitableFn,
-    eval_suitable,
+    _cross_breaks,
     validate_suitable,
 )
 
@@ -394,12 +394,7 @@ class LimitOracle:
             raise OracleGrowthError("prod mode requires a profile for the new point")
         if "lip" in self.modes and lip_index is None:
             raise OracleGrowthError("lip mode requires a dense index for the new point")
-        if rel is not None and "rel" not in self.modes:
-            raise OracleGrowthError("oracle does not carry indexed predicates")
-        if suitable is not None and "prod" not in self.modes:
-            raise OracleGrowthError("oracle does not carry profiles")
-        if lip_index is not None and "lip" not in self.modes:
-            raise OracleGrowthError("oracle does not carry labels")
+        self._check_carried(rel is not None, suitable, lip_index)
 
         for i, p in enumerate(base):
             ep = base_dists[p]
@@ -678,22 +673,29 @@ class LimitOracle:
                 delta[(n, g)] = added
         return delta
 
+    def _check_carried(self, rel: bool, suitable, lip_index, prefix: str = ""):
+        """Refuse a payload of a mode the oracle does not carry."""
+        for given, mode, what in (
+            (rel, "rel", "indexed predicates"),
+            (suitable is not None, "prod", "profiles"),
+            (lip_index is not None, "lip", "labels"),
+        ):
+            if given and mode not in self.modes:
+                raise OracleGrowthError(f"{prefix}oracle does not carry {what}")
+
     def _check_suitable(self, f: SuitableFn, full: dict[str, Fraction]):
-        report = validate_suitable(f, self.compact)
+        k = self.compact
+        report = validate_suitable(f, k)
         if report:
             raise OracleGrowthError(f"profile invalid: {report[0]}")
         for u, fu in self._suit.items():
             d = full[u]
-            for i, v in f.pins:
-                if v > eval_suitable(fu, i, self.compact) + d:
-                    raise OracleGrowthError(
-                        f"profile value {v} at {i} too far from point {u!r}"
-                    )
-            for i, v in fu.pins:
-                if v > eval_suitable(f, i, self.compact) + d:
-                    raise OracleGrowthError(
-                        f"existing profile of {u!r} at {i} too far from the new point"
-                    )
+            for i, v, _ in _cross_breaks(f, fu, d, k):
+                raise OracleGrowthError(f"profile value {v} at {i} too far from point {u!r}")
+            for i, _, _ in _cross_breaks(fu, f, d, k):
+                raise OracleGrowthError(
+                    f"existing profile of {u!r} at {i} too far from the new point"
+                )
 
     def _check_lip(self, idx: int, full: dict[str, Fraction]):
         try:
@@ -751,6 +753,17 @@ class LimitOracle:
         only a pin that fails it is confirmed by a direct envelope scan.
         Cubic in the point count and quadratic in the pins of a slot, but
         free of the exponential tuple tables a materialized snapshot needs.
+
+        This is the one decision for profiles and labels: validate_c and
+        validate_l, run on snapshot_product and snapshot_lipschitz, never
+        report alone.  Their validate_metric checks symmetry, identity,
+        negativity and triangles on the same table, as the metric checks
+        here do.  validate_c wants a profile per point, validate_suitable on
+        each and _cross_breaks over every ordered pair: all three are below.
+        validate_l wants lip_const > 0 (the constructor enforces it), a label
+        per point (below), each in the presentation (grow and replay_record
+        check it) and the bound over every pair (below).  So `urysohn
+        validate` exits with the same code without them.
         """
         report = []
         pts = self._points
@@ -795,30 +808,26 @@ class LimitOracle:
                     report.append(
                         f"slot ({n},{g}): pin at {ptup} not reproduced by its envelope"
                     )
-        if self.compact is not None:
+        if "prod" in self.modes:
+            k = self.compact
             for i, x in enumerate(pts):
                 fx = self._suit.get(x)
                 if fx is None:
                     report.append(f"profile missing for {x!r}")
                     continue
-                for msg in validate_suitable(fx, self.compact):
+                for msg in validate_suitable(fx, k):
                     report.append(f"profile {x!r}: {msg}")
                 for y in pts[i + 1 :]:
                     fy = self._suit.get(y)
                     if fy is None:
                         continue  # reported at its own turn
                     d = Fraction(dd[(x, y)], self._den)
-                    for idx, v in fx.pins:
-                        if v > eval_suitable(fy, idx, self.compact) + d:
+                    for f, g in ((fx, fy), (fy, fx)):
+                        for idx, _, _ in _cross_breaks(f, g, d, k):
                             report.append(f"profiles of ({x},{y}) clash at index {idx}")
-                    for idx, v in fy.pins:
-                        if v > eval_suitable(fx, idx, self.compact) + d:
-                            report.append(f"profiles of ({x},{y}) clash at index {idx}")
-        if self.polish is not None:
+        if "lip" in self.modes:
             labelled = [x for x in pts if x in self._lip]
-            for x in pts:
-                if x not in self._lip:
-                    report.append(f"label missing for {x!r}")
+            report += [f"label missing for {x!r}" for x in pts if x not in self._lip]
             for i, x in enumerate(labelled):
                 for y in labelled[i + 1 :]:
                     dz = self.polish.d_idx(self._lip[x], self._lip[y])
@@ -846,7 +855,8 @@ class LimitOracle:
         exactly the earlier points, fresh slots that take the next free
         index of their arity within the budget len + 2 - n, pins on slots
         registered at or before the record and on points that exist at that
-        step, and profile support indices and labels inside their
+        step, profiles, labels and pins or fresh slots only where the modes
+        carry them, and profile support indices and labels inside their
         presentations; OracleGrowthError otherwise.
         """
         step = len(self._points) + 1
@@ -859,6 +869,9 @@ class LimitOracle:
                 f"step {step}: distances must cover exactly the earlier points; "
                 f"stray {stray}, missing {missing}"
             )
+        self._check_carried(
+            bool(rec.pins or rec.fresh), rec.suitable, rec.lip_index, f"step {step}: "
+        )
         taken = dict(self._counts)
         for n, g in rec.fresh:
             want = taken.get(n, 0) + 1
@@ -874,10 +887,10 @@ class LimitOracle:
                 )
             taken[n] = g
         try:
-            if rec.suitable is not None and self.compact is not None:
+            if rec.suitable is not None:
                 for i in rec.suitable.support:
                     self.compact.check_index(i)
-            if rec.lip_index is not None and self.polish is not None:
+            if rec.lip_index is not None:
                 self.polish.check_index(rec.lip_index)
         except IndexError as exc:
             raise OracleGrowthError(f"step {step}: {exc}") from None

@@ -120,7 +120,6 @@ def extend_one_point_l(
     target_metric: FinMetric,
     target: int | Sequence[int],
     depth: int,
-    drift_slack: int = 0,
 ) -> LipschitzExtensionOutcome:
     """Realize the last point of ``target_metric`` with label targets ``target``.
 
@@ -148,7 +147,7 @@ def extend_one_point_l(
         _check_label(o, label, level, base_dists, "step-lipschitz", checks)
         return o.grow(base_dists, lip_index=label).point
 
-    point = _sandwich_chain(o, anchors, target_metric, depth, drift_slack, checks, step)
+    point = _sandwich_chain(o, anchors, target_metric, depth, 0, checks, step)
     return LipschitzExtensionOutcome(point, tuple(checks))
 
 

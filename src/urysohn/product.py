@@ -14,17 +14,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from typing import Mapping, Sequence
 
 from .cauchy import CauchyPoint, SolverError, _check_anchors, _sandwich_chain
 from .certificates import Check
 from .engine import LimitOracle
 from .lipschitz import _check_label
-from .metric import FinMetric, jep_gap, jep_gap_metric, path_amalgam_carry
+from .metric import FinMetric, jep_gap, jep_gap_metric, path_amalgam_carry, validate_metric
 from .rationals import ZERO, pow2
 from .spaces import (
     CompactPresentation,
     SuitableFn,
+    _cross_breaks,
     build_suitable,
     eval_suitable,
     suitable,
@@ -46,8 +48,6 @@ class StructureC:
 
 def validate_c(s: StructureC, k: CompactPresentation) -> list[str]:
     """Profiles valid and the cross condition holds; support-reduced check."""
-    from .metric import validate_metric
-
     report = [f"metric: {msg}" for msg in validate_metric(s.metric)]
     for p in s.points:
         if p not in s.fns:
@@ -57,18 +57,10 @@ def validate_c(s: StructureC, k: CompactPresentation) -> list[str]:
             report.append(f"profile {p!r}: {msg}")
     if report:
         return report
-    for a in s.points:
-        for b in s.points:
-            if a == b:
-                continue
-            d = s.metric.d(a, b)
-            for i, v in s.fns[a].pins:
-                other = eval_suitable(s.fns[b], i, k)
-                if v > other + d:
-                    report.append(
-                        f"cross condition ({a},{b}) at index {i}: "
-                        f"{v} > {other} + {d}"
-                    )
+    for a, b in permutations(s.points, 2):
+        d = s.metric.d(a, b)
+        for i, v, other in _cross_breaks(s.fns[a], s.fns[b], d, k):
+            report.append(f"cross condition ({a},{b}) at index {i}: {v} > {other} + {d}")
     return report
 
 
@@ -140,7 +132,6 @@ def extend_one_point_c(
     target_metric: FinMetric,
     new_fn: SuitableFn,
     depth: int,
-    drift_slack: int = 0,
     lip_target: int | Sequence[int] | None = None,
 ) -> ProductExtensionOutcome:
     """Realize the last point of ``target_metric`` with profile targets ``new_fn``.
@@ -225,7 +216,7 @@ def extend_one_point_c(
                 )
         return result.point
 
-    point = _sandwich_chain(o, anchors, target_metric, depth, drift_slack, checks, step)
+    point = _sandwich_chain(o, anchors, target_metric, depth, 0, checks, step)
     return ProductExtensionOutcome(point, tuple(values), tuple(checks))
 
 

@@ -137,6 +137,19 @@ def eval_suitable(f: SuitableFn, j: int, k: CompactPresentation) -> Fraction:
     return best
 
 
+def _cross_breaks(f: SuitableFn, g: SuitableFn, d: Fraction, k: CompactPresentation):
+    """Yield (i, v, w) for each support pin (i, v) of f with v > w + d, w = g(i).
+
+    The cross condition f <= g + d between two points at distance d: g + d
+    is 1-Lipschitz and f is the envelope of its pins, so the pins decide it.
+    Lazy, so a caller that stops at the first break evaluates g no further.
+    """
+    for i, v in f.pins:
+        w = eval_suitable(g, i, k)
+        if v > w + d:
+            yield i, v, w
+
+
 def validate_suitable(f: SuitableFn, k: CompactPresentation) -> list[str]:
     """Pins must be in range, nonnegative, and mutually 1-Lipschitz.
 

@@ -456,3 +456,60 @@ def test_embed_reads_a_k_file_like_the_same_bark_file(tmp_path):
         assert main(["embed", src, "--depth", "4", "--out", str(cert), "--out-log", str(log)]) == 0
         outs.append((cert.read_bytes(), log.read_bytes()))
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "modes, records, error",
+    [
+        (["mode prod"], ["grow u1", "greg 1 1", "gp 1 1 u1 1/2", "gsuit -"],
+         "step 1: oracle does not carry indexed predicates"),
+        (["mode prod"], ["grow u1", "greg 1 1", "gsuit -"],
+         "step 1: oracle does not carry indexed predicates"),
+        ([], ["grow u1", "gsuit 1=1/1", "gpz 7"], "step 1: oracle does not carry profiles"),
+        ([], ["grow u1", "gpz 1"], "step 1: oracle does not carry labels"),
+    ],
+    ids=["pins", "fresh-slot", "profile", "label"],
+)
+def test_validate_refuses_payloads_the_modes_do_not_carry(
+    tmp_path, capsys, modes, records, error
+):
+    space = put(tmp_path, "k.compact", TWO_POINT_COMPACT)
+    log = put(tmp_path, "o.log", "\n".join(["ORACLE", *modes, *records]) + "\n")
+    assert main(["validate", log, "--space", space]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {error}\n"
+
+
+LIP_LOG_HEAD = ["ORACLE", "mode lip", "L 1/1"]
+
+
+@pytest.mark.parametrize(
+    "lines, flag, report",
+    [
+        (["ORACLE", "mode prod", "grow u1", "gsuit 1=5/1", "grow u2", "gd u1 1/1", "gsuit -"],
+         "--space", ["profiles of (u1,u2) clash at index 1"]),
+        (LIP_LOG_HEAD + ["grow u1", "gpz 1", "grow u2", "gd u1 1/2", "gpz 2"],
+         "--zspace", ["labels of (u1,u2) break the Lipschitz bound"]),
+        (["ORACLE", "mode prod", "grow u1", "gsuit -", "grow u2", "gd u1 1/1"],
+         "--space", ["profile missing for 'u2'"]),
+        (LIP_LOG_HEAD + ["grow u1", "gpz 1", "grow u2", "gd u1 1/1"],
+         "--zspace", ["label missing for 'u2'"]),
+    ],
+    ids=["profile-clash", "label-clash", "profile-missing", "label-missing"],
+)
+def test_validate_reports_each_profile_and_label_fault_once(
+    tmp_path, capsys, lines, flag, report
+):
+    space = put(tmp_path, "space", TWO_POINT_COMPACT if flag == "--space" else POLISH)
+    log = put(tmp_path, "o.log", "\n".join(lines) + "\n")
+    assert main(["validate", log, flag, space]) == 1
+    out = capsys.readouterr()
+    assert out.out.splitlines() == report
+    assert out.err == ""
+
+
+def test_certify_a_missing_file_is_a_usage_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing.cert")
+    assert main(["certify", "--verify", missing]) == 2
+    assert capsys.readouterr().err == f"usage error: no such file: {missing}\n"

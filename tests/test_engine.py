@@ -451,3 +451,15 @@ def test_label_target_on_an_oracle_without_labels_is_refused_before_growth():
     with pytest.raises(SolverError, match="oracle does not carry labels"):
         embed_point_c(o, suitable({1: F(1)}), 2, lip_target=1)
     assert len(o) == 0
+
+
+def test_validate_state_checks_profiles_only_on_a_prod_oracle():
+    # what `urysohn grow --space K` builds on a rel oracle: a compact
+    # presentation, but no profiles to check
+    from urysohn.spaces import CompactPresentation
+
+    k = CompactPresentation(fin_metric(["q1", "q2"], {("q1", "q2"): F(1)}))
+    o = LimitOracle(("rel",), compact=k)
+    o.grow({})
+    o.grow({"u1": F(1)})
+    assert o.validate_state() == []

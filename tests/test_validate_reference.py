@@ -5,6 +5,10 @@ integer rows over one common denominator and fall back to a per-pair or
 per-triple loop only to name what fails.  The references below are the
 all-rational loops they replaced; reports must match in full and in order,
 and the same MetricTableError must be raised.
+
+``validate_state`` is also the one decision for profiles and labels: on prod
+and lip oracles it must pass exactly when ``validate_c`` and ``validate_l``
+pass on the materialized snapshots.
 """
 from fractions import Fraction
 from random import Random
@@ -13,7 +17,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from urysohn.engine import LimitOracle, OracleGrowthError
+from urysohn.lipschitz import snapshot_lipschitz, validate_l
 from urysohn.metric import FinMetric, MetricTableError, validate_metric
+from urysohn.product import snapshot_product, validate_c
+from urysohn.randgen import compatible_profile, random_compact, random_polish
+from urysohn.spaces import SuitableFn
 
 from test_grow_reference import random_request
 
@@ -243,3 +251,98 @@ def test_perturbed_oracles_reach_every_report():
         if len(seen) == len(kinds):
             break
     assert seen == set(kinds)
+
+
+# -- profiles and labels against the snapshot validators --------------------------
+
+
+_DECORATED_MODES = [("prod",), ("lip",), ("prod", "lip")]
+
+
+def decorated_oracle(rng, modes, steps=7):
+    """A prod, lip or prod+lip oracle grown by random requests over one base point.
+
+    Each new point sits at e from a random base point b, so it is at
+    e + d(b, q) from every other q; its profile is clamped between the
+    envelopes those distances admit, and its label is drawn from the indices
+    that keep the Lipschitz bound (b's own label always does).
+    """
+    k = random_compact(rng, rng.randint(2, 4)) if "prod" in modes else None
+    z = random_polish(rng, rng.randint(2, 4)) if "lip" in modes else None
+    lip = rng.choice([F(1, 2), F(1), F(2)]) if z is not None else None
+    o = LimitOracle(modes, compact=k, polish=z, lip_const=lip)
+    for _ in range(steps):
+        base = {}
+        if o.points and rng.random() < 0.85:
+            base = {rng.choice(o.points): F(rng.randint(1, 8), 4)}
+        # with an empty base the joint-embedding gap keeps every value apart
+        row = {q: e + o.distance(b, q) for b, e in base.items() for q in o.points}
+        fn = label = None
+        if k is not None:
+            fn = compatible_profile(rng, k, [(o.suitable_at(q), d) for q, d in row.items()])
+        if z is not None:
+            label = rng.choice([
+                i for i in range(1, z.size + 1)
+                if all(z.d_idx(i, o.lip_index_at(q)) <= lip * d for q, d in row.items())
+            ])
+        o.grow(base, suitable=fn, lip_index=label)
+    return o
+
+
+def damage(rng, o, kind):
+    """Perturb one distance, one profile pin or one label in place."""
+    pts = o.points
+    if kind == "dist":
+        x, y = rng.sample(pts, 2)
+        v = max(1, o._dist_i[(x, y)] + rng.choice([-1, 1]) * rng.randint(1, 4) * o.den)
+        o._dist_i[(x, y)] = o._dist_i[(y, x)] = v
+    elif kind == "pin":
+        x = rng.choice([p for p in pts if o.suitable_at(p).pins])
+        pins = list(o.suitable_at(x).pins)
+        j = rng.randrange(len(pins))
+        i, v = pins[j]
+        pins[j] = (i, max(F(0), v + rng.choice([-1, 1]) * F(rng.randint(1, 8), 4)))
+        o._suit[x] = SuitableFn(tuple(pins))
+    else:
+        o._lip[rng.choice(pts)] = rng.randint(1, o.polish.size)
+
+
+def snapshot_reports(o):
+    report = []
+    if "prod" in o.modes:
+        report += validate_c(snapshot_product(o), o.compact)
+    if "lip" in o.modes:
+        report += validate_l(snapshot_lipschitz(o), o.polish)
+    return report
+
+
+def _damage_kinds(o):
+    kinds = ["dist"]
+    if "prod" in o.modes and any(o.suitable_at(p).pins for p in o.points):
+        kinds.append("pin")
+    if "lip" in o.modes:
+        kinds.append("label")
+    return kinds
+
+
+@given(st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=60, deadline=None)
+def test_validate_state_decides_profiles_and_labels_like_the_snapshots(seed):
+    rng = Random(seed)
+    o = decorated_oracle(rng, rng.choice(_DECORATED_MODES))
+    assert o.validate_state() == snapshot_reports(o) == []
+    damage(rng, o, rng.choice(_damage_kinds(o)))
+    assert (o.validate_state() == []) == (snapshot_reports(o) == [])
+
+
+def test_damage_reaches_every_kind_of_report():
+    """Each kind of damage makes both sides report on some oracle."""
+    broken = set()
+    for seed in range(80):
+        rng = Random(seed)
+        o = decorated_oracle(rng, _DECORATED_MODES[seed % 3])
+        kind = rng.choice(_damage_kinds(o))
+        damage(rng, o, kind)
+        if o.validate_state() and snapshot_reports(o):
+            broken.add(kind)
+    assert broken == {"dist", "pin", "label"}
