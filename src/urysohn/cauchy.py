@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .certificates import Check
 from .engine import LimitOracle, RelExtension
-from .metric import FinMetric, OnePointSpec, fin_metric, one_point_feasible
+from .metric import FinMetric, OnePointSpec, _ceiling, _envelope, fin_metric, one_point_feasible
 from .rationals import ZERO, pow2, scaled
 from .relational import (
     IndexedStructure,
@@ -418,21 +418,9 @@ def _clamped(eps, defined, dist, tup, scale) -> tuple[Fraction, int]:
     points as integers at ``scale``; the clamped value comes back both as a
     rational and at that scale.
     """
-    val = v = scaled(eps, scale)
-    lo = hi = None
-    for t2, w in defined.items():
-        s = 0
-        for x, y in zip(t2, tup):
-            if x != y:
-                s += dist[(x, y)]
-        if lo is None or w - s > lo:
-            lo = w - s
-        if hi is None or w + s < hi:
-            hi = w + s
-    if lo is not None and v < lo:
-        v = lo
-    if hi is not None and v > hi:
-        v = hi
+    val = scaled(eps, scale)
+    pins = defined.items()
+    v = min(max(val, _envelope(pins, tup, dist)), _ceiling(pins, tup, dist))
     return (eps if v == val else Fraction(v, scale)), v
 
 

@@ -36,7 +36,7 @@ from .product import StructureC, amalgamate_c, joint_embed_c, validate_c
 from .randgen import random_wish_extension
 from .rationals import RatParseError, fmt_rat, parse_rat, pow2
 from .relational import EmbeddingWitness, identity_witness, validate_k
-from .spaces import eval_suitable, validate_compact, validate_polish
+from .spaces import eval_suitable, validate_compact, validate_polish, validate_suitable
 
 
 class UsageError(Exception):
@@ -50,6 +50,8 @@ def _read(path: str | None, text: bool = True) -> str | bytes:
         return Path(path).read_text(encoding="utf-8") if text else Path(path).read_bytes()
     except FileNotFoundError:
         raise UsageError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from None
 
 
 def _load(path: str | None):
@@ -78,8 +80,27 @@ def _write(path: str | None, data: bytes | str):
         data = data.encode("utf-8")
     if path is None or path == "-":
         sys.stdout.buffer.write(data)
-    else:
+        return
+    try:
         Path(path).write_bytes(data)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+
+
+def _in_space(s: StructureC | StructureL, space):
+    """Refuse a profile that is invalid on its own or a label outside
+    ``space``, in the validators' words, before anything reads there."""
+    if isinstance(s, StructureC):
+        for f in s.fns.values():
+            report = validate_suitable(f, space)
+            if report:
+                raise ValueError(report[0])
+        return
+    try:
+        for i in s.labels.values():
+            space.check_index(i)
+    except IndexError as exc:
+        raise ValueError(str(exc)) from None
 
 
 def cmd_validate(args) -> int:
@@ -138,10 +159,11 @@ def cmd_amalgamate(args) -> int:
         wab = EmbeddingWitness(map_b, pi)
         wac = EmbeddingWitness(map_c, pi)
         out = amalgamate_k(b, c, a, wab, wac).result
-    elif kind == "C":
-        out = amalgamate_c(b, c, a, map_b, map_c, _load_kind(args.space, "COMPACT"))
-    elif kind == "L":
-        out = amalgamate_l(b, c, a, map_b, map_c, _load_kind(args.space, "POLISH"))
+    elif kind in ("C", "L"):
+        space = _load_kind(args.space, "COMPACT" if kind == "C" else "POLISH")
+        for s in (b, c, a):
+            _in_space(s, space)
+        out = (amalgamate_c if kind == "C" else amalgamate_l)(b, c, a, map_b, map_c, space)
     else:
         raise UsageError(f"cannot amalgamate {kind} files")
     _write(args.out, serialize_structure(kind, out))
@@ -155,10 +177,11 @@ def cmd_joint_embed(args) -> int:
     b = _load_kind(args.b, kind)
     if kind == "K":
         out = joint_embed_k(a, b).result
-    elif kind == "C":
-        out = joint_embed_c(a, b, _load_kind(args.space, "COMPACT"))
-    elif kind == "L":
-        out = joint_embed_l(a, b, _load_kind(args.space, "POLISH"))
+    elif kind in ("C", "L"):
+        space = _load_kind(args.space, "COMPACT" if kind == "C" else "POLISH")
+        for s in (a, b):
+            _in_space(s, space)
+        out = (joint_embed_c if kind == "C" else joint_embed_l)(a, b, space)
     else:
         raise UsageError(f"cannot joint-embed {kind} files")
     _write(args.out, serialize_structure(kind, out))
@@ -303,6 +326,7 @@ def cmd_eval(args) -> int:
             k.check_index(args.index)
         except IndexError as exc:
             raise UsageError(str(exc)) from None
+        _in_space(s, k)
         print(fmt_rat(eval_suitable(s.fns[args.point], args.index, k)))
         return 0
     if parsed.kind == "L":
@@ -311,6 +335,8 @@ def cmd_eval(args) -> int:
             raise UsageError("eval on an L file wants --point")
         if args.point not in s.labels:
             raise UsageError(f"{args.file} has no point {args.point!r}")
+        if args.space:
+            _in_space(s, _load_kind(args.space, "POLISH"))
         print(s.labels[args.point])
         return 0
     raise UsageError(f"cannot eval a {parsed.kind} file")

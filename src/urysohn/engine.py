@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
-from operator import add
 from typing import Iterable, Mapping
 
 from .metric import (
@@ -27,6 +26,7 @@ from .metric import (
     IntRows,
     MetricTableError,
     WitnessError,
+    _envelope,
     jep_gap,
     jep_gap_metric,
     path_amalgam_metric,
@@ -190,28 +190,6 @@ class OracleGrowthError(Exception):
     """A growth request is inconsistent with the current oracle state."""
 
 
-def _envelope(entries, tup, dist) -> int:
-    """Katetov envelope max(0, w - d(t, tup)) over integer pins ``(t, w)``.
-
-    ``dist`` maps ordered pairs of distinct points to integer distances on the
-    pins' scale; a candidate is cut as soon as it falls under the running
-    maximum.
-    """
-    env = 0
-    for ptup, w in entries:
-        if w <= env:
-            continue
-        s = w
-        for x, y in zip(ptup, tup):
-            if x != y:
-                s -= dist[(x, y)]
-                if s <= env:
-                    break
-        else:
-            env = s
-    return env
-
-
 @dataclass(frozen=True)
 class RelExtension:
     """One-point predicate extension request against the oracle.
@@ -349,13 +327,11 @@ class LimitOracle:
         key = (n, g, tup)
         cached = self._value_cache.get(key)
         if cached is None:
-            cached = Fraction(self._envelope_i(self._pins_i[(n, g)], tup), self._den)
+            # hot path: recent pins tend to be closest, so scan newest first
+            pins = reversed(self._pins_i[(n, g)].items())
+            cached = Fraction(_envelope(pins, tup, self._dist_i), self._den)
             self._value_cache[key] = cached
         return cached
-
-    def _envelope_i(self, pins: Mapping[tuple[str, ...], int], tup) -> int:
-        # hot path: recent pins tend to be closest, so scan newest first
-        return _envelope(reversed(pins.items()), tup, self._dist_i)
 
     def suitable_at(self, point: str) -> SuitableFn:
         return self._suit[point]
@@ -749,8 +725,9 @@ class LimitOracle:
         E(p) = max(0, max over (q, w) in P of w - d(q, p)) = v, exactly when
         v >= 0 and min over (q, w) in P of d(q, p) - w + v >= 0: the pin
         itself gives E(p) >= max(0, v), and the second condition says no
-        pin pushes E(p) above v.  Each test is one row gather per pin, and
-        only a pin that fails it is confirmed by a direct envelope scan.
+        pin pushes E(p) above v.  IntRows.ceilings gives that minimum for
+        every pin of a slot, and only a pin that fails the test is confirmed
+        by a direct envelope scan.
         Cubic in the point count and quadratic in the pins of a slot, but
         free of the exponential tuple tables a materialized snapshot needs.
 
@@ -800,11 +777,10 @@ class LimitOracle:
                 continue
             tups = [tuple(index[p] for p in ptup) for ptup in pins]
             neg = [-w for w in pins.values()]
-            gathers = ir.gathers(tups)
-            for (ptup, v), a in zip(pins.items(), tups):
-                if v >= 0 and min(map(add, neg, ir.sums(a, gathers))) + v >= 0:
+            for (ptup, v), low in zip(pins.items(), ir.ceilings(tups, tups, neg)):
+                if v >= 0 and low + v >= 0:
                     continue
-                if self._envelope_i(pins, ptup) != v:
+                if _envelope(pins.items(), ptup, dd) != v:
                     report.append(
                         f"slot ({n},{g}): pin at {ptup} not reproduced by its envelope"
                     )

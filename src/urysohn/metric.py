@@ -4,7 +4,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import inf, lcm
 from operator import add, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -90,10 +90,8 @@ class IntRows:
     """Distances among ``points`` as integer rows over one common denominator.
 
     ``rows[i][j]`` is ``d(points[i], points[j]) * den`` exactly, with a zero
-    diagonal; ``index`` maps each point to its row.  A row gather (one
-    ``itemgetter`` per tuple coordinate, summed with ``map(add, ...)``)
-    gives the sum-metric distances from one index tuple to many at C level,
-    which is what every validator scan is built from.
+    diagonal; ``index`` maps each point to its row.  Every validator scan
+    is built from C-level row operations on them.
     """
 
     __slots__ = ("index", "rows", "den")
@@ -123,19 +121,19 @@ class IntRows:
         rows = [[v.numerator * (den // v.denominator) for v in row] for row in raw]
         return cls(points, rows, den)
 
-    def gathers(self, tuples: Sequence[tuple[int, ...]]) -> list:
-        """One getter per coordinate, each picking that coordinate of every
-        index tuple out of a row, in the order of ``tuples``."""
-        return [_getter(col) for col in zip(*tuples)]
-
-    def sums(self, a: tuple[int, ...], gathers: list) -> Iterable[int]:
-        """Sum-metric distances from index tuple ``a`` to every tuple
-        ``gathers`` was made from, in their order."""
+    def ceilings(
+        self, targets: Iterable[tuple[int, ...]], tups: Sequence[tuple[int, ...]], vals
+    ) -> Iterator[int]:
+        """For each index tuple a of ``targets``, the least vals[b] +
+        d(a, tups[b]) in the sum metric: one getter per coordinate, summed
+        with ``map(add, ...)``, and one C-level ``min`` per target."""
         rows = self.rows
-        out = gathers[0](rows[a[0]])
-        for get, i in zip(gathers[1:], a[1:]):
-            out = map(add, out, get(rows[i]))
-        return out
+        gets = [_getter(col) for col in zip(*tups)]
+        for a in targets:
+            out = map(add, vals, gets[0](rows[a[0]]))
+            for get, i in zip(gets[1:], a[1:]):
+                out = map(add, out, get(rows[i]))
+            yield min(out)
 
     def symmetric_positive(self) -> bool:
         """Every pair of points at one positive distance both ways."""
@@ -219,6 +217,59 @@ def _ordered_triples(points: tuple[str, ...]):
 def tuple_dist(m: FinMetric, a: tuple[str, ...], b: tuple[str, ...]) -> Fraction:
     """Sum metric on tuples: d(a, b) = sum_i d(a_i, b_i)."""
     return sum((m.d(x, y) for x, y in zip(a, b)), start=ZERO)
+
+
+def _envelope(entries, tup, dist):
+    """Katetov envelope max(0, max over pins (t, w) of w - d(t, tup)).
+
+    The one lower envelope of the package: oracle pins, tables of
+    ``FinMetric.table``, profiles (1-tuples of dense indices over a
+    presentation's ``_d``) and the lower side of every clamp window.
+    ``dist`` maps ordered pairs of distinct coordinates to exact distances.
+    Each caller gets the value its own loop gave before:
+    - ``tuple_dist`` and ``d_idx`` count a coordinate with x = y as 0, and
+      the kernel skips it;
+    - a candidate is cut once its partial sum falls to the running maximum,
+      which is sound because distances are >= 0;
+    - ``cauchy._clamped``, ``build_suitable`` and the profile windows of
+      ``compatible_profile`` and ``extend_one_point_c`` had no floor at 0.
+      The floor changes nothing there, because the value the bound is
+      ``max``ed with is >= 0: ``validate_k`` refuses negative targets, and
+      profile values and ``gamma`` are >= 0;
+    - ``IntRows.ceilings`` forms the integer sums the validators' row
+      gathers formed, so their batch tests decide the same.
+    """
+    env = 0
+    for ptup, w in entries:
+        if w <= env:
+            continue
+        s = w
+        for x, y in zip(ptup, tup):
+            if x != y:
+                s -= dist[(x, y)]
+                if s <= env:
+                    break
+        else:
+            env = s
+    return env
+
+
+def _ceiling(entries, tup, dist):
+    """The dual envelope min over pins (t, w) of w + d(t, tup), inf for none;
+    a candidate is cut once its partial sum rises to the running minimum."""
+    cap = inf
+    for ptup, w in entries:
+        if w >= cap:
+            continue
+        s = w
+        for x, y in zip(ptup, tup):
+            if x != y:
+                s += dist[(x, y)]
+                if s >= cap:
+                    break
+        else:
+            cap = s
+    return cap
 
 
 def path_amalgam_metric(

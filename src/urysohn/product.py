@@ -27,6 +27,7 @@ from .spaces import (
     CompactPresentation,
     SuitableFn,
     _cross_breaks,
+    _window,
     build_suitable,
     eval_suitable,
     suitable,
@@ -189,12 +190,10 @@ def extend_one_point_c(
         support = set(k_space.net_chain(level))
         for fu, _ in base:
             support.update(fu.support)
-        gamma: dict[int, Fraction] = {}
-        for i in sorted(support):
-            eps = eval_suitable(new_fn, i, k_space)
-            lo = max((eval_suitable(fu, i, k_space) - du for fu, du in base), default=None)
-            hi = min((eval_suitable(fu, i, k_space) + du for fu, du in base), default=None)
-            gamma[i] = eps if lo is None else min(max(eps, lo), hi)
+        gamma = {
+            i: _window(eval_suitable(new_fn, i, k_space), i, base, k_space)
+            for i in sorted(support)
+        }
         f = build_suitable(gamma, k_space)
         lip_index = None
         if lip_seq is not None:

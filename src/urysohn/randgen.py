@@ -9,10 +9,11 @@ generated object valid by construction.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from random import Random
 from typing import Sequence
 
-from .metric import FinMetric, fin_metric, tuple_dist
+from .metric import FinMetric, _ceiling, _envelope, fin_metric
 from .rationals import ZERO
 from .relational import (
     IndexedStructure,
@@ -46,17 +47,16 @@ def random_metric(rng: Random, ids: Sequence[str], den: int = 8, hi: int = 16) -
 
     for i, x in enumerate(pts):
         for y in pts[i + 1 :]:
-            lo = max(
-                (abs(d(x, z) - d(y, z)) for z in pts[:i]),
-                default=Fraction(1, den),
-            )
-            lo = max(lo, Fraction(1, den))
-            cap = min(
-                (d(x, z) + d(y, z) for z in pts[:i]),
-                default=None,
-            )
+            lo, cap = _triangle_window([d(x, z) for z in pts[:i]], [d(y, z) for z in pts[:i]], den)
             entries[(x, y)] = _clamp(rand_rat(rng, den, 1, hi), lo, cap)
     return fin_metric(pts, entries)
+
+
+def _triangle_window(dx, dy, den: int) -> tuple[Fraction, Fraction | None]:
+    """The window the distances ``dx`` and ``dy`` from x and y to the same
+    earlier points leave for d(x, y), raised to at least 1/den."""
+    lo = max((abs(a - b) for a, b in zip(dx, dy)), default=ZERO)
+    return max(lo, Fraction(1, den)), min(map(add, dx, dy), default=None)
 
 
 def _random_row(rng: Random, pts: Sequence[str], dist, den: int = 8) -> dict[str, Fraction]:
@@ -67,15 +67,7 @@ def _random_row(rng: Random, pts: Sequence[str], dist, den: int = 8) -> dict[str
     """
     row: dict[str, Fraction] = {}
     for i, a in enumerate(pts):
-        lo = max(
-            (abs(row[b] - dist(a, b)) for b in pts[:i]),
-            default=Fraction(1, den),
-        )
-        lo = max(lo, Fraction(1, den))
-        cap = min(
-            (row[b] + dist(a, b) for b in pts[:i]),
-            default=None,
-        )
+        lo, cap = _triangle_window([row[b] for b in pts[:i]], [dist(a, b) for b in pts[:i]], den)
         row[a] = _clamp(rand_rat(rng, den), lo, cap)
     return row
 
@@ -93,15 +85,9 @@ def random_table(
     for tup in tuples_over(metric.points, arity):
         if tup in out:
             continue
-        lo = max(
-            (w - tuple_dist(metric, t2, tup) for t2, w in out.items()),
-            default=ZERO,
-        )
-        cap = min(
-            (w + tuple_dist(metric, t2, tup) for t2, w in out.items()),
-            default=None,
-        )
-        out[tup] = _clamp(rand_rat(rng, den, 0, hi), max(lo, ZERO), cap)
+        lo = _envelope(out.items(), tup, metric.table)
+        cap = _ceiling(out.items(), tup, metric.table)
+        out[tup] = _clamp(rand_rat(rng, den, 0, hi), lo, cap)
     return out
 
 
@@ -197,9 +183,9 @@ def random_suitable(rng: Random, k: CompactPresentation, den: int = 8, hi: int =
     pins: dict[int, Fraction] = {}
     for i in range(1, k.size + 1):
         if rng.random() < 0.6:
-            lo = max((v - k.d_idx(j, i) for j, v in pins.items()), default=ZERO)
-            cap = min((v + k.d_idx(j, i) for j, v in pins.items()), default=None)
-            pins[i] = _clamp(rand_rat(rng, den, 0, hi), max(lo, ZERO), cap)
+            entries = [((j,), v) for j, v in pins.items()]
+            lo, cap = _envelope(entries, (i,), k._d), _ceiling(entries, (i,), k._d)
+            pins[i] = _clamp(rand_rat(rng, den, 0, hi), lo, cap)
     return suitable(pins)
 
 
@@ -215,21 +201,12 @@ def compatible_profile(
     The pointwise lower and upper envelopes of 1-Lipschitz functions are
     1-Lipschitz, so clamping a random profile between them stays valid.
     """
-    from .spaces import eval_suitable, suitable_from_values
+    from .spaces import _window, eval_suitable, suitable_from_values
 
     raw = random_suitable(rng, k, den, hi)
-    values = {}
-    for n in range(1, k.size + 1):
-        v = eval_suitable(raw, n, k)
-        lo = max(
-            (eval_suitable(f, n, k) - d for f, d in neighbours),
-            default=None,
-        )
-        cap = min(
-            (eval_suitable(f, n, k) + d for f, d in neighbours),
-            default=None,
-        )
-        values[n] = _clamp(v, max(lo, ZERO) if lo is not None else ZERO, cap)
+    values = {
+        n: _window(eval_suitable(raw, n, k), n, neighbours, k) for n in range(1, k.size + 1)
+    }
     return suitable_from_values(values, k)
 
 
@@ -268,28 +245,16 @@ def random_structure_l(
         labels = {p: rng.randint(1, z.size) for p in ids}
         pts = list(ids)
         entries: dict[tuple[str, str], Fraction] = {}
+
+        def d(x, y):
+            return entries.get((x, y)) or entries[(y, x)]
+
         feasible = True
         for i, x in enumerate(pts):
             for y in pts[i + 1 :]:
-                lo = max(
-                    (
-                        abs(
-                            (entries.get((x, w)) or entries[(w, x)])
-                            - (entries.get((y, w)) or entries[(w, y)])
-                        )
-                        for w in pts[:i]
-                    ),
-                    default=Fraction(1, den),
-                )
-                lo = max(lo, Fraction(1, den), z.d_idx(labels[x], labels[y]) / lip)
-                cap = min(
-                    (
-                        (entries.get((x, w)) or entries[(w, x)])
-                        + (entries.get((y, w)) or entries[(w, y)])
-                        for w in pts[:i]
-                    ),
-                    default=None,
-                )
+                ws = pts[:i]
+                lo, cap = _triangle_window([d(x, w) for w in ws], [d(y, w) for w in ws], den)
+                lo = max(lo, z.d_idx(labels[x], labels[y]) / lip)
                 if cap is not None and lo > cap:
                     feasible = False
                     break

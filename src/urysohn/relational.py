@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from operator import add
 from typing import Iterable, Mapping
 
-from .metric import FinMetric, IntRows, WitnessError, tuple_dist, validate_metric
+from .metric import FinMetric, IntRows, WitnessError, _envelope, tuple_dist, validate_metric
 from .rationals import ZERO, scaled
 
 PredTable = dict[tuple[int, int, tuple[str, ...]], Fraction]
@@ -142,12 +141,13 @@ def find_lipschitz_violation(
     """First pair breaking p(a) <= p(b) + d(a, b) in the sum metric, or None.
 
     Pairs are scanned in sorted order of (a, b).  When every point the
-    tuples use is known and every distance among them is present, the scan
-    runs on integer rows over one common denominator: a row a is clear when
-    p(a) <= min over b of p(b) + d(a, b), one gather per coordinate, and
-    only a row that is not clear is scanned for its first b.  Otherwise the
-    scan runs in rationals and raises MetricTableError at the first missing
-    entry it reaches.  Both give the same answer.
+    tuples use is known and every distance among them is present, rows are
+    cleared on integer rows over one common denominator: a row a is clear
+    when p(a) <= min over b of p(b) + d(a, b) (``IntRows.ceilings``), and
+    only the first row that is not clear is scanned for its first b.
+    Otherwise every row above the minimum is scanned in rationals, which
+    raises MetricTableError at the first missing entry it reaches.  Both
+    give the same answer.
     """
     items = sorted(values.items())
     lo = min((v for _, v in items), default=ZERO)
@@ -157,40 +157,26 @@ def find_lipschitz_violation(
         return ta, ta, values[ta], ZERO
     if lo == hi:
         return None  # constant tables always satisfy the law
-    ir = _int_rows(metric, items)
-    if ir is None:
-        for ta, va in items:
-            if va <= lo:
-                continue  # the global minimum can never be the violating side
-            for tb, vb in items:
-                if va > vb + tuple_dist(metric, ta, tb):
-                    return ta, tb, va, vb + tuple_dist(metric, ta, tb)
-        return None
-    index = ir.index
-    tups = [tuple(index[p] for p in t) for t, _ in items]
-    vals = [scaled(v, ir.den) for _, v in items]
-    gathers = ir.gathers(tups)
-    lo_i = min(vals)
-    for (ta, _), a, va in zip(items, tups, vals):
-        if va <= lo_i or va <= min(map(add, vals, ir.sums(a, gathers))):
-            continue
-        for (tb, _), vb, d in zip(items, vals, ir.sums(a, gathers)):
-            if va > vb + d:
-                return ta, tb, values[ta], values[tb] + tuple_dist(metric, ta, tb)
-    return None
-
-
-def _int_rows(metric: FinMetric, items) -> IntRows | None:
-    """Integer rows over the points the tuples use, values on their scale.
-
-    None when some point is unknown or some distance among the used points
-    is missing, so that the rational scan decides instead.
-    """
     used = sorted({p for t, _ in items for p in t})
-    known = set(metric.points)
-    if any(p not in known for p in used):
-        return None
-    return IntRows.of(used, metric.table, (v for _, v in items))
+    known = set(used) <= set(metric.points)
+    ir = IntRows.of(used, metric.table, (v for _, v in items)) if known else None
+    if ir is None:
+        suspects = (item for item in items if item[1] > lo)
+    else:
+        index = ir.index
+        tups = [tuple(index[p] for p in t) for t, _ in items]
+        vals = [scaled(v, ir.den) for _, v in items]
+        # the global minimum can never be the violating side
+        lo_i = min(vals)
+        high = [(item, a, va) for item, a, va in zip(items, tups, vals) if va > lo_i]
+        caps = ir.ceilings([a for _, a, _ in high], tups, vals)
+        suspects = (item for (item, _, va), cap in zip(high, caps) if va > cap)
+    for ta, va in suspects:
+        for tb, vb in items:
+            rhs = vb + tuple_dist(metric, ta, tb)
+            if va > rhs:
+                return ta, tb, va, rhs
+    return None
 
 
 @dataclass(frozen=True)
@@ -263,17 +249,7 @@ def canonical_extend(
     pins = list(values.items())
     out: dict[tuple[str, ...], Fraction] = {}
     for tup in tuples_over(metric.points, arity):
-        if tup in values:
-            out[tup] = values[tup]
-            continue
-        best = ZERO
-        for ptup, v in pins:
-            if v <= best:
-                continue
-            cand = v - tuple_dist(metric, ptup, tup)
-            if cand > best:
-                best = cand
-        out[tup] = best
+        out[tup] = values[tup] if tup in values else _envelope(pins, tup, metric.table) or ZERO
     return out
 
 

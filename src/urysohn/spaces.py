@@ -9,35 +9,53 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
-from .metric import FinMetric, validate_metric
+from .metric import FinMetric, _ceiling, _envelope, validate_metric
 from .rationals import ZERO, pow2
 
 
-@dataclass
-class CompactPresentation:
-    """Compact space given by a finite rational metric on its dense points.
-
-    Dense indices are 1-based positions in the point list.  Nets are
-    computed greedily and refine each other level by level, so the net at
-    scale 2^-(l+3) always contains the net at scale 2^-(l+2).
-    """
+@dataclass(frozen=True)
+class _Presentation:
+    """A finite dense set with exact distances; dense indices are 1-based
+    positions in the point list."""
 
     metric: FinMetric
-    _nets: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def size(self) -> int:
         return len(self.metric)
 
-    def d_idx(self, i: int, j: int) -> Fraction:
+    @cached_property
+    def _d(self) -> dict[tuple[int, int], Fraction]:
+        """d(q_i, q_j) for distinct dense indices, the table the Katetov
+        kernel reads; built once, on first use, and not compared."""
         pts = self.metric.points
-        return self.metric.d(pts[i - 1], pts[j - 1])
+        return {
+            (i, j): self.metric.d(x, y)
+            for i, x in enumerate(pts, 1)
+            for j, y in enumerate(pts, 1)
+            if i != j
+        }
+
+    def d_idx(self, i: int, j: int) -> Fraction:
+        return ZERO if i == j else self._d[(i, j)]
 
     def check_index(self, i: int):
         if not 1 <= i <= self.size:
             raise IndexError(f"dense index {i} outside 1..{self.size}")
+
+
+@dataclass(frozen=True)
+class CompactPresentation(_Presentation):
+    """Compact space given by a finite rational metric on its dense points.
+
+    Nets are computed greedily and refine each other level by level, so the
+    net at scale 2^-(l+3) always contains the net at scale 2^-(l+2).
+    """
+
+    _nets: dict[int, tuple[int, ...]] = field(default_factory=dict, repr=False, compare=False)
 
     def net_chain(self, level: int) -> tuple[int, ...]:
         """Net at scale 2^-(level+2); nested along increasing level."""
@@ -61,38 +79,21 @@ def validate_compact(k: CompactPresentation) -> list[str]:
 
 
 @dataclass(frozen=True)
-class PolishPresentation:
+class PolishPresentation(_Presentation):
     """Polish space given by a finite prefix of a dense set with exact distances.
 
     Distinct indices at distance zero are only legal when declared aliases.
     """
 
-    metric: FinMetric
     aliases: frozenset[tuple[int, int]] = frozenset()
-
-    @property
-    def size(self) -> int:
-        return len(self.metric)
-
-    def d_idx(self, i: int, j: int) -> Fraction:
-        pts = self.metric.points
-        return self.metric.d(pts[i - 1], pts[j - 1])
-
-    def check_index(self, i: int):
-        if not 1 <= i <= self.size:
-            raise IndexError(f"dense index {i} outside 1..{self.size}")
 
 
 def validate_polish(z: PolishPresentation) -> list[str]:
-    report = []
-    for msg in validate_metric(z.metric):
-        if "identity" in msg:
-            continue  # re-checked below against the alias list
-        report.append(msg)
-    pts = z.metric.points
+    # identity is re-checked below against the alias list
+    report = [msg for msg in validate_metric(z.metric) if "identity" not in msg]
     for i in range(1, z.size + 1):
         for j in range(i + 1, z.size + 1):
-            if z.metric.d(pts[i - 1], pts[j - 1]) == 0 and (i, j) not in z.aliases:
+            if z.d_idx(i, j) == 0 and (i, j) not in z.aliases:
                 report.append(f"identity ({i},{j}): zero distance without alias")
     return report
 
@@ -127,14 +128,7 @@ def suitable(values: Mapping[int, Fraction]) -> SuitableFn:
 def eval_suitable(f: SuitableFn, j: int, k: CompactPresentation) -> Fraction:
     """max(0, max_i (r_i - d(q_j, q_i))); agrees with the pins on the support."""
     k.check_index(j)
-    best = ZERO
-    for i, v in f.pins:
-        if v <= best:
-            continue
-        cand = v - k.d_idx(i, j)
-        if cand > best:
-            best = cand
-    return best
+    return _envelope((((i,), v) for i, v in f.pins), (j,), k._d) or ZERO
 
 
 def _cross_breaks(f: SuitableFn, g: SuitableFn, d: Fraction, k: CompactPresentation):
@@ -148,6 +142,15 @@ def _cross_breaks(f: SuitableFn, g: SuitableFn, d: Fraction, k: CompactPresentat
         w = eval_suitable(g, i, k)
         if v > w + d:
             yield i, v, w
+
+
+def _window(v: Fraction, i: int, neighbours, k: CompactPresentation) -> Fraction:
+    """``v`` clamped into [max f(i) - d, min f(i) + d] over the profiles f
+    of ``neighbours`` at distances d: one Katetov clamp, neighbour j as the
+    1-tuple (j,) and the clamped point as None."""
+    pins = [((j,), eval_suitable(f, i, k)) for j, (f, _) in enumerate(neighbours)]
+    dist = {(j, None): d for j, (_, d) in enumerate(neighbours)}
+    return min(max(v, _envelope(pins, (None,), dist)), _ceiling(pins, (None,), dist))
 
 
 def validate_suitable(f: SuitableFn, k: CompactPresentation) -> list[str]:
@@ -186,12 +189,11 @@ def build_suitable(gamma: Mapping[int, Fraction], k: CompactPresentation) -> Sui
     """
     order = sorted(gamma, key=lambda i: (-gamma[i], i))
     out: dict[int, Fraction] = {}
-    for pos, i in enumerate(order):
-        eta = max(
-            (gamma[j] - k.d_idx(j, i) for j in order[:pos]),
-            default=ZERO,
-        )
+    pins: list[tuple[tuple[int], Fraction]] = []
+    for i in order:
+        eta = _envelope(pins, (i,), k._d)
         out[i] = eta if eta > gamma[i] else gamma[i]
+        pins.append(((i,), gamma[i]))
     return suitable(out)
 
 

@@ -513,3 +513,65 @@ def test_certify_a_missing_file_is_a_usage_error(tmp_path, capsys):
     missing = str(tmp_path / "missing.cert")
     assert main(["certify", "--verify", missing]) == 2
     assert capsys.readouterr().err == f"usage error: no such file: {missing}\n"
+
+
+# -- dense indices outside the presentation, and paths that are not files ------
+
+
+def _c_file(support: str) -> str:
+    return f"C\npoint a1\npoint a2\nd a1 a2 1/1\nsuit a1 {support}\nsuit a2 1=1/1\n"
+
+
+def _l_file(a: str, b: str, label: int) -> str:
+    return f"L\npoint {a}\npoint {b}\nL 1/1\nd {a} {b} 2/1\npz {a} {label}\npz {b} 1\n"
+
+
+@pytest.mark.parametrize("support, message", [
+    ("0=3/1", "support index 0 outside 1..2"),
+    ("7=3/1", "support index 7 outside 1..2"),
+])
+def test_eval_refuses_a_support_index_outside_the_space(tmp_path, capsys, support, message):
+    space = put(tmp_path, "k.compact", TWO_POINT_COMPACT)
+    cfile = put(tmp_path, "a.c", _c_file(support))
+    assert main(["eval", cfile, "--space", space, "--point", "a1", "--index", "1"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("label", [0, 9])
+def test_joint_embed_refuses_a_label_outside_the_space(tmp_path, capsys, label):
+    space = put(tmp_path, "z.polish", POLISH)
+    a = put(tmp_path, "a.l", _l_file("a1", "a2", label))
+    b = put(tmp_path, "b.l", _l_file("b1", "b2", 1))
+    out = str(tmp_path / "out.l")
+    assert main(["joint-embed", a, b, "--space", space, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: dense index {label} outside 1..2\n"
+    assert not Path(out).exists()
+
+
+def test_amalgamate_refuses_a_support_index_outside_the_space(tmp_path, capsys):
+    space = put(tmp_path, "k.compact", TWO_POINT_COMPACT)
+    common = put(tmp_path, "a.c", "C\npoint a1\nsuit a1 1=1/1\n")
+    bad = put(tmp_path, "b.c", _c_file("0=3/1"))
+    good = put(tmp_path, "c.c", _c_file("1=2/1"))
+    out = str(tmp_path / "out.c")
+    assert main(["amalgamate", bad, good, "--over", common, "--space", space, "--out", out]) == 1
+    assert capsys.readouterr().err == "error: support index 0 outside 1..2\n"
+    assert not Path(out).exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "{dir}"],
+    ["certify", "--verify", "{dir}"],
+    ["grow", "--oracle", "{dir}", "--dist", "u1=1/1"],
+])
+def test_reading_a_directory_is_a_usage_error(tmp_path, capsys, argv):
+    assert main([a.format(dir=tmp_path) for a in argv]) == 2
+    assert capsys.readouterr().err == f"usage error: cannot read {tmp_path}: Is a directory\n"
+
+
+def test_writing_to_a_directory_is_a_usage_error(tmp_path, capsys):
+    bark = put(tmp_path, "x.bark", BARK)
+    assert main(["embed", bark, "--depth", "2", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"usage error: cannot write {tmp_path}: Is a directory\n"

@@ -1,0 +1,412 @@
+"""Differential tests of the Katetov kernel in metric.py against the loops it
+replaced.
+
+Each reference below is the loop a caller ran before it called
+``metric._envelope``, ``metric._ceiling`` or ``IntRows.ceilings``: profile
+evaluation and building, the canonical extension, the clamp windows of the
+random generators and of the profile solver step, and the two row-gather
+scans of the validators.  Inputs are drawn small, with zero values, ties,
+empty pin sets and targets that are pins themselves.
+"""
+from fractions import Fraction
+from itertools import product
+from operator import add, itemgetter
+from random import Random
+
+from hypothesis import given, settings, strategies as st
+
+from urysohn.cauchy import _clamped
+from urysohn.metric import FinMetric, IntRows, _ceiling, _envelope, tuple_dist
+from urysohn.randgen import (
+    _clamp,
+    compatible_profile,
+    rand_rat,
+    random_compact,
+    random_metric,
+    random_suitable,
+    random_table,
+)
+from urysohn.rationals import ZERO, scaled
+from urysohn.relational import canonical_extend, find_lipschitz_violation, tuples_over
+from urysohn.spaces import (
+    SuitableFn,
+    _window,
+    build_suitable,
+    eval_suitable,
+    suitable,
+    suitable_from_values,
+)
+
+F = Fraction
+PTS = ("a", "b", "c", "d")
+# a small grid, so that zero values and ties come up often
+VALUES = st.sampled_from([F(0), F(0), F(1, 4), F(1, 2), F(1), F(3, 2), F(2), F(3)])
+
+
+def old_d_idx(k, i, j):
+    pts = k.metric.points
+    return k.metric.d(pts[i - 1], pts[j - 1])
+
+
+# -- the replaced loops ---------------------------------------------------------
+
+
+def old_eval_suitable(f, j, k):
+    k.check_index(j)
+    best = ZERO
+    for i, v in f.pins:
+        if v <= best:
+            continue
+        cand = v - old_d_idx(k, i, j)
+        if cand > best:
+            best = cand
+    return best
+
+
+def old_build_suitable(gamma, k):
+    order = sorted(gamma, key=lambda i: (-gamma[i], i))
+    out = {}
+    for pos, i in enumerate(order):
+        eta = max((gamma[j] - old_d_idx(k, j, i) for j in order[:pos]), default=ZERO)
+        out[i] = eta if eta > gamma[i] else gamma[i]
+    return suitable(out)
+
+
+def old_canonical_extend(metric, values, arity):
+    pins = list(values.items())
+    out = {}
+    for tup in tuples_over(metric.points, arity):
+        if tup in values:
+            out[tup] = values[tup]
+            continue
+        best = ZERO
+        for ptup, v in pins:
+            if v <= best:
+                continue
+            cand = v - tuple_dist(metric, ptup, tup)
+            if cand > best:
+                best = cand
+        out[tup] = best
+    return out
+
+
+def old_clamped(eps, defined, dist, tup, scale):
+    val = v = scaled(eps, scale)
+    lo = hi = None
+    for t2, w in defined.items():
+        s = 0
+        for x, y in zip(t2, tup):
+            if x != y:
+                s += dist[(x, y)]
+        if lo is None or w - s > lo:
+            lo = w - s
+        if hi is None or w + s < hi:
+            hi = w + s
+    if lo is not None and v < lo:
+        v = lo
+    if hi is not None and v > hi:
+        v = hi
+    return (eps if v == val else Fraction(v, scale)), v
+
+
+def old_random_table(rng, metric, arity, base=None, den=8, hi=16):
+    out = dict(base or {})
+    for tup in tuples_over(metric.points, arity):
+        if tup in out:
+            continue
+        lo = max((w - tuple_dist(metric, t2, tup) for t2, w in out.items()), default=ZERO)
+        cap = min((w + tuple_dist(metric, t2, tup) for t2, w in out.items()), default=None)
+        out[tup] = _clamp(rand_rat(rng, den, 0, hi), max(lo, ZERO), cap)
+    return out
+
+
+def old_random_suitable(rng, k, den=8, hi=8):
+    pins = {}
+    for i in range(1, k.size + 1):
+        if rng.random() < 0.6:
+            lo = max((v - old_d_idx(k, j, i) for j, v in pins.items()), default=ZERO)
+            cap = min((v + old_d_idx(k, j, i) for j, v in pins.items()), default=None)
+            pins[i] = _clamp(rand_rat(rng, den, 0, hi), max(lo, ZERO), cap)
+    return suitable(pins)
+
+
+def old_compatible_profile(rng, k, neighbours, den=8, hi=8):
+    raw = old_random_suitable(rng, k, den, hi)
+    values = {}
+    for n in range(1, k.size + 1):
+        v = old_eval_suitable(raw, n, k)
+        lo = max((old_eval_suitable(f, n, k) - d for f, d in neighbours), default=None)
+        cap = min((old_eval_suitable(f, n, k) + d for f, d in neighbours), default=None)
+        values[n] = _clamp(v, max(lo, ZERO) if lo is not None else ZERO, cap)
+    return suitable_from_values(values, k)
+
+
+def old_profile_window(eps, i, base, k):
+    """The window of the profile solver step, each base profile read twice."""
+    lo = max((old_eval_suitable(fu, i, k) - du for fu, du in base), default=None)
+    hi = min((old_eval_suitable(fu, i, k) + du for fu, du in base), default=None)
+    return eps if lo is None else min(max(eps, lo), hi)
+
+
+def _getter(idx):
+    if len(idx) == 1:
+        k = idx[0]
+        return lambda row: (row[k],)
+    return itemgetter(*idx)
+
+
+def old_sums(rows, a, gathers):
+    out = gathers[0](rows[a[0]])
+    for get, i in zip(gathers[1:], a[1:]):
+        out = map(add, out, get(rows[i]))
+    return out
+
+
+def old_pin_clear(ir, pins):
+    """validate_state's pin reproduction test, one row gather per pin."""
+    index = ir.index
+    tups = [tuple(index[p] for p in ptup) for ptup in pins]
+    neg = [-w for w in pins.values()]
+    gathers = [_getter(col) for col in zip(*tups)]
+    return [
+        v >= 0 and min(map(add, neg, old_sums(ir.rows, a, gathers))) + v >= 0
+        for v, a in zip(pins.values(), tups)
+    ]
+
+
+def old_find_lipschitz_violation(metric, values):
+    items = sorted(values.items())
+    lo = min((v for _, v in items), default=ZERO)
+    hi = max((v for _, v in items), default=ZERO)
+    if lo < 0:
+        ta = min(items, key=lambda kv: (kv[1], kv[0]))[0]
+        return ta, ta, values[ta], ZERO
+    if lo == hi:
+        return None
+    used = sorted({p for t, _ in items for p in t})
+    ir = None
+    if all(p in metric.points for p in used):
+        ir = IntRows.of(used, metric.table, (v for _, v in items))
+    if ir is None:
+        for ta, va in items:
+            if va <= lo:
+                continue
+            for tb, vb in items:
+                if va > vb + tuple_dist(metric, ta, tb):
+                    return ta, tb, va, vb + tuple_dist(metric, ta, tb)
+        return None
+    index = ir.index
+    tups = [tuple(index[p] for p in t) for t, _ in items]
+    vals = [scaled(v, ir.den) for _, v in items]
+    gathers = [_getter(col) for col in zip(*tups)]
+    lo_i = min(vals)
+    for (ta, _), a, va in zip(items, tups, vals):
+        if va <= lo_i or va <= min(map(add, vals, old_sums(ir.rows, a, gathers))):
+            continue
+        for (tb, _), vb, d in zip(items, vals, old_sums(ir.rows, a, gathers)):
+            if va > vb + d:
+                return ta, tb, values[ta], values[tb] + tuple_dist(metric, ta, tb)
+    return None
+
+
+# -- strategies -----------------------------------------------------------------
+
+seeds = st.integers(0, 10**6)
+
+
+@st.composite
+def tables(draw, partial=True):
+    """A metric on PTS, an arity and a (possibly empty, possibly inconsistent)
+    table on some of its tuples."""
+    metric = random_metric(Random(draw(seeds)), PTS, den=4, hi=8)
+    arity = draw(st.integers(1, 2))
+    tups = list(tuples_over(PTS, arity))
+    chosen = draw(st.lists(st.sampled_from(tups), unique=True, max_size=6 if partial else 0))
+    return metric, arity, {t: draw(VALUES) for t in chosen}
+
+
+@st.composite
+def profiles(draw):
+    """A compact presentation and a profile on it, not necessarily consistent."""
+    k = random_compact(Random(draw(seeds)), draw(st.integers(1, 5)), den=4)
+    support = draw(st.lists(st.integers(1, k.size), unique=True, max_size=k.size))
+    return k, suitable({i: draw(VALUES) for i in support})
+
+
+# -- the kernel on its own ------------------------------------------------------
+
+
+def _brute(entries, tup, dist):
+    ds = [
+        sum((dist[(x, y)] for x, y in zip(t, tup) if x != y), start=0) for t, _ in entries
+    ]
+    lo = max([0] + [w - d for (_, w), d in zip(entries, ds)])
+    hi = min([w + d for (_, w), d in zip(entries, ds)], default=None)
+    return lo, hi
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables(), st.data())
+def test_envelope_and_ceiling_equal_the_unpruned_scan(table, data):
+    metric, arity, values = table
+    tup = data.draw(st.sampled_from(list(tuples_over(PTS, arity))))
+    entries = list(values.items())
+    lo, hi = _brute(entries, tup, metric.table)
+    assert _envelope(entries, tup, metric.table) == lo
+    cap = _ceiling(entries, tup, metric.table)
+    assert cap == hi if entries else cap == float("inf")
+
+
+def test_envelope_of_no_pins_is_zero_and_a_pin_reads_its_own_value():
+    table = {("a", "b"): F(1), ("b", "a"): F(1)}
+    assert _envelope([], ("a",), table) == 0
+    assert _ceiling([], ("a",), table) == float("inf")
+    pins = [(("a",), F(2)), (("b",), F(5, 2))]
+    assert _envelope(pins, ("a",), table) == F(2)
+    assert _ceiling(pins, ("a",), table) == F(2)
+    assert _envelope([(("a",), F(0))], ("b",), table) == 0
+
+
+# -- the callers against their old loops ----------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(profiles())
+def test_eval_suitable_matches_the_old_loop(prof):
+    k, f = prof
+    for j in range(1, k.size + 1):
+        got, want = eval_suitable(f, j, k), old_eval_suitable(f, j, k)
+        assert got == want and type(got) is type(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(profiles())
+def test_build_suitable_matches_the_old_loop(prof):
+    k, f = prof
+    gamma = dict(f.pins)
+    assert build_suitable(gamma, k) == old_build_suitable(gamma, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables())
+def test_canonical_extend_matches_the_old_loop(table):
+    metric, arity, values = table
+    if find_lipschitz_violation(metric, values) is not None:
+        return  # both refuse an inconsistent table before extending
+    got = canonical_extend(metric, values, arity)
+    want = old_canonical_extend(metric, values, arity)
+    assert got == want
+    assert all(type(v) is Fraction for v in got.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables(), st.data())
+def test_clamped_matches_the_old_loop_even_on_inconsistent_pins(table, data):
+    # the random table need not be 1-Lipschitz, so the window may be empty
+    metric, arity, values = table
+    tup = data.draw(st.sampled_from(list(tuples_over(PTS, arity))))
+    eps = data.draw(VALUES)
+    scale = 8 * 3 * 4
+    dist = {pair: scaled(v, scale) for pair, v in metric.table.items()}
+    defined = {t: scaled(v, scale) for t, v in values.items()}
+    assert _clamped(eps, defined, dist, tup, scale) == old_clamped(eps, defined, dist, tup, scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables())
+def test_find_lipschitz_violation_matches_the_old_gather_scan(table):
+    metric, _, values = table
+    assert find_lipschitz_violation(metric, values) == old_find_lipschitz_violation(
+        metric, values
+    )
+
+
+def test_find_lipschitz_violation_matches_on_unknown_points_and_ties():
+    metric = random_metric(Random(3), PTS, den=4)
+    cases = [
+        {},
+        {("a",): F(1), ("b",): F(1)},
+        {("a",): F(0), ("b",): F(9), ("z",): F(1)},
+        {("a",): F(5), ("b",): F(0)},
+    ]
+    for values in cases:
+        try:
+            want = old_find_lipschitz_violation(metric, values)
+        except Exception as exc:  # a missing entry raises in both
+            want = type(exc)
+        try:
+            got = find_lipschitz_violation(metric, values)
+        except Exception as exc:
+            got = type(exc)
+        assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(tables(), st.data())
+def test_pin_reproduction_matches_the_old_gather_and_the_envelope(table, data):
+    metric, _, values = table
+    ir = IntRows.of(PTS, metric.table, values.values())
+    pins = {t: scaled(v, ir.den) - data.draw(st.sampled_from([0, 0, 1])) for t, v in values.items()}
+    if not pins:
+        return
+    index = ir.index
+    tups = [tuple(index[p] for p in t) for t in pins]
+    neg = [-w for w in pins.values()]
+    new = [v >= 0 and low + v >= 0 for v, low in zip(pins.values(), ir.ceilings(tups, tups, neg))]
+    assert new == old_pin_clear(ir, pins)
+    rows = {(x, y): ir.rows[index[x]][index[y]] for x in PTS for y in PTS if x != y}
+    assert new == [_envelope(pins.items(), t, rows) == v for t, v in pins.items()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds, st.integers(1, 2))
+def test_random_table_draws_like_the_old_loop(seed, arity):
+    metric = random_metric(Random(seed), PTS, den=4)
+    base = {("a",) * arity: F(1)}
+    for partial in (None, base):
+        r1, r2 = Random(seed), Random(seed)
+        assert random_table(r1, metric, arity, partial) == old_random_table(r2, metric, arity, partial)
+        assert r1.random() == r2.random()
+    # the same seed gives the same table
+    assert random_table(Random(seed), metric, arity) == random_table(Random(seed), metric, arity)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds)
+def test_random_profiles_draw_like_the_old_loops(seed):
+    k = random_compact(Random(seed), 5, den=4)
+    r1, r2 = Random(seed), Random(seed)
+    assert random_suitable(r1, k) == old_random_suitable(r2, k)
+    neighbours = []
+    for d in (F(1, 2), F(1), F(3, 4)):
+        f1 = compatible_profile(r1, k, neighbours)
+        f2 = old_compatible_profile(r2, k, neighbours)
+        assert f1 == f2
+        neighbours.append((f1, d))
+    assert r1.random() == r2.random()
+
+
+@settings(max_examples=150, deadline=None)
+@given(profiles(), st.lists(st.tuples(profiles(), VALUES), max_size=3), VALUES)
+def test_profile_window_matches_the_old_double_read(prof, others, eps):
+    k, _ = prof
+    base = []
+    for (_, g), d in others:
+        # the neighbours' profiles live on k, at positive distances
+        base.append((SuitableFn(tuple((i, v) for i, v in g.pins if i <= k.size)), d + F(1, 4)))
+    for i in range(1, k.size + 1):
+        got, want = _window(eps, i, base, k), old_profile_window(eps, i, base, k)
+        assert got == want
+
+
+def test_every_window_is_met_on_a_full_grid():
+    # exhaustive: every pin value in a small grid, every target, one metric
+    metric = FinMetric(("a", "b"), {("a", "b"): F(1), ("b", "a"): F(1)})
+    grid = [F(0), F(1, 2), F(1), F(2)]
+    for wa, wb in product(grid, repeat=2):
+        values = {("a",): wa, ("b",): wb}
+        for tup in (("a",), ("b",)):
+            for eps in grid:
+                dist = {pair: scaled(v, 2) for pair, v in metric.table.items()}
+                defined = {t: scaled(v, 2) for t, v in values.items()}
+                assert _clamped(eps, defined, dist, tup, 2) == old_clamped(eps, defined, dist, tup, 2)
