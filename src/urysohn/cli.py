@@ -87,6 +87,18 @@ def _write(path: str | None, data: bytes | str):
         raise UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
+def _check_out(*paths: str | None):
+    """Refuse, before any work, an output path that is a directory or whose
+    directory does not exist; _write still reports every other OSError."""
+    for path in paths:
+        if path is None or path == "-":
+            continue
+        if Path(path).is_dir():
+            raise UsageError(f"cannot write {path}: Is a directory")
+        if not Path(path).parent.is_dir():
+            raise UsageError(f"cannot write {path}: No such file or directory")
+
+
 def _in_space(s: StructureC | StructureL, space):
     """Refuse a profile that is invalid on its own or a label outside
     ``space``, in the validators' words, before anything reads there."""
@@ -243,6 +255,7 @@ def cmd_grow(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    _check_out(args.out, args.out_log)
     x = _load_kind(args.file, "BARK", "K")
     o = _load_oracle(args)
     out = embed_structure(o, x, args.depth)
@@ -274,6 +287,7 @@ def cmd_embed(args) -> int:
 
 def cmd_homog(args) -> int:
     """Self-contained back-and-forth demo: embed two copies, absorb random wishes."""
+    _check_out(args.out, args.out_log)
     x = _load_kind(args.file, "BARK")
     rng = Random(args.seed)
     o = _load_oracle(args)

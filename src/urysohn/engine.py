@@ -18,8 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
-from typing import Iterable, Mapping
+from operator import add, mul
+from typing import Iterable, Iterator, Mapping
 
 from .metric import (
     FinMetric,
@@ -27,11 +29,13 @@ from .metric import (
     MetricTableError,
     WitnessError,
     _envelope,
+    _gather_min,
+    _getter,
     jep_gap,
     jep_gap_metric,
     path_amalgam_metric,
 )
-from .rationals import ZERO, scaled
+from .rationals import ZERO, fmt_scaled, scaled
 from .relational import (
     EMPTY_STRUCTURE,
     EmbeddingWitness,
@@ -220,14 +224,87 @@ class GrowthResult:
 
 @dataclass(frozen=True)
 class GrowthRecord:
-    """Materialized state delta of one growth step, sufficient for replay."""
+    """Materialized state delta of one growth step, sufficient for replay.
+
+    A parsed record holds its distances in a dict; a grown one reads them
+    from the oracle's rows through a RowDists.
+    """
 
     point: str
-    dists: dict[str, Fraction]
+    dists: Mapping[str, Fraction]
     pins: dict[tuple[int, int], dict[tuple[str, ...], Fraction]]
     fresh: tuple[tuple[int, int], ...]
     suitable: SuitableFn | None
     lip_index: int | None
+
+
+class RowDists(Mapping):
+    """Read-only distances from the point of handle ``h`` to the points
+    before it, read from the oracle's integer rows at its current scale.
+
+    It holds the oracle's ids, handles, rows and one-element scale cell,
+    never the oracle: a back-reference would put every grown oracle in a
+    reference cycle, and a dead one would wait for the cyclic collector.
+    """
+
+    __slots__ = ("_ids", "_pos", "_rows", "_h", "_scale")
+
+    def __init__(self, ids: list[str], pos: dict[str, int], rows: list[list[int]],
+                 h: int, scale: list[int]):
+        self._ids, self._pos, self._rows, self._h, self._scale = ids, pos, rows, h, scale
+
+    def __getitem__(self, p: str) -> Fraction:
+        k = self._pos.get(p, self._h)
+        if k >= self._h:
+            raise KeyError(p)
+        return Fraction(self._rows[self._h][k], self._scale[0])
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._ids[: self._h])
+
+    def __len__(self) -> int:
+        return self._h
+
+    def texts(self) -> list[tuple[str, str]]:
+        """(id, canonical "num/den") pairs in id order, from the integers."""
+        row, pos, den = self._rows[self._h], self._pos, self._scale[0]
+        return [(p, fmt_scaled(row[pos[p]], den)) for p in sorted(self._ids[: self._h])]
+
+
+class _Pins:
+    """The stored pins of one global slot, as columns: handle tuples, their
+    negated integer weights at the oracle's scale, and one row getter per
+    coordinate, rebuilt on first use after a pin is added.
+
+    Pinning a tuple again overwrites its weight in place, as a dict would.
+    """
+
+    __slots__ = ("tups", "neg", "_gets")
+
+    def __init__(self):
+        self.tups: dict[tuple[int, ...], int] = {}  # in column order -> column
+        self.neg: list[int] = []
+        self._gets: list | None = None
+
+    def add(self, pos: dict[str, int], delta: Mapping[tuple[str, ...], int]):
+        for tup, w in delta.items():
+            t = tuple(map(pos.__getitem__, tup))
+            i = self.tups.get(t)
+            if i is None:
+                self.tups[t] = len(self.neg)
+                self.neg.append(-w)
+                self._gets = None
+            else:
+                self.neg[i] = -w
+
+    def gets(self) -> list:
+        if self._gets is None:
+            self._gets = [_getter(col) for col in zip(*self.tups)]
+        return self._gets
+
+    def low(self, rows: list[list[int]], t: tuple[int, ...]) -> int:
+        """min over pins (p, w) of d(p, t) - w, one row gather per coordinate."""
+        return _gather_min(rows, self.gets(), self.neg, t)
 
 
 class LimitOracle:
@@ -252,7 +329,9 @@ class LimitOracle:
         self.polish = polish
         self.lip_const = lip_const
         self._points: list[str] = []
-        self._pos: dict[str, int] = {}  # point -> the step that added it
+        # point -> its handle: its index in _points and in _rows, the step
+        # that added it minus one
+        self._pos: dict[str, int] = {}
         self._counts: dict[int, int] = {}
         self.registry: dict[tuple[int, int], int] = {}
         self._suit: dict[str, SuitableFn] = {}
@@ -262,8 +341,10 @@ class LimitOracle:
         # denominator, which keeps the envelope scans in machine arithmetic;
         # every exact rational survives unchanged (divisibility is asserted)
         self._den: int = 1
-        self._dist_i: dict[tuple[str, str], int] = {}
-        self._pins_i: dict[tuple[int, int], dict[tuple[str, ...], int]] = {}
+        self._scale: list[int] = [1]  # _den again, shared with the RowDists
+        # _rows[h][k] = d(h, k) * _den by handle, zero on the diagonal
+        self._rows: list[list[int]] = []
+        self._pins: dict[tuple[int, int], _Pins] = {}
         # realized values never change once their points exist, so envelope
         # evaluations can be memoized for the lifetime of the oracle
         self._value_cache: dict[tuple[int, int, tuple[str, ...]], Fraction] = {}
@@ -291,12 +372,21 @@ class LimitOracle:
         factor = den // self._den
         if factor == 1:
             return
-        for key in self._dist_i:
-            self._dist_i[key] *= factor
-        for pins in self._pins_i.values():
-            for key in pins:
-                pins[key] *= factor
-        self._den = den
+        # in place: the RowDists hold this very list
+        self._rows[:] = [[v * factor for v in row] for row in self._rows]
+        for pins in self._pins.values():
+            pins.neg = [w * factor for w in pins.neg]
+        self._den = self._scale[0] = den
+
+    def _append(self, point: str, row: list[int]):
+        """Adjoin ``point`` at the distances ``row`` to every earlier point,
+        by handle."""
+        for r, v in zip(self._rows, row):
+            r.append(v)
+        row.append(0)
+        self._pos[point] = len(self._points)
+        self._points.append(point)
+        self._rows.append(row)
 
     # -- read access -------------------------------------------------------
 
@@ -313,7 +403,7 @@ class LimitOracle:
                 raise MetricTableError(f"unknown point {x!r}")
             return ZERO
         try:
-            return Fraction(self._dist_i[(x, y)], self._den)
+            return Fraction(self._rows[self._pos[x]][self._pos[y]], self._den)
         except KeyError:
             raise MetricTableError(f"unknown pair ({x!r}, {y!r})") from None
 
@@ -321,16 +411,22 @@ class LimitOracle:
         return self._counts.get(arity, 0)
 
     def predicate_value(self, n: int, g: int, tup: tuple[str, ...]) -> Fraction:
-        """Katetov envelope of the stored pins of global slot (n, g)."""
+        """Katetov envelope of the stored pins of global slot (n, g).
+
+        max(0, max over pins (p, w) of w - d(p, tup)) = max(0, -low), with
+        low the one row gather of the slot's columns at tup.
+        """
         if not 1 <= g <= self._counts.get(n, 0):
             raise KeyError(f"global slot ({n}, {g}) not realized")
         key = (n, g, tup)
         cached = self._value_cache.get(key)
         if cached is None:
-            # hot path: recent pins tend to be closest, so scan newest first
-            pins = reversed(self._pins_i[(n, g)].items())
-            cached = Fraction(_envelope(pins, tup, self._dist_i), self._den)
-            self._value_cache[key] = cached
+            pins = self._pins[(n, g)]
+            env = 0
+            if pins.neg:
+                t = tuple(map(self._pos.__getitem__, tup))
+                env = max(0, -pins.low(self._rows, t))
+            cached = self._value_cache[key] = Fraction(env, self._den)
         return cached
 
     def suitable_at(self, point: str) -> SuitableFn:
@@ -340,10 +436,15 @@ class LimitOracle:
         return self._lip[point]
 
     def metric(self) -> FinMetric:
-        den = self._den
+        den, pts = self._den, self._points
         return FinMetric(
-            tuple(self._points),
-            {key: Fraction(v, den) for key, v in self._dist_i.items()},
+            tuple(pts),
+            {
+                (x, y): Fraction(v, den)
+                for x, row in zip(pts, self._rows)
+                for y, v in zip(pts, row)
+                if x != y
+            },
         )
 
     # -- growth ------------------------------------------------------------
@@ -401,12 +502,11 @@ class LimitOracle:
             incoming.append(gap)
         den = self._den_for(incoming)
         row = self._extended_row(base_dists, gap, den)
-        full = {q: Fraction(v, den) for q, v in row.items()}
 
         if suitable is not None:
-            self._check_suitable(suitable, full)
+            self._check_suitable(suitable, row, den)
         if lip_index is not None:
-            self._check_lip(lip_index, full)
+            self._check_lip(lip_index, row, den)
 
         new_id = f"u{len(self._points) + 1}"
         pins_delta: dict[tuple[int, int], dict[tuple[str, ...], int]] = {}
@@ -415,56 +515,57 @@ class LimitOracle:
 
         # commit
         self._rescale(den)
-        self._points.append(new_id)
-        step = len(self._points)
-        self._pos[new_id] = step
-        for p, vi in row.items():
-            self._dist_i[(new_id, p)] = vi
-            self._dist_i[(p, new_id)] = vi
+        h = len(self._points)
+        self._append(new_id, row)
+        step = h + 1
         for n, g in fresh:
             self._counts[n] = max(self._counts.get(n, 0), g)
             self.registry[(n, g)] = step
-            self._pins_i[(n, g)] = {}
+            self._pins[(n, g)] = _Pins()
         log_pins: dict[tuple[int, int], dict[tuple[str, ...], Fraction]] = {}
         for slot, delta in pins_delta.items():
-            self._pins_i[slot].update(delta)
+            self._pins[slot].add(self._pos, delta)
             log_pins[slot] = {tup: Fraction(v, den) for tup, v in delta.items()}
         if suitable is not None:
             self._suit[new_id] = suitable
         if lip_index is not None:
             self._lip[new_id] = lip_index
+        dists = RowDists(self._points, self._pos, self._rows, h, self._scale)
         self.log.append(
-            GrowthRecord(new_id, full, log_pins, tuple(fresh), suitable, lip_index)
+            GrowthRecord(new_id, dists, log_pins, tuple(fresh), suitable, lip_index)
         )
         return GrowthResult(new_id, slot_assign)
 
-    def _extended_row(self, base_dists, gap, den) -> dict[str, int]:
-        """Distances from the new point to every point, as integers at ``den``.
+    def _extended_row(self, base_dists, gap, den) -> list[int]:
+        """Distances from the new point to every point by handle, as
+        integers at ``den``.
 
-        Base points keep their requested distance.  Every other point goes
-        through its cheapest base point, or sits at ``gap`` when the base is
-        empty.
+        With an empty base every point sits at ``gap``.  Otherwise point q
+        sits at r_q = min over base points b of e_b + d(b, q), with e_b the
+        requested distance: one C-level ``map(min, ...)`` over the base
+        rows, each rescaled to ``den`` and shifted by its e_b.  On the base
+        this is the request itself: b's own row gives e_b + d(b, b) = e_b,
+        and every other base point b' gives e_b' + d(b', b) >= e_b, because
+        grow has checked |e_b - e_b'| <= d(b, b').
         """
-        row = {p: scaled(e, den) for p, e in base_dists.items()}
         if gap is not None:
-            gap_i = scaled(gap, den)
-            for q in self._points:
-                row[q] = gap_i
-            return row
+            return [scaled(gap, den)] * len(self._points)
         factor = den // self._den
-        dd = self._dist_i
-        via = list(row.items())
-        for q in self._points:
-            if q not in row:
-                row[q] = min([e + dd[(p, q)] * factor for p, e in via])
-        return row
+        shifted = []
+        for p, e in base_dists.items():
+            row = self._rows[self._pos[p]]
+            if factor != 1:
+                row = map(mul, row, repeat(factor))
+            shifted.append(map(add, row, repeat(scaled(e, den))))
+        if len(shifted) < 2:
+            return list(shifted[0]) if shifted else []
+        return list(map(min, *shifted))
 
     def _gap(self, rel, suitable, lip_index) -> Fraction:
         """Joint-embedding gap over every value anywhere, the request's too."""
-        values = [
-            Fraction(max(ints.values(), default=0), self._den)
-            for ints in (self._dist_i, *self._pins_i.values())
-        ]
+        den = self._den
+        values = [Fraction(max(map(max, self._rows), default=0), den)]
+        values += (Fraction(-min(p.neg, default=0), den) for p in self._pins.values())
         if rel is not None:
             values += rel.ext.pred.values()
         values += (f.max_value() for f in self._suit.values())
@@ -597,20 +698,20 @@ class LimitOracle:
             for tup in pins:
                 touched.update(dict.fromkeys(tup))
         factor = den // self._den
-        dd = self._dist_i
+        rows, pos = self._rows, self._pos
         ld: dict[tuple[str, str], int] = {}
         for x in touched:
             for y in touched:
                 if x != y:
                     ld[(x, y)] = (
-                        row[y] if x == new_id else row[x] if y == new_id
-                        else dd[(x, y)] * factor
+                        row[pos[y]] if x == new_id else row[pos[x]] if y == new_id
+                        else rows[pos[x]][pos[y]] * factor
                     )
 
         delta: dict[tuple[int, int], dict[tuple[str, ...], int]] = {}
         for (n, m) in sorted(ext.slots()):
             g = slot_assign[(n, m)]
-            fresh_slot = (n, g) not in self._pins_i
+            fresh_slot = (n, g) not in self._pins
             entries: list[tuple[tuple[str, ...], int]] = []
             for tup, v in sorted(rel.birth_pins.get((n, m), {}).items()):
                 entries.append((tup, scaled(v, den)))
@@ -659,13 +760,13 @@ class LimitOracle:
             if given and mode not in self.modes:
                 raise OracleGrowthError(f"{prefix}oracle does not carry {what}")
 
-    def _check_suitable(self, f: SuitableFn, full: dict[str, Fraction]):
+    def _check_suitable(self, f: SuitableFn, row: list[int], den: int):
         k = self.compact
         report = validate_suitable(f, k)
         if report:
             raise OracleGrowthError(f"profile invalid: {report[0]}")
         for u, fu in self._suit.items():
-            d = full[u]
+            d = Fraction(row[self._pos[u]], den)
             for i, v, _ in _cross_breaks(f, fu, d, k):
                 raise OracleGrowthError(f"profile value {v} at {i} too far from point {u!r}")
             for i, _, _ in _cross_breaks(fu, f, d, k):
@@ -673,13 +774,13 @@ class LimitOracle:
                     f"existing profile of {u!r} at {i} too far from the new point"
                 )
 
-    def _check_lip(self, idx: int, full: dict[str, Fraction]):
+    def _check_lip(self, idx: int, row: list[int], den: int):
         try:
             self.polish.check_index(idx)
         except IndexError as exc:
             raise OracleGrowthError(str(exc)) from None
         for u, iu in self._lip.items():
-            if self.polish.d_idx(idx, iu) > self.lip_const * full[u]:
+            if self.polish.d_idx(idx, iu) > self.lip_const * Fraction(row[self._pos[u]], den):
                 raise OracleGrowthError(
                     f"index {idx} breaks the Lipschitz bound against {u!r}"
                 )
@@ -720,14 +821,13 @@ class LimitOracle:
         points that exist at that step, and each profile must be valid on
         its own as well as against every other point's.
 
-        The metric and pin checks run on integer rows built once from the
-        distance table.  A pin (p, v) of a slot with pins P is reproduced,
+        The metric and pin checks run on the oracle's own integer rows and
+        pin columns.  A pin (p, v) of a slot with pins P is reproduced,
         E(p) = max(0, max over (q, w) in P of w - d(q, p)) = v, exactly when
-        v >= 0 and min over (q, w) in P of d(q, p) - w + v >= 0: the pin
-        itself gives E(p) >= max(0, v), and the second condition says no
-        pin pushes E(p) above v.  IntRows.ceilings gives that minimum for
-        every pin of a slot, and only a pin that fails the test is confirmed
-        by a direct envelope scan.
+        v >= 0 and low(p) + v >= 0, with low(p) = min over (q, w) in P of
+        d(q, p) - w: the pin itself gives low(p) <= -v, so the second
+        condition says low(p) = -v, no pin pushes E(p) above v, and
+        E(p) = max(0, v) = v.  One row gather per pin gives low(p).
         Cubic in the point count and quadratic in the pins of a slot, but
         free of the exponential tuple tables a materialized snapshot needs.
 
@@ -743,21 +843,17 @@ class LimitOracle:
         validate` exits with the same code without them.
         """
         report = []
-        pts = self._points
-        dd = self._dist_i
-        for i, x in enumerate(pts):
-            for y in pts[i + 1 :]:
-                v = dd.get((x, y))
-                if v is None or dd.get((y, x)) != v:
-                    report.append(f"metric: missing or asymmetric pair ({x},{y})")
-                elif v <= 0:
-                    report.append(f"metric: nonpositive distance ({x},{y})")
-        if report:
+        pts, rows, den = self._points, self._rows, self._den
+        ir = IntRows(pts, rows, den)
+        # replay stores what the log says, so a row may hold 0
+        if not ir.symmetric_positive():
+            for i, x in enumerate(pts):
+                for j in range(i + 1, len(pts)):
+                    if rows[i][j] != rows[j][i]:
+                        report.append(f"metric: missing or asymmetric pair ({x},{pts[j]})")
+                    elif rows[i][j] <= 0:
+                        report.append(f"metric: nonpositive distance ({x},{pts[j]})")
             return report
-        ir = IntRows(
-            pts, [[0 if x == y else dd[(x, y)] for y in pts] for x in pts], self._den
-        )
-        rows = ir.rows
         for i, j in ir.triangle_breaks():
             dxy = rows[i][j]
             z = next(k for k, r in enumerate(rows[j]) if dxy > rows[i][k] + r)
@@ -771,16 +867,10 @@ class LimitOracle:
                         report.append(why)
         if report:
             return report
-        index = ir.index
-        for (n, g), pins in sorted(self._pins_i.items()):
-            if not pins:
-                continue
-            tups = [tuple(index[p] for p in ptup) for ptup in pins]
-            neg = [-w for w in pins.values()]
-            for (ptup, v), low in zip(pins.items(), ir.ceilings(tups, tups, neg)):
-                if v >= 0 and low + v >= 0:
-                    continue
-                if _envelope(pins.items(), ptup, dd) != v:
+        for (n, g), pins in sorted(self._pins.items()):
+            for t, w in zip(pins.tups, pins.neg):
+                if w > 0 or pins.low(rows, t) < w:
+                    ptup = tuple(pts[h] for h in t)
                     report.append(
                         f"slot ({n},{g}): pin at {ptup} not reproduced by its envelope"
                     )
@@ -793,11 +883,12 @@ class LimitOracle:
                     continue
                 for msg in validate_suitable(fx, k):
                     report.append(f"profile {x!r}: {msg}")
-                for y in pts[i + 1 :]:
+                for j in range(i + 1, len(pts)):
+                    y = pts[j]
                     fy = self._suit.get(y)
                     if fy is None:
                         continue  # reported at its own turn
-                    d = Fraction(dd[(x, y)], self._den)
+                    d = Fraction(rows[i][j], den)
                     for f, g in ((fx, fy), (fy, fx)):
                         for idx, _, _ in _cross_breaks(f, g, d, k):
                             report.append(f"profiles of ({x},{y}) clash at index {idx}")
@@ -807,7 +898,7 @@ class LimitOracle:
             for i, x in enumerate(labelled):
                 for y in labelled[i + 1 :]:
                     dz = self.polish.d_idx(self._lip[x], self._lip[y])
-                    if dz > self.lip_const * Fraction(dd[(x, y)], self._den):
+                    if dz > self.lip_const * self.distance(x, y):
                         report.append(f"labels of ({x},{y}) break the Lipschitz bound")
         return report
 
@@ -819,7 +910,7 @@ class LimitOracle:
         if len(tup) != slot[0]:
             return f"step {step}: pin at {tup} has the wrong arity for slot {slot}"
         for p in tup:
-            if self._pos.get(p, step + 1) > step:
+            if self._pos.get(p, step) >= step:
                 return f"step {step}: pin at {tup} on {p!r}, which does not exist yet"
         return None
 
@@ -875,22 +966,17 @@ class LimitOracle:
             incoming += delta.values()
         den = self._den_for(incoming)
         self._rescale(den)
-        self._points.append(rec.point)
-        self._pos[rec.point] = step
-        for p, v in rec.dists.items():
-            vi = scaled(v, den)
-            self._dist_i[(rec.point, p)] = vi
-            self._dist_i[(p, rec.point)] = vi
+        self._append(rec.point, [scaled(rec.dists[p], den) for p in self._points])
         self._counts = taken
         for n, g in rec.fresh:
             self.registry[(n, g)] = step
-            self._pins_i[(n, g)] = {}
+            self._pins[(n, g)] = _Pins()
         for slot, delta in rec.pins.items():
             for tup in delta:
                 why = self._bad_pin(step, slot, tup)
                 if why:
                     raise OracleGrowthError(why)
-            self._pins_i[slot].update({tup: scaled(v, den) for tup, v in delta.items()})
+            self._pins[slot].add(self._pos, {tup: scaled(v, den) for tup, v in delta.items()})
         if rec.suitable is not None:
             self._suit[rec.point] = rec.suitable
         if rec.lip_index is not None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .engine import GrowthRecord, LimitOracle
+from .engine import GrowthRecord, LimitOracle, RowDists
 from .lipschitz import StructureL
 from .metric import FinMetric, fin_metric
 from .product import StructureC
@@ -325,8 +325,12 @@ def _serialize_oracle(of: OracleFile) -> str:
         lines.append(f"L {fmt_rat(of.lip)}")
     for rec in of.records:
         lines.append(f"grow {rec.point}")
-        for p in sorted(rec.dists):
-            lines.append(f"gd {p} {fmt_rat(rec.dists[p])}")
+        dists = rec.dists
+        if isinstance(dists, RowDists):
+            texts = dists.texts()
+        else:
+            texts = [(p, fmt_rat(dists[p])) for p in sorted(dists)]
+        lines += [f"gd {p} {text}" for p, text in texts]
         for (n, g) in sorted(rec.pins):
             for tup in sorted(rec.pins[(n, g)]):
                 lines.append(

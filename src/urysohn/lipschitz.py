@@ -134,8 +134,11 @@ def extend_one_point_l(
     seq = [target] * depth if isinstance(target, int) else list(target)
     if len(seq) < depth:
         raise SolverError(f"label sequence of length {len(seq)} shorter than {depth}")
-    for i in seq:
-        z.check_index(i)
+    try:
+        for i in seq:
+            z.check_index(i)
+    except IndexError as exc:
+        raise SolverError(f"label target: {exc}") from None
     checks: list[Check] = list(check_label_modulus(seq[:depth], k, z, lip))
     for c in checks:
         if not c.holds:

@@ -130,10 +130,7 @@ class IntRows:
         rows = self.rows
         gets = [_getter(col) for col in zip(*tups)]
         for a in targets:
-            out = map(add, vals, gets[0](rows[a[0]]))
-            for get, i in zip(gets[1:], a[1:]):
-                out = map(add, out, get(rows[i]))
-            yield min(out)
+            yield _gather_min(rows, gets, vals, a)
 
     def symmetric_positive(self) -> bool:
         """Every pair of points at one positive distance both ways."""
@@ -164,6 +161,17 @@ def _getter(idx: tuple[int, ...]):
         k = idx[0]
         return lambda row: (row[k],)
     return itemgetter(*idx)
+
+
+def _gather_min(rows: list[list[int]], gets: list, vals, a: tuple[int, ...]) -> int:
+    """min over b of vals[b] + d(a, t_b) in the sum metric, where gets[c]
+    is the getter of the c-th coordinates of the tuples t_b: one gather per
+    coordinate of a, summed with ``map(add, ...)``, and one C-level ``min``.
+    """
+    out = map(add, vals, gets[0](rows[a[0]]))
+    for get, i in zip(gets[1:], a[1:]):
+        out = map(add, out, get(rows[i]))
+    return min(out)
 
 
 def validate_metric(m: FinMetric) -> list[str]:

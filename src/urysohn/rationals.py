@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 Rat = Fraction
 
@@ -49,3 +50,11 @@ def fmt_rat(value: Fraction) -> str:
     if value < 0:
         raise ValueError(f"negative rational {value} has no canonical form")
     return f"{value.numerator}/{value.denominator}"
+
+
+def fmt_scaled(num: int, den: int) -> str:
+    """``fmt_rat(Fraction(num, den))`` for den > 0, without the Fraction."""
+    if num < 0:
+        raise ValueError(f"negative rational {num}/{den} has no canonical form")
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}"

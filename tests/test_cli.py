@@ -575,3 +575,22 @@ def test_writing_to_a_directory_is_a_usage_error(tmp_path, capsys):
     bark = put(tmp_path, "x.bark", BARK)
     assert main(["embed", bark, "--depth", "2", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"usage error: cannot write {tmp_path}: Is a directory\n"
+
+
+@pytest.mark.parametrize("cmd", ["embed", "homog"])
+@pytest.mark.parametrize("opt", ["--out", "--out-log"])
+@pytest.mark.parametrize("where", ["dir", "no parent"])
+def test_unwritable_output_is_refused_before_building(tmp_path, capsys, monkeypatch, cmd, opt, where):
+    import urysohn.cli as cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the construction ran before the output path was checked")
+
+    monkeypatch.setattr(cli, "embed_structure", unreachable)
+    bark = put(tmp_path, "x.bark", BARK)
+    if where == "dir":
+        target, why = str(tmp_path), "Is a directory"
+    else:
+        target, why = str(tmp_path / "missing" / "out"), "No such file or directory"
+    assert main([cmd, bark, "--depth", "3", opt, target]) == 2
+    assert capsys.readouterr().err == f"usage error: cannot write {target}: {why}\n"

@@ -23,6 +23,8 @@ from urysohn.relational import (
     validate_k,
 )
 
+from oracle_state import set_int_pin
+
 F = Fraction
 
 
@@ -349,7 +351,7 @@ def test_validate_state_clean_and_detects_tampering():
     o.grow({"u1": F(1)}, rel=_two_unary_ext())
     assert o.validate_state() == []
     # forge a pin the envelope cannot reproduce
-    o._pins_i[(1, 1)][("u2",)] = -1
+    set_int_pin(o, (1, 1), ("u2",), -1)
     assert any("not reproduced" in msg for msg in o.validate_state())
 
 

@@ -7,7 +7,6 @@ all stored pins.  The oracle must agree with it on the new distance row,
 the denominator, the envelope values, the stored pins and the decision to
 accept or refuse; a refused request must leave the oracle unchanged.
 """
-from copy import deepcopy
 from fractions import Fraction
 from math import lcm
 from random import Random
@@ -17,8 +16,11 @@ from hypothesis import given, settings, strategies as st
 
 from urysohn import engine
 from urysohn.engine import LimitOracle, OracleGrowthError, RelExtension
-from urysohn.metric import fin_metric
+from urysohn.metric import _envelope, fin_metric
+from urysohn.rationals import scaled
 from urysohn.relational import IndexedStructure, pattern_indices, pattern_slots, tuples_over
+
+from oracle_state import int_pins, int_table
 
 F = Fraction
 
@@ -77,10 +79,11 @@ def reference_growth(o, base_dists, rel):
         return max([F(0)] + [w - tdist(p, t) for p, w in entries])
 
     delta, envs = {}, []
+    stored = int_pins(o)
     for n, m in sorted(rel.ext.slots()):
         g = slot_assign[(n, m)]
-        fresh_slot = (n, g) not in o._pins_i
-        existing = [(t, F(w, o.den)) for t, w in o._pins_i.get((n, g), {}).items()]
+        fresh_slot = (n, g) not in stored
+        existing = [(t, F(w, o.den)) for t, w in stored.get((n, g), {}).items()]
         entries = sorted(rel.birth_pins.get((n, m), {}).items())
         for tup in sorted(tuples_over(rel.ext.points, n), key=lambda t: (new_pt in t, t)):
             entries.append((tuple(trans[p] for p in tup), rel.ext.pred[(n, m, tup)]))
@@ -113,8 +116,8 @@ def reference_growth(o, base_dists, rel):
 def state_of(o):
     return (
         list(o.points),
-        dict(o._dist_i),
-        deepcopy(o._pins_i),
+        int_table(o),
+        int_pins(o),
         o.den,
         dict(o.registry),
         dict(o._counts),
@@ -132,9 +135,10 @@ def grow_and_compare(o, base_dists, rel):
     envs = []
 
     def recording_envelope(entries, tup, dist):
+        # predicate_value gathers rows, so these are the request's local
+        # envelopes only
         value = real_envelope(entries, tup, dist)
-        if dist is not o._dist_i:  # the request's local envelopes only
-            envs.append((tup, value))
+        envs.append((tup, value))
         return value
 
     real_envelope = engine._envelope
@@ -270,3 +274,74 @@ def test_refused_grow_keeps_denominator_and_state():
         o.grow({"u1": F(1, 7)}, rel=rel)
     assert state_of(o) == before
     assert o.den == 1
+
+
+def grown_rel_oracle(rng, steps):
+    o = LimitOracle()
+    for _ in range(steps):
+        base_dists, rel = random_request(rng, o)
+        try:
+            o.grow(base_dists, rel=rel)
+        except OracleGrowthError:
+            pass
+    return o
+
+
+@given(st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=60, deadline=None)
+def test_predicate_gather_matches_the_pruned_envelope(seed):
+    """predicate_value's row gather against metric._envelope over a
+    (str, str) table of the same integers, on pins and on random tuples."""
+    rng = Random(seed)
+    o = grown_rel_oracle(rng, 10)
+    table = int_table(o)
+    o._value_cache.clear()
+    for (n, g), pins in int_pins(o).items():
+        tups = list(pins) + [tuple(rng.choice(o.points) for _ in range(n)) for _ in range(6)]
+        for tup in tups:
+            want = F(_envelope(pins.items(), tup, table), o.den)
+            assert o.predicate_value(n, g, tup) == want
+
+
+def reference_row(o, base_dists, gap, den):
+    """The new distance row by the old per-point scan over a (str, str) table."""
+    row = {p: scaled(e, den) for p, e in base_dists.items()}
+    if gap is not None:
+        for q in o.points:
+            row[q] = scaled(gap, den)
+    table, factor = int_table(o), den // o.den
+    via = list(row.items())
+    for q in o.points:
+        if q not in row:
+            row[q] = min([e + table[(p, q)] * factor for p, e in via])
+    return [row[q] for q in o.points]
+
+
+@given(st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=60, deadline=None)
+def test_extended_row_matches_the_per_point_scan(seed):
+    """The map(min) row against the old scan: feasible bases, empty bases
+    with and without earlier points, and denominators that rescale."""
+    rng = Random(seed)
+    o = grown_rel_oracle(rng, rng.randint(0, 6))
+    for _ in range(6):
+        base = {}
+        if o.points and rng.random() < 0.8:
+            c, r = rng.choice(o.points), F(rng.randint(1, 8), rng.choice([1, 2, 3, 4]))
+            for b in rng.sample(o.points, rng.randint(1, min(3, len(o)))):
+                base[b] = o.distance(c, b) + r
+        gap = o._gap(None, None, None) if not base and o.points else None
+        incoming = list(base.values()) + [gap or F(0), F(1, rng.choice([1, 3, 5]))]
+        den = o._den_for(incoming)
+        assert o._extended_row(base, gap, den) == reference_row(o, base, gap, den)
+        o.grow(base)
+
+
+def test_extended_row_of_an_empty_base():
+    o = LimitOracle()
+    assert o._extended_row({}, None, 1) == []
+    o.grow({})
+    o.grow({"u1": F(1, 2)})
+    gap = o._gap(None, None, None)
+    assert gap == 1
+    assert o._extended_row({}, gap, 2) == reference_row(o, {}, gap, 2) == [2, 2]

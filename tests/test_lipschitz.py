@@ -168,3 +168,10 @@ def test_amalgamate_l_random_triples():
         a = StructureL(b.metric.restrict(["a"]), {"a": b.labels["a"]}, lip)
         out = amalgamate_l(b, c, a, {"a": "a"}, {"a": "a"}, z)
         assert validate_l(out, z) == []
+
+
+def test_label_target_outside_the_presentation_is_a_solver_error():
+    o = LimitOracle(modes=("lip",), polish=polish2(), lip_const=F(1))
+    with pytest.raises(SolverError, match="dense index 9 outside 1..2"):
+        extend_one_point_l(o, [], single_point("b1"), 9, depth=3)
+    assert len(o) == 0

@@ -23,6 +23,7 @@ from urysohn.product import snapshot_product, validate_c
 from urysohn.randgen import compatible_profile, random_compact, random_polish
 from urysohn.spaces import SuitableFn
 
+from oracle_state import int_dist, int_pins, int_table, set_int_dist, set_int_pin
 from test_grow_reference import random_request
 
 F = Fraction
@@ -150,7 +151,7 @@ def reference_validate_state(o):
     """
     report = []
     pts = o.points
-    dd = o._dist_i
+    dd = int_table(o)
     for i, x in enumerate(pts):
         for y in pts[i + 1 :]:
             v = dd.get((x, y))
@@ -178,7 +179,7 @@ def reference_validate_state(o):
                     report.append(why)
     if report:
         return report
-    for (n, g), pins in sorted(o._pins_i.items()):
+    for (n, g), pins in sorted(int_pins(o).items()):
         for ptup, v in pins.items():
             env = max(
                 [F(0)]
@@ -208,24 +209,26 @@ def perturb(rng, o):
     pts = o.points
     for _ in range(rng.randint(1, 3)):
         kind = rng.choice(["dist", "dist", "pin", "pin", "pin", "asym", "zero", "newpin"])
-        pins = [(slot, t) for slot, p in o._pins_i.items() for t in p]
+        stored = int_pins(o)
+        pins = [(slot, t) for slot, p in stored.items() for t in p]
         if kind in ("dist", "asym", "zero") and len(pts) > 1:
             x, y = rng.sample(pts, 2)
-            v = o._dist_i[(x, y)]
+            v = int_dist(o, x, y)
             if kind == "dist":
                 v = max(1, v + rng.choice([-1, 1]) * rng.randint(1, 3) * o.den)
-                o._dist_i[(x, y)] = o._dist_i[(y, x)] = v
+                set_int_dist(o, x, y, v)
             elif kind == "asym":
-                o._dist_i[(x, y)] = v + 1
+                set_int_dist(o, x, y, v + 1, both=False)
             else:
-                o._dist_i[(x, y)] = o._dist_i[(y, x)] = 0
+                set_int_dist(o, x, y, 0)
         elif kind == "pin" and pins:
             slot, t = rng.choice(pins)
-            o._pins_i[slot][t] += rng.choice([-1, 1]) * rng.randint(1, 2 * o.den)
+            w = stored[slot][t] + rng.choice([-1, 1]) * rng.randint(1, 2 * o.den)
+            set_int_pin(o, slot, t, w)
         elif kind == "newpin" and pins:
             slot = rng.choice(pins)[0]
             t = tuple(rng.choice(pts) for _ in range(slot[0]))
-            o._pins_i[slot][t] = rng.randint(0, 3 * o.den)
+            set_int_pin(o, slot, t, rng.randint(0, 3 * o.den))
 
 
 @given(st.integers(min_value=0, max_value=2**32))
@@ -294,8 +297,8 @@ def damage(rng, o, kind):
     pts = o.points
     if kind == "dist":
         x, y = rng.sample(pts, 2)
-        v = max(1, o._dist_i[(x, y)] + rng.choice([-1, 1]) * rng.randint(1, 4) * o.den)
-        o._dist_i[(x, y)] = o._dist_i[(y, x)] = v
+        v = max(1, int_dist(o, x, y) + rng.choice([-1, 1]) * rng.randint(1, 4) * o.den)
+        set_int_dist(o, x, y, v)
     elif kind == "pin":
         x = rng.choice([p for p in pts if o.suitable_at(p).pins])
         pins = list(o.suitable_at(x).pins)
