@@ -414,17 +414,24 @@ class LimitOracle:
         """Katetov envelope of the stored pins of global slot (n, g).
 
         max(0, max over pins (p, w) of w - d(p, tup)) = max(0, -low), with
-        low the one row gather of the slot's columns at tup.
+        low the one row gather of the slot's columns at tup.  KeyError for a
+        tuple of another arity or on a point outside the oracle; only a
+        cache miss checks, since the cache holds nothing else.
         """
         if not 1 <= g <= self._counts.get(n, 0):
             raise KeyError(f"global slot ({n}, {g}) not realized")
         key = (n, g, tup)
         cached = self._value_cache.get(key)
         if cached is None:
+            if len(tup) != n:
+                raise KeyError(f"tuple {tup!r} has arity {len(tup)}, slot ({n}, {g}) wants {n}")
+            try:
+                t = tuple(map(self._pos.__getitem__, tup))
+            except KeyError:
+                raise KeyError(f"tuple {tup!r} has a point outside the oracle") from None
             pins = self._pins[(n, g)]
             env = 0
             if pins.neg:
-                t = tuple(map(self._pos.__getitem__, tup))
                 env = max(0, -pins.low(self._rows, t))
             cached = self._value_cache[key] = Fraction(env, self._den)
         return cached
@@ -828,8 +835,14 @@ class LimitOracle:
         d(q, p) - w: the pin itself gives low(p) <= -v, so the second
         condition says low(p) = -v, no pin pushes E(p) above v, and
         E(p) = max(0, v) = v.  One row gather per pin gives low(p).
-        Cubic in the point count and quadratic in the pins of a slot, but
-        free of the exponential tuple tables a materialized snapshot needs.
+        Triangles are decided one point at a time by
+        ``IntRows.katetov_rows``: each row must be a Katetov function on the
+        points before it, as the step that wrote it made it.  That costs the
+        sum over points of their count times the size of their row's
+        support, near quadratic on grown logs and cubic only when rows are
+        constant; ``triangle_breaks`` runs only to name what breaks.  The pin
+        check is quadratic in the pins of a slot, and neither needs the
+        exponential tuple tables a materialized snapshot needs.
 
         This is the one decision for profiles and labels: validate_c and
         validate_l, run on snapshot_product and snapshot_lipschitz, never
@@ -854,10 +867,12 @@ class LimitOracle:
                     elif rows[i][j] <= 0:
                         report.append(f"metric: nonpositive distance ({x},{pts[j]})")
             return report
-        for i, j in ir.triangle_breaks():
-            dxy = rows[i][j]
-            z = next(k for k, r in enumerate(rows[j]) if dxy > rows[i][k] + r)
-            report.append(f"metric: triangle ({pts[i]},{pts[j]}) via {pts[z]}")
+        if not ir.katetov_rows():
+            # the cubic scan runs only to name the triangles that break
+            for i, j in ir.triangle_breaks():
+                dxy = rows[i][j]
+                z = next(k for k, r in enumerate(rows[j]) if dxy > rows[i][k] + r)
+                report.append(f"metric: triangle ({pts[i]},{pts[j]}) via {pts[z]}")
         # where each pin stands is checked against the step that logged it
         for step, rec in enumerate(self.log, start=1):
             for slot, delta in rec.pins.items():

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import inf, lcm
-from operator import add, itemgetter
+from operator import add, itemgetter, sub
 from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .rationals import ZERO
@@ -141,6 +141,54 @@ class IntRows:
             for i, row in enumerate(rows)
         )
 
+    def katetov_rows(self) -> bool:
+        """Every row is a Katetov function on the points before it, that is,
+        no triangle breaks; the rows must be symmetric and >= 0.
+
+        Decides what an empty ``triangle_breaks`` decides, one point at a
+        time.  For each h, with r = rows[h][:h], walk the earlier points q in
+        ascending (r_q, q), keep a support S, and gather d(q, S) with one
+        getter to form m(q) = min over s in S of r_s + d(s, q):
+        - r_q == m(q): q is explained by S;
+        - r_q > m(q): the triangle (h, q) via some s breaks;
+        - r_q < m(q): q joins S if d(s, q) <= r_s + r_q for every s in S,
+          and otherwise the triangle (s, q) via h breaks.
+        So a False names a broken triangle.  If every step passes, the points
+        before h form a metric by induction on h, and r is Katetov on S:
+        |r_s - r_q| <= d(s, q) holds by the ascending order and r_q < m(q),
+        and d(s, q) <= r_s + r_q is the join check.  The path row
+        f = min over s in S of r_s + d(s, .) extends a Katetov function on S,
+        so it is Katetov on every earlier point, and r = f: on S by the
+        Katetov property; off S because r_q = m(q) >= f(q) when q was met,
+        and no s gives less, the members then present by m(q) and the later
+        ones by r_s >= r_q.  Every triangle has a largest handle h among its
+        corners, so none breaks.
+
+        The cost is at most the sum over h of h * |S_h| C-level steps.  Rows
+        that a few points explain, as one-point extensions of a small base
+        are, make it near quadratic; a constant row puts every point in S,
+        and then it is cubic like ``triangle_breaks``.
+        """
+        rows = self.rows
+        for h in range(1, len(rows)):
+            r = rows[h][:h]
+            order = sorted(range(h), key=r.__getitem__)
+            s = order[0]
+            supp, rs = [s], [r[s]]
+            gather = _getter(supp)
+            for q in order[1:]:
+                rq = r[q]
+                g = gather(rows[q])
+                m = min(map(add, rs, g))
+                if rq == m:
+                    continue
+                if rq > m or max(map(sub, g, rs)) > rq:
+                    return False
+                supp.append(q)
+                rs.append(rq)
+                gather = _getter(supp)
+        return True
+
     def triangle_breaks(self) -> Iterator[tuple[int, int]]:
         """Index pairs i < j with d(x_i, x_j) > d(x_i, z) + d(z, x_j) for
         some z, in row order.
@@ -156,7 +204,7 @@ class IntRows:
                     yield i, j
 
 
-def _getter(idx: tuple[int, ...]):
+def _getter(idx: Sequence[int]):
     if len(idx) == 1:
         k = idx[0]
         return lambda row: (row[k],)

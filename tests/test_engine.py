@@ -147,6 +147,36 @@ def test_first_growth_registers_global():
     assert o.predicate_value(1, 1, ("u1",)) == 0
 
 
+@pytest.mark.parametrize("value", [0, F(1, 2)])
+def test_predicate_value_refuses_a_point_outside_the_oracle(value):
+    o = LimitOracle()
+    o.grow({}, rel=one_point_ext(value))
+    for tup in [("nope",), ("u2",)]:
+        with pytest.raises(KeyError, match="outside the oracle"):
+            o.predicate_value(1, 1, tup)
+    assert o.predicate_value(1, 1, ("u1",)) == value
+
+
+def test_predicate_value_refuses_a_tuple_of_the_wrong_arity_on_an_unpinned_slot():
+    o = LimitOracle()
+    o.grow({}, rel=one_point_ext(0))
+    assert not o._pins[(1, 1)].neg
+    for tup in [("u1", "u1"), ()]:
+        with pytest.raises(KeyError, match="arity"):
+            o.predicate_value(1, 1, tup)
+
+
+def test_predicate_value_refuses_a_tuple_of_the_wrong_arity_on_a_pinned_slot():
+    # the pin's one getter used to read ("u1", "u1") as ("u1",): 1/2
+    o = LimitOracle()
+    o.grow({}, rel=one_point_ext(F(1, 2)))
+    assert o._pins[(1, 1)].neg
+    with pytest.raises(KeyError, match="has arity 2, slot \\(1, 1\\) wants 1"):
+        o.predicate_value(1, 1, ("u1", "u1"))
+    assert (1, 1, ("u1", "u1")) not in o._value_cache
+    assert o.predicate_value(1, 1, ("u1",)) == F(1, 2)
+
+
 def test_same_request_twice_gives_two_points():
     o = LimitOracle()
     r1 = o.grow({}, rel=one_point_ext(1))
