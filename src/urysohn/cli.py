@@ -10,6 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 from random import Random
+from typing import Iterable
 
 from .cauchy import (
     PartialIso,
@@ -25,6 +26,7 @@ from .certificates import Check, emit_certificate, verify_certificate
 from .engine import LimitOracle, OracleGrowthError, RelExtension, amalgamate_k, joint_embed_k
 from .files import (
     ParseError,
+    oracle_chunks,
     oracle_file,
     parse_structure_file,
     replay_oracle,
@@ -75,16 +77,21 @@ def _point_map(pairs: list[str]) -> dict[str, str]:
     return out
 
 
-def _write(path: str | None, data: bytes | str):
-    if isinstance(data, str):
-        data = data.encode("utf-8")
-    if path is None or path == "-":
-        sys.stdout.buffer.write(data)
-        return
+def _write(path: str | None, data: bytes | str | Iterable[str]):
+    """Write ``data`` to ``path``, or to stdout for None or ``-``: a str or
+    bytes value whole, an iterable of str chunks one chunk at a time."""
+    if isinstance(data, (str, bytes)):
+        data = (data,)
+    chunks = (c.encode("utf-8") if isinstance(c, str) else c for c in data)
     try:
-        Path(path).write_bytes(data)
+        if path is None or path == "-":
+            sys.stdout.flush()  # earlier print() output goes first
+            sys.stdout.buffer.writelines(chunks)
+            return
+        with open(path, "wb") as fh:
+            fh.writelines(chunks)
     except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc.strerror}") from None
+        raise UsageError(f"cannot write {path or '-'}: {exc.strerror}") from None
 
 
 def _check_out(*paths: str | None):
@@ -210,7 +217,7 @@ def _load_oracle(args, compact=None, polish=None, modes=("rel",), lip=None) -> L
 
 def _save_oracle(o: LimitOracle, path: str | None):
     if path:
-        _write(path, serialize_structure("ORACLE", oracle_file(o)))
+        _write(path, oracle_chunks(oracle_file(o)))
 
 
 def cmd_grow(args) -> int:

@@ -16,11 +16,12 @@ change afterwards.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Iterable, Iterator, Mapping
 
 from .metric import (
@@ -306,6 +307,20 @@ class _Pins:
         """min over pins (p, w) of d(p, t) - w, one row gather per coordinate."""
         return _gather_min(rows, self.gets(), self.neg, t)
 
+    def unreproduced(self, rows: list[list[int]]) -> Iterator[tuple[int, ...]]:
+        """The pins their envelope does not reproduce, in column order, on
+        rows >= 0.  Each is checked against the strictly heavier pins alone
+        (validate_state has the proof): sorted heaviest first, they are a
+        prefix, and ``map`` in the row gather stops at its end."""
+        order = sorted(range(len(self.neg)), key=self.neg.__getitem__)
+        neg = [self.neg[i] for i in order]
+        tups = list(self.tups)
+        gets = [_getter(col) for col in zip(*(tups[i] for i in order))]
+        for t, w in zip(tups, self.neg):
+            heavier = bisect_left(neg, w)
+            if w > 0 or heavier and _gather_min(rows, gets, neg[:heavier], t) < w:
+                yield t
+
 
 class LimitOracle:
     """Append-only growing approximation of the homogeneous limit."""
@@ -372,8 +387,14 @@ class LimitOracle:
         factor = den // self._den
         if factor == 1:
             return
-        # in place: the RowDists hold this very list
-        self._rows[:] = [[v * factor for v in row] for row in self._rows]
+        # in place, one row at a time: the RowDists hold this very list and
+        # its rows.  Below the diagonal, row h takes the ints the rows above
+        # it already hold, so each distance stays one object shared by both
+        # orders, as _append leaves it, and only one row is transient.
+        rows = self._rows
+        for h, row in enumerate(rows):
+            row[:h] = map(itemgetter(h), rows[:h])
+            row[h:] = map(mul, row[h:], repeat(factor))
         for pins in self._pins.values():
             pins.neg = [w * factor for w in pins.neg]
         self._den = self._scale[0] = den
@@ -834,15 +855,20 @@ class LimitOracle:
         v >= 0 and low(p) + v >= 0, with low(p) = min over (q, w) in P of
         d(q, p) - w: the pin itself gives low(p) <= -v, so the second
         condition says low(p) = -v, no pin pushes E(p) above v, and
-        E(p) = max(0, v) = v.  One row gather per pin gives low(p).
+        E(p) = max(0, v) = v.  Once the rows are symmetric and positive off
+        their zero diagonal, every d(q, p) >= 0, so a pin with w <= v gives
+        d(q, p) - w >= -v and cannot decide low(p) + v >= 0: one row gather
+        per pin, over the strictly heavier pins only, decides it
+        (``_Pins.unreproduced``).
         Triangles are decided one point at a time by
         ``IntRows.katetov_rows``: each row must be a Katetov function on the
         points before it, as the step that wrote it made it.  That costs the
         sum over points of their count times the size of their row's
         support, near quadratic on grown logs and cubic only when rows are
         constant; ``triangle_breaks`` runs only to name what breaks.  The pin
-        check is quadratic in the pins of a slot, and neither needs the
-        exponential tuple tables a materialized snapshot needs.
+        check is quadratic in the pins of a slot, each pin summed over the
+        heavier ones only, and neither needs the exponential tuple tables a
+        materialized snapshot needs.
 
         This is the one decision for profiles and labels: validate_c and
         validate_l, run on snapshot_product and snapshot_lipschitz, never
@@ -883,12 +909,9 @@ class LimitOracle:
         if report:
             return report
         for (n, g), pins in sorted(self._pins.items()):
-            for t, w in zip(pins.tups, pins.neg):
-                if w > 0 or pins.low(rows, t) < w:
-                    ptup = tuple(pts[h] for h in t)
-                    report.append(
-                        f"slot ({n},{g}): pin at {ptup} not reproduced by its envelope"
-                    )
+            for t in pins.unreproduced(rows):
+                ptup = tuple(pts[h] for h in t)
+                report.append(f"slot ({n},{g}): pin at {ptup} not reproduced by its envelope")
         if "prod" in self.modes:
             k = self.compact
             for i, x in enumerate(pts):

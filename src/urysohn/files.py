@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
 from .engine import GrowthRecord, LimitOracle, RowDists
 from .lipschitz import StructureL
@@ -219,9 +220,9 @@ def _assemble(kind: str, col: _Collector, lineno: int):
 
 
 def serialize_structure(kind: str, value) -> str:
-    lines = [kind]
     if kind == "ORACLE":
-        return _serialize_oracle(value)
+        return "".join(oracle_chunks(value))
+    lines = [kind]
     metric: FinMetric = value.metric
     for p in sorted(metric.points):
         lines.append(f"point {p}")
@@ -317,14 +318,18 @@ def _parse_oracle(lines) -> OracleFile:
     return OracleFile(tuple(modes) if modes else ("rel",), lip, records)
 
 
-def _serialize_oracle(of: OracleFile) -> str:
-    lines = ["ORACLE"]
+def oracle_chunks(of: OracleFile) -> Iterator[str]:
+    """The ORACLE log of ``of``: its header, then one growth block at a
+    time, each chunk a run of whole newline-terminated lines.  Writing the
+    chunks as they come keeps one block in memory, not the whole log."""
+    head = ["ORACLE"]
     for mode in of.modes:
-        lines.append(f"mode {mode}")
+        head.append(f"mode {mode}")
     if of.lip is not None:
-        lines.append(f"L {fmt_rat(of.lip)}")
+        head.append(f"L {fmt_rat(of.lip)}")
+    yield "\n".join(head) + "\n"
     for rec in of.records:
-        lines.append(f"grow {rec.point}")
+        lines = [f"grow {rec.point}"]
         dists = rec.dists
         if isinstance(dists, RowDists):
             texts = dists.texts()
@@ -342,7 +347,7 @@ def _serialize_oracle(of: OracleFile) -> str:
             lines.append(f"gsuit {_fmt_suit(rec.suitable)}")
         if rec.lip_index is not None:
             lines.append(f"gpz {rec.lip_index}")
-    return "\n".join(lines) + "\n"
+        yield "\n".join(lines) + "\n"
 
 
 def oracle_file(o: LimitOracle) -> OracleFile:

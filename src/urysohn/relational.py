@@ -148,10 +148,12 @@ def find_lipschitz_violation(
     only the first row that is not clear is scanned for its first b.
     Otherwise every row above the minimum is scanned in rationals, which
     raises MetricTableError at the first missing entry it reaches.  Both
-    give the same answer.  A total table of arity n >= 2 is first decided
-    along its coordinate lines (``_lines_hold``): when every line holds, the
-    law holds for every pair and no scan could find one; otherwise the rows
-    are cleared as above to name the first pair.
+    give the same answer.  Rows at the minimum, and constant tables, are
+    passed over only when no distance among the used points is negative.
+    A total table of arity n >= 2 is first decided along its coordinate
+    lines (``_lines_hold``): when every line holds, the law holds for every
+    pair and no scan could find one; otherwise the rows are cleared as above
+    to name the first pair.
     """
     items = sorted(values.items())
     lo = min((v for _, v in items), default=ZERO)
@@ -159,13 +161,18 @@ def find_lipschitz_violation(
     if lo < 0:
         ta = min(items, key=lambda kv: (kv[1], kv[0]))[0]
         return ta, ta, values[ta], ZERO
-    if lo == hi:
-        return None  # constant tables always satisfy the law
     used = sorted({p for t, _ in items for p in t})
-    known = set(used) <= set(metric.points)
+    # a tuple at the minimum obeys the law, p(a) = lo <= p(b) + d(a, b), when
+    # no distance among the used points is negative: only then may a
+    # constant table pass unscanned and a row at the minimum be skipped
+    on = set(used)
+    if lo == hi and _nonnegative(metric, on):
+        return None
+    known = on <= set(metric.points)
     ir = IntRows.of(used, metric.table, (v for _, v in items)) if known else None
     if ir is None:
-        suspects = (item for item in items if item[1] > lo)
+        floor = lo if _nonnegative(metric, on) else -1
+        suspects = (item for item in items if item[1] > floor)
     else:
         vals = [scaled(v, ir.den) for _, v in items]
         n = len(items[0][0])
@@ -174,9 +181,9 @@ def find_lipschitz_violation(
             return None
         index = ir.index
         tups = [tuple(index[p] for p in t) for t, _ in items]
-        # the global minimum can never be the violating side
-        lo_i = min(vals)
-        high = [(item, a, va) for item, a, va in zip(items, tups, vals) if va > lo_i]
+        # the values are >= 0 here, so a floor of -1 skips no row
+        floor = min(vals) if min(map(min, ir.rows)) >= 0 else -1
+        high = [(item, a, va) for item, a, va in zip(items, tups, vals) if va > floor]
         caps = ir.ceilings([a for _, a, _ in high], tups, vals)
         suspects = (item for (item, _, va), cap in zip(high, caps) if va > cap)
     for ta, va in suspects:
@@ -185,6 +192,11 @@ def find_lipschitz_violation(
             if va > rhs:
                 return ta, tb, va, rhs
     return None
+
+
+def _nonnegative(metric: FinMetric, pts: set[str]) -> bool:
+    """No distance entry among ``pts`` is negative."""
+    return all(v >= 0 for (x, y), v in metric.table.items() if x in pts and y in pts)
 
 
 def _lines_hold(rows: list[list[int]], vals: list[int], n: int) -> bool:

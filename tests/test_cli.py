@@ -594,3 +594,41 @@ def test_unwritable_output_is_refused_before_building(tmp_path, capsys, monkeypa
         target, why = str(tmp_path / "missing" / "out"), "No such file or directory"
     assert main([cmd, bark, "--depth", "3", opt, target]) == 2
     assert capsys.readouterr().err == f"usage error: cannot write {target}: {why}\n"
+
+
+def test_a_log_on_stdout_equals_the_log_file(tmp_path, capsysbinary):
+    bark = put(tmp_path, "x.bark", BARK)
+    argv = ["homog", bark, "--depth", "4", "--wishes", "1", "--seed", "11",
+            "--out", str(tmp_path / "h.cert")]
+    log = tmp_path / "h.log"
+    assert main(argv + ["--out-log", str(log)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert main(argv + ["--out-log", "-"]) == 0
+    out = capsysbinary.readouterr().out
+    assert out.startswith(b"ORACLE\n") and out == log.read_bytes()
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_a_failed_streamed_write_is_a_usage_error(tmp_path, capsys):
+    bark = put(tmp_path, "x.bark", BARK)
+    argv = ["homog", bark, "--depth", "4", "--wishes", "1", "--seed", "11",
+            "--out", str(tmp_path / "h.cert"), "--out-log", "/dev/full"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "usage error: cannot write /dev/full: No space left on device\n"
+
+
+def test_grow_prints_the_new_point_before_the_log_on_a_pipe():
+    import os
+    import subprocess
+    import sys
+
+    import urysohn
+
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(urysohn.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-m", "urysohn.cli", "grow", "--out-log", "-"],
+        env=env, capture_output=True, check=True,
+    ).stdout
+    assert out.startswith(b"u1\nORACLE\n")

@@ -181,15 +181,17 @@ def old_find_lipschitz_violation(metric, values):
     if lo < 0:
         ta = min(items, key=lambda kv: (kv[1], kv[0]))[0]
         return ta, ta, values[ta], ZERO
-    if lo == hi:
-        return None
     used = sorted({p for t, _ in items for p in t})
+    # with a negative distance the minimum and constant tables can break too
+    nonneg = all(v >= 0 for (x, y), v in metric.table.items() if x in used and y in used)
+    if lo == hi and nonneg:
+        return None
     ir = None
     if all(p in metric.points for p in used):
         ir = IntRows.of(used, metric.table, (v for _, v in items))
     if ir is None:
         for ta, va in items:
-            if va <= lo:
+            if va <= lo and nonneg:
                 continue
             for tb, vb in items:
                 if va > vb + tuple_dist(metric, ta, tb):
@@ -201,7 +203,7 @@ def old_find_lipschitz_violation(metric, values):
     gathers = [_getter(col) for col in zip(*tups)]
     lo_i = min(vals)
     for (ta, _), a, va in zip(items, tups, vals):
-        if va <= lo_i or va <= min(map(add, vals, old_sums(ir.rows, a, gathers))):
+        if (va <= lo_i and nonneg) or va <= min(map(add, vals, old_sums(ir.rows, a, gathers))):
             continue
         for (tb, _), vb, d in zip(items, vals, old_sums(ir.rows, a, gathers)):
             if va > vb + d:

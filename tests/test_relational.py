@@ -267,10 +267,13 @@ def _rational_lipschitz_violation(metric, values):
     if lo < 0:
         ta = min(items, key=lambda kv: (kv[1], kv[0]))[0]
         return ta, ta, values[ta], F(0)
-    if lo == hi:
+    # with a negative distance the minimum and constant tables can break too
+    used = {p for t, _ in items for p in t}
+    nonneg = all(v >= 0 for (x, y), v in metric.table.items() if x in used and y in used)
+    if lo == hi and nonneg:
         return None
     for ta, va in items:
-        if va <= lo:
+        if va <= lo and nonneg:
             continue
         for tb, vb in items:
             if va > vb + tuple_dist(metric, ta, tb):
@@ -376,3 +379,26 @@ def test_integer_lipschitz_scan_defers_on_broken_tables():
     values = {("p",): F(0), ("z",): F(1)}
     with pytest.raises(MetricTableError, match="unknown point"):
         find_lipschitz_violation(m, values)
+
+
+def test_lipschitz_scan_checks_the_minimum_under_a_negative_distance():
+    from urysohn.relational import find_lipschitz_violation
+
+    # p(a) = p(b) = 0 is the minimum, and d(a, b) = -1 breaks it
+    m = fin_metric(["a", "b", "c"], {("a", "b"): F(-1), ("a", "c"): F(1), ("b", "c"): F(1)})
+    values = {("a",): F(0), ("b",): F(0), ("c",): F(1)}
+    want = (("a",), ("b",), F(0), F(-1))
+    assert find_lipschitz_violation(m, values) == want
+    assert _rational_lipschitz_violation(m, values) == want
+
+
+def test_lipschitz_scan_checks_a_constant_table_under_a_negative_distance():
+    from urysohn.relational import find_lipschitz_violation
+
+    m = fin_metric(["a", "b"], {("a", "b"): F(-1)})
+    values = {("a",): F(1), ("b",): F(1)}
+    want = (("a",), ("b",), F(1), F(0))
+    assert find_lipschitz_violation(m, values) == want
+    assert _rational_lipschitz_violation(m, values) == want
+    # without the negative distance the constant table holds
+    assert find_lipschitz_violation(fin_metric(["a", "b"], {("a", "b"): F(1)}), values) is None
