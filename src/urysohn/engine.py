@@ -537,32 +537,30 @@ class LimitOracle:
             self._check_lip(lip_index, row, den)
 
         new_id = f"u{len(self._points) + 1}"
-        pins_delta: dict[tuple[int, int], dict[tuple[str, ...], int]] = {}
-        if rel is not None:
-            pins_delta = self._rel_pins(rel, slot_assign, new_id, row, den)
+        pins = self._rel_pins(rel, slot_assign, new_id, row, den) if rel is not None else {}
+        dists = RowDists(self._points, self._pos, self._rows, len(self._points), self._scale)
+        rec = GrowthRecord(new_id, dists, pins, tuple(fresh), suitable, lip_index)
+        self._commit(rec, row, den)
+        return GrowthResult(new_id, slot_assign)
 
-        # commit
+    def _commit(self, rec: GrowthRecord, row: list[int], den: int):
+        """Write the step ``rec``, its point at the integer distances ``row``
+        over ``den``.  grow and replay_record call it only once every check
+        has passed, so a refused step writes nothing."""
         self._rescale(den)
-        h = len(self._points)
-        self._append(new_id, row)
-        step = h + 1
-        for n, g in fresh:
-            self._counts[n] = max(self._counts.get(n, 0), g)
+        step = len(self._points) + 1
+        self._append(rec.point, row)
+        for n, g in rec.fresh:
+            self._counts[n] = g  # the next free index of its arity
             self.registry[(n, g)] = step
             self._pins[(n, g)] = _Pins()
-        log_pins: dict[tuple[int, int], dict[tuple[str, ...], Fraction]] = {}
-        for slot, delta in pins_delta.items():
-            self._pins[slot].add(self._pos, delta)
-            log_pins[slot] = {tup: Fraction(v, den) for tup, v in delta.items()}
-        if suitable is not None:
-            self._suit[new_id] = suitable
-        if lip_index is not None:
-            self._lip[new_id] = lip_index
-        dists = RowDists(self._points, self._pos, self._rows, h, self._scale)
-        self.log.append(
-            GrowthRecord(new_id, dists, log_pins, tuple(fresh), suitable, lip_index)
-        )
-        return GrowthResult(new_id, slot_assign)
+        for slot, delta in rec.pins.items():
+            self._pins[slot].add(self._pos, {tup: scaled(v, den) for tup, v in delta.items()})
+        if rec.suitable is not None:
+            self._suit[rec.point] = rec.suitable
+        if rec.lip_index is not None:
+            self._lip[rec.point] = rec.lip_index
+        self.log.append(rec)
 
     def _extended_row(self, base_dists, gap, den) -> list[int]:
         """Distances from the new point to every point by handle, as
@@ -641,17 +639,11 @@ class LimitOracle:
                     raise OracleGrowthError(f"birth pin on unknown points {tup}")
         slot_assign: dict[tuple[int, int], int] = {}
         fresh: list[tuple[int, int]] = []
-        next_free: dict[int, int] = {}
+        taken = dict(self._counts)
         used: dict[int, set[int]] = {}
         for (n, m), g in sorted(rel.slot_map.items()):
             if g is None:
-                next_free[n] = next_free.get(n, self._counts.get(n, 0)) + 1
-                g_new = next_free[n]
-                budget = len(self._points) + 2 - n
-                if g_new > budget:
-                    raise OracleGrowthError(
-                        f"no room for a fresh arity-{n} slot: {g_new} of {budget}"
-                    )
+                g_new = self._fresh_slot(n, taken)
                 slot_assign[(n, m)] = g_new
                 fresh.append((n, g_new))
             else:
@@ -678,10 +670,11 @@ class LimitOracle:
     def _rel_pins(self, rel, slot_assign, new_id, row, den) -> dict:
         """Transport extension values, keep only pins the envelope does not force.
 
-        Integers at ``den`` throughout, and no read of the oracle beyond the
-        points the request touches: the new point's own row, the distances
-        among the request's points, and envelope values on base tuples,
-        which _check_rel has already read.
+        Integers at ``den`` up to the pins it keeps, which come back as the
+        log's rationals, and no read of the oracle beyond the points the
+        request touches: the new point's own row, the distances among the
+        request's points, and envelope values on base tuples, which
+        _check_rel has already read.
 
         A fresh slot holds no pins yet; all its entries, birth pins included,
         must be mutually 1-Lipschitz.  On a realized slot, a tuple t that
@@ -736,7 +729,7 @@ class LimitOracle:
                         else rows[pos[x]][pos[y]] * factor
                     )
 
-        delta: dict[tuple[int, int], dict[tuple[str, ...], int]] = {}
+        delta: dict[tuple[int, int], dict[tuple[str, ...], Fraction]] = {}
         for (n, m) in sorted(ext.slots()):
             g = slot_assign[(n, m)]
             fresh_slot = (n, g) not in self._pins
@@ -775,8 +768,26 @@ class LimitOracle:
                 if v > env:
                     added[mt] = v
             if added:
-                delta[(n, g)] = added
+                delta[(n, g)] = {mt: Fraction(v, den) for mt, v in added.items()}
         return delta
+
+    def _fresh_slot(self, n, taken, claimed=None, prefix="") -> int:
+        """Take the next free arity-``n`` index g after ``taken``, within the
+        budget len + 2 - n that keeps n + g - 1 at most the point count.  A
+        replayed record must have ``claimed`` that very index."""
+        g = taken.get(n, 0) + 1
+        if n < 1 or claimed not in (None, g):
+            raise OracleGrowthError(
+                f"{prefix}fresh slot ({n}, {claimed}) is not the next free "
+                f"arity-{n} index {g}"
+            )
+        budget = len(self._points) + 2 - n
+        if g > budget:
+            raise OracleGrowthError(
+                f"{prefix}no room for a fresh arity-{n} slot: {g} of {budget}"
+            )
+        taken[n] = g
+        return g
 
     def _check_carried(self, rel: bool, suitable, lip_index, prefix: str = ""):
         """Refuse a payload of a mode the oracle does not carry."""
@@ -828,9 +839,6 @@ class LimitOracle:
             (n + g - 1 for (n, g) in self.registry),
             default=1,
         )
-        n_u = max(n_u, 1)
-        if n_u > len(self._points):
-            raise OracleGrowthError("realized slots exceed the structure pattern")
         metric = self.metric()
         pred: PredTable = {}
         for n, ms in pattern_indices(n_u).items():
@@ -880,6 +888,21 @@ class LimitOracle:
         per point (below), each in the presentation (grow and replay_record
         check it) and the bound over every pair (below).  So `urysohn
         validate` exits with the same code without them.
+
+        It is the one decision for predicates too: once it reports nothing,
+        neither can validate_k(snapshot()).  The rows are then a metric, so
+        the snapshot's metric passes.  grow and replay_record take a fresh
+        arity-n slot only at g <= len + 2 - n, len counted before the step
+        (``_fresh_slot``), so the bound n_u, the largest n + g - 1, lies in
+        1..len(self), and the initial segments of pattern_indices(n_u) hold
+        every realized slot.  Every pattern tuple has a value: zero beyond
+        the realized slots, else E(t) = max(0, max over pins (p, w) of
+        w - d(p, t)), whatever the pins are.  Both are 1-Lipschitz in the
+        sum metric: d(p, s) <= d(p, t) + d(t, s) coordinatewise, so each
+        term w - d(p, t) <= w - d(p, s) + d(s, t) <= E(s) + d(s, t), as is
+        0.  A damaged pin leaves its envelope 1-Lipschitz, so only the
+        reproduction check sees it; tests/test_validate_reference.py
+        compares the two on damaged oracles.
         """
         report = []
         pts, rows, den = self._points, self._rows, self._den
@@ -940,15 +963,17 @@ class LimitOracle:
                         report.append(f"labels of ({x},{y}) break the Lipschitz bound")
         return report
 
-    def _bad_pin(self, step: int, slot: tuple[int, int], tup: tuple[str, ...]) -> str | None:
-        """Why grow could not have stored this pin at ``step``, or None."""
-        born = self.registry.get(slot)
+    def _bad_pin(self, step: int, slot: tuple[int, int], tup: tuple[str, ...],
+                 rec: GrowthRecord | None = None) -> str | None:
+        """Why grow could not have stored this pin at ``step``, or None;
+        ``rec`` is that step's record, its slots and point not yet written."""
+        born = step if rec is not None and slot in rec.fresh else self.registry.get(slot)
         if born is None or born > step:
             return f"step {step}: pin on slot {slot}, which is not registered by then"
         if len(tup) != slot[0]:
             return f"step {step}: pin at {tup} has the wrong arity for slot {slot}"
         for p in tup:
-            if self._pos.get(p, step) >= step:
+            if (rec is None or p != rec.point) and self._pos.get(p, step) >= step:
                 return f"step {step}: pin at {tup} on {p!r}, which does not exist yet"
         return None
 
@@ -962,35 +987,24 @@ class LimitOracle:
         registered at or before the record and on points that exist at that
         step, profiles, labels and pins or fresh slots only where the modes
         carry them, and profile support indices and labels inside their
-        presentations; OracleGrowthError otherwise.
+        presentations; OracleGrowthError otherwise, before anything is
+        written.
         """
         step = len(self._points) + 1
+        prefix = f"step {step}: "
         if rec.point in self._pos:
-            raise OracleGrowthError(f"step {step}: point {rec.point!r} already exists")
+            raise OracleGrowthError(f"{prefix}point {rec.point!r} already exists")
         if rec.dists.keys() != self._pos.keys():
             stray = sorted(rec.dists.keys() - self._pos.keys())
             missing = [p for p in self._points if p not in rec.dists]
             raise OracleGrowthError(
-                f"step {step}: distances must cover exactly the earlier points; "
+                f"{prefix}distances must cover exactly the earlier points; "
                 f"stray {stray}, missing {missing}"
             )
-        self._check_carried(
-            bool(rec.pins or rec.fresh), rec.suitable, rec.lip_index, f"step {step}: "
-        )
+        self._check_carried(bool(rec.pins or rec.fresh), rec.suitable, rec.lip_index, prefix)
         taken = dict(self._counts)
         for n, g in rec.fresh:
-            want = taken.get(n, 0) + 1
-            if n < 1 or g != want:
-                raise OracleGrowthError(
-                    f"step {step}: fresh slot ({n}, {g}) is not the next free "
-                    f"arity-{n} index {want}"
-                )
-            budget = len(self._points) + 2 - n
-            if g > budget:
-                raise OracleGrowthError(
-                    f"step {step}: no room for a fresh arity-{n} slot: {g} of {budget}"
-                )
-            taken[n] = g
+            self._fresh_slot(n, taken, g, prefix)
         try:
             if rec.suitable is not None:
                 for i in rec.suitable.support:
@@ -998,25 +1012,14 @@ class LimitOracle:
             if rec.lip_index is not None:
                 self.polish.check_index(rec.lip_index)
         except IndexError as exc:
-            raise OracleGrowthError(f"step {step}: {exc}") from None
+            raise OracleGrowthError(f"{prefix}{exc}") from None
+        for slot, delta in rec.pins.items():
+            for tup in delta:
+                why = self._bad_pin(step, slot, tup, rec)
+                if why:
+                    raise OracleGrowthError(why)
         incoming = list(rec.dists.values())
         for delta in rec.pins.values():
             incoming += delta.values()
         den = self._den_for(incoming)
-        self._rescale(den)
-        self._append(rec.point, [scaled(rec.dists[p], den) for p in self._points])
-        self._counts = taken
-        for n, g in rec.fresh:
-            self.registry[(n, g)] = step
-            self._pins[(n, g)] = _Pins()
-        for slot, delta in rec.pins.items():
-            for tup in delta:
-                why = self._bad_pin(step, slot, tup)
-                if why:
-                    raise OracleGrowthError(why)
-            self._pins[slot].add(self._pos, {tup: scaled(v, den) for tup, v in delta.items()})
-        if rec.suitable is not None:
-            self._suit[rec.point] = rec.suitable
-        if rec.lip_index is not None:
-            self._lip[rec.point] = rec.lip_index
-        self.log.append(rec)
+        self._commit(rec, [scaled(rec.dists[p], den) for p in self._points], den)

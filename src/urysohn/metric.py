@@ -436,13 +436,10 @@ def jep_gap_metric(a: FinMetric, b: FinMetric, gap: Fraction) -> FinMetric:
                 )
     entries = dict(a.table)
     entries.update(b.table)
-    one_sided = {
-        (x, y): v for (x, y), v in entries.items()
-    }
     for x in a.points:
         for y in b.points:
-            one_sided[(x, y)] = gap
-    return fin_metric(tuple(a.points) + tuple(b.points), one_sided)
+            entries[(x, y)] = gap
+    return fin_metric(tuple(a.points) + tuple(b.points), entries)
 
 
 @dataclass(frozen=True)

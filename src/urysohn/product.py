@@ -65,21 +65,6 @@ def validate_c(s: StructureC, k: CompactPresentation) -> list[str]:
     return report
 
 
-def brute_force_cross_check(s: StructureC, k: CompactPresentation) -> bool:
-    """Quadratic-in-indices reference check of the cross condition."""
-    for a in s.points:
-        for b in s.points:
-            if a == b:
-                continue
-            d = s.metric.d(a, b)
-            for n in range(1, k.size + 1):
-                va = eval_suitable(s.fns[a], n, k)
-                for m in range(1, k.size + 1):
-                    if va > eval_suitable(s.fns[b], m, k) + k.d_idx(n, m) + d:
-                        return False
-    return True
-
-
 def amalgamate_c(
     b: StructureC,
     c: StructureC,

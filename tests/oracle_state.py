@@ -2,7 +2,8 @@
 
 Distances live in integer rows indexed by handle and pins in per-slot
 columns; these helpers give tests one way in, at the oracle's scale
-``o.den``.
+``o.den``.  Damage drops the envelope cache, so predicate_value and
+snapshot read the damaged state, as they would on a replay of it.
 """
 
 
@@ -16,6 +17,7 @@ def set_int_dist(o, x, y, v, both=True):
     o._rows[o._pos[x]][o._pos[y]] = v
     if both:
         o._rows[o._pos[y]][o._pos[x]] = v
+    o._value_cache.clear()
 
 
 def int_table(o):
@@ -36,3 +38,4 @@ def int_pins(o):
 def set_int_pin(o, slot, tup, v):
     """Pin ``tup`` of ``slot`` at v / o.den, overwriting a pin already there."""
     o._pins[slot].add(o._pos, {tup: v})
+    o._value_cache.clear()

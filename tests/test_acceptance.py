@@ -41,7 +41,6 @@ from urysohn.metric import (
     validate_metric,
 )
 from urysohn.product import (
-    brute_force_cross_check,
     embed_point_c,
     extend_one_point_c,
     joint_embed_c,
@@ -51,12 +50,8 @@ from urysohn.product import (
 from urysohn.randgen import (
     compatible_profile,
     random_compact,
-    random_extension_bark,
     random_metric,
     random_polish,
-    random_slot_permutation,
-    random_structure_c,
-    random_structure_k,
     random_structure_l,
     random_suitable,
     random_table,
@@ -71,6 +66,14 @@ from urysohn.relational import (
     validate_k,
 )
 from urysohn.spaces import eval_suitable
+
+from random_structures import (
+    brute_force_cross_check,
+    random_extension_bark,
+    random_slot_permutation,
+    random_structure_c,
+    random_structure_k,
+)
 
 F = Fraction
 

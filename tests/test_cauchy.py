@@ -353,7 +353,7 @@ def test_deep_extension_bound_holds_at_depth_ten():
     the birth levels of every fresh slot."""
     from random import Random
 
-    from urysohn.randgen import random_extension_bark, random_target_bark
+    from random_structures import random_extension_bark, random_target_bark
 
     rng = Random(9)
     depth = 10

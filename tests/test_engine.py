@@ -420,6 +420,86 @@ def test_replay_rejects_pins_grow_could_not_store():
     assert ok.validate_state() == []
 
 
+def _rel_pair():
+    """u1 carries slot (1, 1) pinned at 1, u2 sits at distance 1."""
+    o = LimitOracle()
+    o.grow({}, rel=one_point_ext(1))
+    o.grow({"u1": F(1)})
+    return o, lambda: o.grow({"u1": F(1)})
+
+
+def _prod_lip_point():
+    from urysohn.spaces import CompactPresentation, PolishPresentation, suitable
+
+    two = fin_metric(["a", "b"], {("a", "b"): F(1)})
+    o = LimitOracle(
+        ("prod", "lip"), compact=CompactPresentation(two),
+        polish=PolishPresentation(two), lip_const=F(1),
+    )
+    o.grow({}, suitable=suitable({1: F(1)}), lip_index=1)
+    return o, lambda: o.grow({"u1": F(2)}, suitable=suitable({1: F(1)}), lip_index=1)
+
+
+def _refused(make, point, dists, pins=None, fresh=(), profile=None, label=None):
+    return pytest.param(make, point, dists, pins or {}, fresh, profile, label)
+
+
+# thirds are new to every oracle below, so a record that got as far as
+# rescaling would change its denominator
+_THIRD = F(1, 3)
+_OLD = {"u1": _THIRD, "u2": _THIRD}
+
+
+@pytest.mark.parametrize(
+    "make, point, dists, pins, fresh, profile, label",
+    [
+        _refused(_rel_pair, "u2", _OLD),
+        _refused(_rel_pair, "u3", {"u1": _THIRD}),
+        _refused(_rel_pair, "u3", {**_OLD, "u9": _THIRD}),
+        _refused(_rel_pair, "u3", _OLD, profile="empty"),
+        _refused(_rel_pair, "u3", _OLD, label=1),
+        _refused(_rel_pair, "u3", _OLD, fresh=((1, 3),)),
+        _refused(_rel_pair, "u3", _OLD, fresh=((1, 2), (1, 2))),
+        _refused(_rel_pair, "u3", _OLD, fresh=((0, 1),)),
+        _refused(_rel_pair, "u3", _OLD, fresh=((4, 1),)),
+        _refused(_prod_lip_point, "u2", {"u1": _THIRD}, profile="outside"),
+        _refused(_prod_lip_point, "u2", {"u1": _THIRD}, label=3),
+        _refused(_prod_lip_point, "u2", {"u1": _THIRD}, pins={(1, 1): {("u1",): _THIRD}}),
+        _refused(_rel_pair, "u3", _OLD, pins={(1, 2): {("u3",): _THIRD}}),
+        _refused(_rel_pair, "u3", _OLD, pins={(1, 1): {("u1", "u2"): _THIRD}}),
+        _refused(_rel_pair, "u3", _OLD, pins={(1, 1): {("u4",): _THIRD}}),
+        _refused(_rel_pair, "u3", _OLD, {(1, 2): {("u3",): _THIRD}, (1, 3): {("u3",): _THIRD}},
+                 fresh=((1, 2),)),
+    ],
+)
+def test_refused_replay_writes_nothing(make, point, dists, pins, fresh, profile, label):
+    from urysohn.engine import GrowthRecord
+    from urysohn.spaces import SuitableFn, suitable
+
+    o, grow_next = make()
+    profile = {None: None, "empty": SuitableFn(()), "outside": suitable({5: F(1)})}[profile]
+    before = (o.metric(), list(o.log), dict(o.registry),
+              [o.realized_count(n) for n in range(1, 5)], o.den)
+    with pytest.raises(OracleGrowthError, match="^step "):
+        o.replay_record(GrowthRecord(point, dists, pins, fresh, profile, label))
+    after = (o.metric(), list(o.log), dict(o.registry),
+             [o.realized_count(n) for n in range(1, 5)], o.den)
+    assert after == before
+    assert o.validate_state() == []
+    assert grow_next().point == f"u{len(before[1]) + 1}"
+
+
+def test_replay_accepts_a_pin_on_its_own_point_and_fresh_slot():
+    from urysohn.engine import GrowthRecord
+
+    o, _ = _rel_pair()
+    pins = {(1, 1): {("u3",): F(1)}, (1, 2): {("u3",): _THIRD, ("u1",): F(0)}}
+    o.replay_record(GrowthRecord("u3", {"u1": F(1), "u2": F(1)}, pins, ((1, 2),), None, None))
+    assert o.points == ("u1", "u2", "u3") and o.registry[(1, 2)] == 3
+    assert o.predicate_value(1, 2, ("u3",)) == _THIRD
+    assert o.validate_state() == []
+
+
 def test_validate_state_reports_pins_out_of_place():
     o = LimitOracle()
     o.grow({}, rel=one_point_ext(1))

@@ -168,8 +168,9 @@ def window(target, defined, tup, dist):
     return v if hi is None else min(v, hi)
 
 
-def random_request(rng, o):
-    """A rel request over a random base; some are refused on purpose."""
+def random_request(rng, o, max_arity=2):
+    """A rel request of arity bound at most ``max_arity`` over a random base;
+    some are refused on purpose."""
     pts = list(o.points)
     k = rng.randint(1, min(3, len(pts))) if pts and rng.random() < 0.85 else 0
     base = rng.sample(pts, k)
@@ -190,7 +191,7 @@ def random_request(rng, o):
     def dist(a, b):
         return sum((metric.d(x, y) for x, y in zip(a, b)), start=F(0))
 
-    n_a = rng.randint(1, min(2, len(metric.points)))
+    n_a = rng.randint(1, min(max_arity, len(metric.points)))
     slot_map, used = {}, set()
     for n, m in pattern_slots(n_a):
         free = [g for g in range(1, o.realized_count(n) + 1) if (n, g) not in used]

@@ -9,7 +9,6 @@ from urysohn.product import (
     Membership,
     StructureC,
     amalgamate_c,
-    brute_force_cross_check,
     embed_point_c,
     extend_one_point_c,
     joint_embed_c,
@@ -27,6 +26,8 @@ from urysohn.spaces import (
     suitable_from_values,
     validate_suitable,
 )
+
+from random_structures import brute_force_cross_check
 
 F = Fraction
 

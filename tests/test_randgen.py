@@ -2,15 +2,10 @@ from fractions import Fraction
 from random import Random
 
 from urysohn.metric import fin_metric
-from urysohn.randgen import (
-    _clamp,
-    rand_rat,
-    random_extension_bark,
-    random_slot_permutation,
-    random_structure_k,
-    random_table,
-)
+from urysohn.randgen import _clamp, rand_rat, random_table
 from urysohn.relational import pattern_slots, tuples_over, validate_k
+
+from random_structures import random_extension_bark, random_slot_permutation, random_structure_k
 
 
 def pattern_extension(rng, s, new_id, raise_bound=False, den=8):

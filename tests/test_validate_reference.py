@@ -8,7 +8,9 @@ and the same MetricTableError must be raised.
 
 ``validate_state`` is also the one decision for profiles and labels: on prod
 and lip oracles it must pass exactly when ``validate_c`` and ``validate_l``
-pass on the materialized snapshots.
+pass on the materialized snapshots.  On rel oracles, ``validate_k`` of the
+snapshot must pass whenever ``validate_state`` does; the converse fails,
+since a damaged pin leaves its envelope 1-Lipschitz.
 """
 from fractions import Fraction
 from random import Random
@@ -16,11 +18,25 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from urysohn.cauchy import (
+    PartialIso,
+    embed_structure,
+    extend_one_point,
+    extend_partial_iso,
+    homog_depth_plan,
+)
 from urysohn.engine import LimitOracle, OracleGrowthError
 from urysohn.lipschitz import snapshot_lipschitz, validate_l
 from urysohn.metric import FinMetric, MetricTableError, validate_metric
 from urysohn.product import snapshot_product, validate_c
-from urysohn.randgen import compatible_profile, random_compact, random_polish
+from urysohn.randgen import (
+    compatible_profile,
+    random_bark,
+    random_compact,
+    random_polish,
+    random_wish_extension,
+)
+from urysohn.relational import validate_k
 from urysohn.spaces import SuitableFn
 
 from oracle_state import int_dist, int_pins, int_table, set_int_dist, set_int_pin
@@ -190,13 +206,13 @@ def reference_validate_state(o):
     return report
 
 
-def grown_oracle(rng, steps=10):
+def grown_oracle(rng, steps=10, max_arity=2):
     o = LimitOracle()
     for _ in range(steps):
         if o.points and rng.random() < 0.2:
             o.grow({rng.choice(o.points): F(rng.randint(1, 6), 2)})
             continue
-        base_dists, rel = random_request(rng, o)
+        base_dists, rel = random_request(rng, o, max_arity)
         try:
             o.grow(base_dists, rel=rel)
         except OracleGrowthError:
@@ -349,3 +365,84 @@ def test_damage_reaches_every_kind_of_report():
         if o.validate_state() and snapshot_reports(o):
             broken.add(kind)
     assert broken == {"dist", "pin", "label"}
+
+
+# -- predicates against validate_k of the snapshot ---------------------------------
+
+
+def back_and_forth_oracle(rng, depth=3):
+    """Two copies of a random one-point structure and one wish on each side,
+    absorbed by one back-and-forth round, as `urysohn homog` runs it."""
+    x = random_bark(rng, ["x1"], bound=1)
+    o = LimitOracle()
+    plan = homog_depth_plan(len(x), 1, depth)
+    left = embed_structure(o, x, plan.copy_depth)
+    right = embed_structure(o, x, plan.copy_depth)
+    slots = {
+        (n, left.slot_globals[(n, m)]): right.slot_globals[(n, m)]
+        for (n, m) in left.slot_globals
+    }
+    wishes = []
+    for side in (left, right):
+        target = random_wish_extension(
+            rng, o, side.points, x, side.slot_globals, plan.wish_depth, len(x) + 1
+        )
+        wishes.append(
+            extend_one_point(o, list(side.points), target, side.slot_globals,
+                             plan.wish_depth).point
+        )
+    extend_partial_iso(o, PartialIso(left.points, right.points, slots), [wishes[0]], [wishes[1]],
+                       depth)
+    return o
+
+
+def rel_oracle(rng):
+    """A rel oracle grown by requests of arity bound 1 to 3, birth pins among
+    them, or by a back-and-forth round."""
+    if rng.random() < 0.25:
+        return back_and_forth_oracle(rng)
+    return grown_oracle(rng, steps=8, max_arity=rng.randint(1, 3))
+
+
+def damage_rel(rng, o, kind):
+    """Move one distance or one pin weight, on the oracle's own scale."""
+    if kind == "dist":
+        x, y = rng.sample(o.points, 2)
+        v = max(1, int_dist(o, x, y) + rng.choice([-1, 1]) * rng.randint(1, 3) * o.den)
+        set_int_dist(o, x, y, v)
+    else:
+        stored = int_pins(o)
+        slot, t = rng.choice([(slot, t) for slot, p in stored.items() for t in p])
+        set_int_pin(o, slot, t, stored[slot][t] + rng.choice([-1, 1]) * rng.randint(1, 2 * o.den))
+
+
+def _rel_damage_kinds(o):
+    kinds = ["dist"] if len(o) > 1 else []
+    if any(p.neg for p in o._pins.values()):
+        kinds.append("pin")
+    return kinds
+
+
+@given(st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=60, deadline=None)
+def test_validate_state_implies_the_snapshot_passes_validate_k(seed):
+    rng = Random(seed)
+    o = rel_oracle(rng)
+    assert o.validate_state() == validate_k(o.snapshot()) == []
+    kinds = _rel_damage_kinds(o)
+    if kinds:
+        damage_rel(rng, o, rng.choice(kinds))
+    if o.validate_state() == []:
+        assert validate_k(o.snapshot()) == []
+
+
+def test_distance_damage_makes_validate_k_report():
+    """The implication above is not vacuous: validate_k does see broken rows."""
+    reported = 0
+    for seed in range(20):
+        rng = Random(seed)
+        o = grown_oracle(rng, steps=8, max_arity=1 + seed % 3)
+        if len(o) > 1:
+            damage_rel(rng, o, "dist")
+            reported += validate_k(o.snapshot()) != []
+    assert reported
