@@ -7,6 +7,7 @@ their output byte for byte for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from random import Random
@@ -434,9 +435,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built on the first call to main and kept: parse_args leaves the parser
+# as it found it, so every call in a process can share it
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -227,8 +227,8 @@ class GrowthResult:
 class GrowthRecord:
     """Materialized state delta of one growth step, sufficient for replay.
 
-    A parsed record holds its distances in a dict; a grown one reads them
-    from the oracle's rows through a RowDists.
+    A parsed record holds its distances as a ScaledDists; a committed one,
+    grown or replayed, reads them from the oracle's rows through a RowDists.
     """
 
     point: str
@@ -270,6 +270,40 @@ class RowDists(Mapping):
         """(id, canonical "num/den") pairs in id order, from the integers."""
         row, pos, den = self._rows[self._h], self._pos, self._scale[0]
         return [(p, fmt_scaled(row[pos[p]], den)) for p in sorted(self._ids[: self._h])]
+
+
+class ScaledDists(Mapping):
+    """Distances to earlier points as integers over one denominator:
+    ``ints`` maps each id to its distance times ``den``.  A parsed record
+    holds its distances this way, one int per point, and replay_record
+    reads every record's distances this way."""
+
+    __slots__ = ("ints", "den")
+
+    def __init__(self, ints: dict[str, int], den: int):
+        self.ints, self.den = ints, den
+
+    @classmethod
+    def of(cls, dists: Mapping[str, Fraction]) -> ScaledDists:
+        """``dists`` over the least common denominator of its values."""
+        if isinstance(dists, cls):
+            return dists
+        den = lcm(*(v.denominator for v in dists.values()))
+        return cls({p: scaled(v, den) for p, v in dists.items()}, den)
+
+    def __getitem__(self, p: str) -> Fraction:
+        return Fraction(self.ints[p], self.den)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.ints)
+
+    def __len__(self) -> int:
+        return len(self.ints)
+
+    def texts(self) -> list[tuple[str, str]]:
+        """(id, canonical "num/den") pairs in id order, from the integers."""
+        ints, den = self.ints, self.den
+        return [(p, fmt_scaled(ints[p], den)) for p in sorted(ints)]
 
 
 class _Pins:
@@ -372,11 +406,16 @@ class LimitOracle:
         return self._den
 
     def _den_for(self, values: Iterable[Fraction]) -> int:
-        """The denominator that holds the present state and ``values`` exactly.
+        """The denominator that holds the present state and ``values`` exactly."""
+        return self._den_with({v.denominator for v in values})
+
+    def _den_with(self, dens: Iterable[int]) -> int:
+        """The denominator that holds the present state and values over the
+        denominators ``dens`` exactly.
 
         Pure: the state is rescaled only by ``_rescale`` at commit time.
         """
-        need = lcm(self._den, *{v.denominator for v in values})
+        need = lcm(self._den, *dens)
         if need == self._den:
             return need
         # pad with a block of two-powers so chains of halving levels do not
@@ -538,15 +577,15 @@ class LimitOracle:
 
         new_id = f"u{len(self._points) + 1}"
         pins = self._rel_pins(rel, slot_assign, new_id, row, den) if rel is not None else {}
-        dists = RowDists(self._points, self._pos, self._rows, len(self._points), self._scale)
-        rec = GrowthRecord(new_id, dists, pins, tuple(fresh), suitable, lip_index)
-        self._commit(rec, row, den)
+        self._commit(GrowthRecord(new_id, {}, pins, tuple(fresh), suitable, lip_index), row, den)
         return GrowthResult(new_id, slot_assign)
 
     def _commit(self, rec: GrowthRecord, row: list[int], den: int):
         """Write the step ``rec``, its point at the integer distances ``row``
         over ``den``.  grow and replay_record call it only once every check
-        has passed, so a refused step writes nothing."""
+        has passed, so a refused step writes nothing.  The logged record
+        reads its distances from ``row`` through a RowDists, whatever
+        ``rec.dists`` held, so the oracle keeps each distance once."""
         self._rescale(den)
         step = len(self._points) + 1
         self._append(rec.point, row)
@@ -560,7 +599,10 @@ class LimitOracle:
             self._suit[rec.point] = rec.suitable
         if rec.lip_index is not None:
             self._lip[rec.point] = rec.lip_index
+        rec = replace(rec, dists=RowDists(self._points, self._pos, self._rows, step - 1,
+                                          self._scale))
         self.log.append(rec)
+        return rec
 
     def _extended_row(self, base_dists, gap, den) -> list[int]:
         """Distances from the new point to every point by handle, as
@@ -989,14 +1031,21 @@ class LimitOracle:
         carry them, and profile support indices and labels inside their
         presentations; OracleGrowthError otherwise, before anything is
         written.
+
+        Every record is read as integers over one denominator
+        (``ScaledDists.of``), so the new row costs one multiply per
+        distance.  Returns the logged record, whose distances are a RowDists
+        on that row.
         """
         step = len(self._points) + 1
         prefix = f"step {step}: "
+        dists = ScaledDists.of(rec.dists)
+        ints = dists.ints
         if rec.point in self._pos:
             raise OracleGrowthError(f"{prefix}point {rec.point!r} already exists")
-        if rec.dists.keys() != self._pos.keys():
-            stray = sorted(rec.dists.keys() - self._pos.keys())
-            missing = [p for p in self._points if p not in rec.dists]
+        if ints.keys() != self._pos.keys():
+            stray = sorted(ints.keys() - self._pos.keys())
+            missing = [p for p in self._points if p not in ints]
             raise OracleGrowthError(
                 f"{prefix}distances must cover exactly the earlier points; "
                 f"stray {stray}, missing {missing}"
@@ -1018,8 +1067,9 @@ class LimitOracle:
                 why = self._bad_pin(step, slot, tup, rec)
                 if why:
                     raise OracleGrowthError(why)
-        incoming = list(rec.dists.values())
+        dens = {dists.den}
         for delta in rec.pins.values():
-            incoming += delta.values()
-        den = self._den_for(incoming)
-        self._commit(rec, [scaled(rec.dists[p], den) for p in self._points], den)
+            dens.update(v.denominator for v in delta.values())
+        den = self._den_with(dens)
+        row = list(map(mul, map(ints.__getitem__, self._points), repeat(den // dists.den)))
+        return self._commit(rec, row, den)

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Iterator
 
-from .engine import GrowthRecord, LimitOracle, RowDists
+from .engine import GrowthRecord, LimitOracle, RowDists, ScaledDists
 from .lipschitz import StructureL
 from .metric import FinMetric, fin_metric
 from .product import StructureC
@@ -40,14 +42,6 @@ class OracleFile:
 class ParsedFile:
     kind: str
     value: object
-
-
-def _meaningful(text: str):
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
 
 
 def _rat(token: str, lineno: int) -> Fraction:
@@ -122,19 +116,27 @@ def _fmt_suit(f: SuitableFn) -> str:
 
 
 def parse_structure_file(text: str) -> ParsedFile:
-    lines = list(_meaningful(text))
-    if not lines:
+    """Parse one file, one line at a time: no list of its records is built
+    besides the one ``text.split`` makes.  Blank lines and lines whose first
+    field starts with ``#`` are skipped."""
+    lines = enumerate(text.split("\n"), start=1)
+    for head_no, raw in lines:
+        head = raw.strip()
+        if head and not head.startswith("#"):
+            break
+    else:
         raise ParseError(1, "empty file")
-    head_no, head = lines[0]
     if head not in KINDS:
         raise ParseError(head_no, f"unknown header {head!r}")
     if head == "ORACLE":
-        return ParsedFile("ORACLE", _parse_oracle(lines[1:]))
+        return ParsedFile("ORACLE", _parse_oracle(lines))
     col = _Collector()
     last = head_no
-    for lineno, line in lines[1:]:
+    for lineno, raw in lines:
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
+            continue
         last = lineno
-        parts = line.split()
         rec = parts[0]
         if rec == "point":
             if len(parts) != 2:
@@ -251,31 +253,72 @@ def serialize_structure(kind: str, value) -> str:
 # -- oracle logs --------------------------------------------------------------
 
 
-def _parse_oracle(lines) -> OracleFile:
+def _block_dists(ids: list[str], nums: list[int], dens: list[int]) -> ScaledDists:
+    """A block's ``gd`` fields, as read, over the least common denominator
+    of their values: over the lcm of the denominators read, then divided by
+    what that lcm shares with every scaled value, so ``2/4`` counts as
+    ``1/2``.  Where an id repeats, its last field stands."""
+    den = lcm(*dens)
+    ints = dict(zip(ids, map(mul, nums, map(den.__floordiv__, dens))))
+    g = gcd(den, *ints.values())
+    if g > 1:
+        den //= g
+        ints = {p: v // g for p, v in ints.items()}
+    return ScaledDists(ints, den)
+
+
+def _parse_oracle(lines: Iterator[tuple[int, str]]) -> OracleFile:
+    """The ORACLE body from ``lines``, (line number, raw line) pairs."""
     modes: list[str] = []
     lip: Fraction | None = None
     records: list[GrowthRecord] = []
     cur: dict | None = None
+    # the open block's gd fields in file order: ids, numerators, denominators
+    ids: list[str] = []
+    nums: list[int] = []
+    dens: list[int] = []
 
-    def flush(lineno):
+    def flush():
         nonlocal cur
         if cur is not None:
             records.append(
                 GrowthRecord(
                     cur["point"],
-                    cur["dists"],
+                    _block_dists(ids, nums, dens),
                     cur["pins"],
                     tuple(cur["fresh"]),
                     cur["suit"],
                     cur["pz"],
                 )
             )
+            ids.clear()
+            nums.clear()
+            dens.clear()
         cur = None
 
-    for lineno, line in lines:
-        parts = line.split()
+    for lineno, raw in lines:
+        parts = raw.split()
+        if not parts:
+            continue
         rec = parts[0]
-        if rec == "mode":
+        if rec == "gd" and cur is not None:
+            # parse_rat's rules on the integers alone; a token they refuse
+            # goes to parse_rat for its error
+            if len(parts) != 3:
+                raise ParseError(lineno, "gd record wants a point id and a rational")
+            num_s, _, den_s = parts[2].partition("/")
+            try:
+                num, den = int(num_s), int(den_s)
+            except ValueError:
+                num = den = -1
+            if num < 0 or den <= 0:
+                _rat(parts[2], lineno)
+            ids.append(parts[1])
+            nums.append(num)
+            dens.append(den)
+        elif rec.startswith("#"):
+            continue
+        elif rec == "mode":
             _fields(parts, 2, lineno, "one mode name")
             if cur is not None:
                 raise ParseError(lineno, "mode records must precede growth blocks")
@@ -284,12 +327,11 @@ def _parse_oracle(lines) -> OracleFile:
             _fields(parts, 2, lineno, "one rational")
             lip = _rat(parts[1], lineno)
         elif rec == "grow":
-            flush(lineno)
+            flush()
             if len(parts) != 2:
                 raise ParseError(lineno, "grow record wants the new point id")
             cur = {
                 "point": parts[1],
-                "dists": {},
                 "pins": {},
                 "fresh": [],
                 "suit": None,
@@ -297,9 +339,6 @@ def _parse_oracle(lines) -> OracleFile:
             }
         elif cur is None:
             raise ParseError(lineno, f"record {rec!r} outside a growth block")
-        elif rec == "gd":
-            _fields(parts, 3, lineno, "a point id and a rational")
-            cur["dists"][parts[1]] = _rat(parts[2], lineno)
         elif rec == "gp":
             n, g, tup, v = _tuple_record(parts, lineno)
             cur["pins"].setdefault((n, g), {})[tup] = v
@@ -314,7 +353,7 @@ def _parse_oracle(lines) -> OracleFile:
             cur["pz"] = _int(parts[1], lineno)
         else:
             raise ParseError(lineno, f"unknown record {rec!r}")
-    flush(0)
+    flush()
     return OracleFile(tuple(modes) if modes else ("rel",), lip, records)
 
 
@@ -331,11 +370,9 @@ def oracle_chunks(of: OracleFile) -> Iterator[str]:
     for rec in of.records:
         lines = [f"grow {rec.point}"]
         dists = rec.dists
-        if isinstance(dists, RowDists):
-            texts = dists.texts()
-        else:
-            texts = [(p, fmt_rat(dists[p])) for p in sorted(dists)]
-        lines += [f"gd {p} {text}" for p, text in texts]
+        if not isinstance(dists, RowDists):
+            dists = ScaledDists.of(dists)
+        lines += [f"gd {p} {text}" for p, text in dists.texts()]
         for (n, g) in sorted(rec.pins):
             for tup in sorted(rec.pins[(n, g)]):
                 lines.append(
@@ -359,8 +396,15 @@ def replay_oracle(
     compact: CompactPresentation | None = None,
     polish: PolishPresentation | None = None,
 ) -> LimitOracle:
-    """Reconstruct the exact oracle state from its log, step by step."""
+    """Reconstruct the exact oracle state from its log, step by step.
+
+    Each record of ``of`` is swapped for the one the oracle logs, whose
+    distances are a view on the oracle's rows: the parsed integers are
+    freed as replay goes, so the oracle and ``of`` hold each distance once
+    between them, and ``of`` still serializes to the same log.
+    """
     o = LimitOracle(of.modes, compact=compact, polish=polish, lip_const=of.lip)
-    for rec in of.records:
-        o.replay_record(rec)
+    records = of.records
+    for i, rec in enumerate(records):
+        records[i] = o.replay_record(rec)
     return o

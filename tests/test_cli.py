@@ -632,3 +632,39 @@ def test_grow_prints_the_new_point_before_the_log_on_a_pipe():
         env=env, capture_output=True, check=True,
     ).stdout
     assert out.startswith(b"u1\nORACLE\n")
+
+
+def test_one_parser_serves_every_call_and_keeps_nothing_between_them(tmp_path, capsys):
+    from urysohn import cli
+
+    log = str(tmp_path / "o.log")
+    assert main(["grow", "--out-log", log]) == 0
+    assert main(["grow", "--oracle", log, "--dist", "u1=1/1", "--out-log", log]) == 0
+    assert main(["grow", "--oracle", log, "--dist", "u1=1/1", "--dist", "u2=1/1",
+                 "--out-log", log]) == 0
+    # a --dist list carried over would put u4 at 1 from u1, not 1/2 + 1
+    assert main(["grow", "--oracle", log, "--dist", "u3=1/2", "--out-log", log]) == 0
+    assert Path(log).read_text().split("grow u4\n")[1].split("\n")[:3] == [
+        "gd u1 3/2", "gd u2 3/2", "gd u3 1/2"]
+
+    a = put(tmp_path, "a.k", "K\npoint a\nnA 1\np 1 1 a 1/1\n")
+    c = put(tmp_path, "c.k", "K\npoint a\npoint c\nnA 1\nd a c 1/1\np 1 1 a 1/1\np 1 1 c 1/1\n")
+    outs = []
+    for common, maps in (("p", ["--map-b", "a=p"]), ("a", [])):
+        b = put(tmp_path, f"b{common}.k", f"K\npoint {common}\npoint q\nnA 1\nd {common} q 1/1\n"
+                f"p 1 1 {common} 1/1\np 1 1 q 1/2\n")
+        out = tmp_path / f"amal{common}.k"
+        # a --map-b list carried over would look for p in the second b
+        assert main(["amalgamate", b, c, "--over", a, *maps, "--out", str(out)]) == 0
+        outs.append(out.read_text())
+    assert outs[0] == outs[1]
+
+    # a usage error still exits 2, and the next call parses afresh
+    with pytest.raises(SystemExit) as exc:
+        main(["grow", "--pz", "one"])
+    assert exc.value.code == 2
+    assert main(["validate", put(tmp_path, "s.c", C_GOOD)]) == 2
+    capsys.readouterr()
+    assert main(["validate", log]) == 0
+    assert capsys.readouterr().out == "valid\n"
+    assert cli._parser() is cli._parser()
