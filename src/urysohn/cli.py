@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from pathlib import Path
 from random import Random
@@ -234,9 +235,11 @@ def cmd_grow(args) -> int:
             (n, m): None for n, m in ext.slots()
         }
         for entry in args.slot or []:
-            key, g = entry.split("=", 1)
-            n, m = key.split(":", 1)
-            slots[(int(n), int(m))] = int(g)
+            nums = re.fullmatch(r"([0-9]+):([0-9]+)=([0-9]+)", entry)
+            if nums is None:
+                raise UsageError(f"malformed slot entry {entry!r}, want n:m=g")
+            n, m, g = map(int, nums.groups())
+            slots[(n, m)] = g
         new_pts = [p for p in ext.points if p not in base_map]
         if len(new_pts) != 1:
             raise UsageError("the extension must leave exactly one point unmapped")

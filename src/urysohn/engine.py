@@ -29,6 +29,7 @@ from .metric import (
     IntRows,
     MetricTableError,
     WitnessError,
+    _ceiling,
     _envelope,
     _gather_min,
     _getter,
@@ -49,7 +50,7 @@ from .relational import (
     pattern_indices,
     pattern_slots,
     tuples_over,
-    validate_k,
+    validate_k_shape,
 )
 from .spaces import (
     CompactPresentation,
@@ -647,7 +648,8 @@ class LimitOracle:
 
     def _check_rel(self, rel: RelExtension, base, base_dists):
         ext, bm = rel.ext, rel.base_map
-        report = validate_k(ext)
+        # the 1-Lipschitz law and base agreement are _rel_pins's walk
+        report = validate_k_shape(ext)
         if report:
             raise OracleGrowthError(f"extension structure invalid: {report[0]}")
         new_pts = [p for p in ext.points if p not in bm]
@@ -695,36 +697,33 @@ class LimitOracle:
                     raise OracleGrowthError(f"global slot ({n}, {g}) used twice")
                 used[n].add(g)
                 slot_assign[(n, m)] = g
-        # realized slots must agree with the oracle on every base tuple
-        for (n, m), g in slot_assign.items():
-            if (n, g) in fresh:
-                continue
-            for tup in tuples_over(tuple(bm.keys()), n):
-                want = ext.pred[(n, m, tup)]
-                got = self.predicate_value(n, g, tuple(bm[p] for p in tup))
-                if want != got:
-                    raise OracleGrowthError(
-                        f"slot ({n},{g}) disagrees on base tuple "
-                        f"{tuple(bm[p] for p in tup)}: {want} != {got}"
-                    )
         return slot_assign, fresh
 
     def _rel_pins(self, rel, slot_assign, new_id, row, den) -> dict:
-        """Transport extension values, keep only pins the envelope does not force.
+        """Walk each slot's entries once; keep the pins the envelope does not force.
 
         Integers at ``den`` up to the pins it keeps, which come back as the
         log's rationals, and no read of the oracle beyond the points the
         request touches: the new point's own row, the distances among the
-        request's points, and envelope values on base tuples, which
-        _check_rel has already read.
+        request's points, and envelope values on base tuples.
 
-        A fresh slot holds no pins yet; all its entries, birth pins included,
-        must be mutually 1-Lipschitz.  On a realized slot, a tuple t that
-        contains the new point x takes its envelope over the request's base
-        entries plus the pins this request has already added.  Write P for
-        the stored pins, E(t) = max(0, max over (p, w) in P of w - d(p, t))
-        for their envelope, B for the base and e_b for the requested distance
-        to b.
+        A slot's entries are its birth pins, then the extension's tuples
+        without the new point x, then those with x.  Each entry (t, v) must
+        lie in the window [lo, hi] of the entries (s, w) before it, lo =
+        max(0, max of w - d(s, t)) (``_envelope``) and hi = min of w + d(s, t)
+        (``_ceiling``): v >= 0 and |v - w| <= d(s, t), so each pair of entries
+        is decided once, when its later entry is walked.  Write P for a
+        realized slot's stored pins, E for their envelope, B for the base and
+        e_b for the requested distance to b.  On a realized slot a tuple
+        without x gets the window [E(t), E(t)], inside [lo, hi] as E is
+        1-Lipschitz.  As _check_rel has matched the request's distances to
+        the extension's, the walk decides validate_k's 1-Lipschitz law on the
+        extension and base agreement on B^n.  The entries above lo are the
+        pins.  One at lo leaves the envelope of the entries before it
+        unchanged: lo - d(t, u) <= max(0, max of w - d(s, u)) for every u, as
+        d(s, u) <= d(s, t) + d(t, u) (the new row is Katetov, by (a)).  So the
+        envelope over every earlier entry is the one over the base entries
+        plus the pins added, and it decides each refusal and pin.
 
         (a) Path row.  For every old point q, d(x, q) = min over b of
             e_b + d(b, q): off the base the row is built that way, and on the
@@ -734,13 +733,13 @@ class LimitOracle:
             the base tuples that put a base point at each place of x in t.
             So E(t) = max(0, max over s in S(t) of E(s) - d(s, t)), and s may
             range over all of B^n, because E is 1-Lipschitz.
-        (b) Base agreement.  _check_rel has verified v(s) = E(s) for every
-            base tuple s, so (a) is the envelope of the request's base
-            entries.  Pins added earlier in the request join both envelopes
-            alike, so the local envelope is the one over P plus those pins.
-        (c) Lipschitz law against every stored pin (p, w).  validate_k(ext)
-            gives v(t) >= v(s) - d(s, t) for every s in B^n and v(t) >= 0,
-            so v(t) >= E(t) >= w - d(p, t) by (a) and (b).  Conversely, take
+        (b) Base agreement.  The walk has v(s) = E(s) for every base tuple s,
+            so (a) is the envelope of the request's base entries.  Pins added
+            earlier in the request join both envelopes alike, so the local
+            envelope is the one over P plus those pins.
+        (c) Lipschitz law against every stored pin (p, w).  The walk gives
+            v(t) >= v(s) - d(s, t) for every s in B^n and v(t) >= 0, so
+            v(t) >= E(t) >= w - d(p, t) by (a) and (b).  Conversely, take
             s in S(t) attaining d(p, t) in (a); then
             v(t) <= v(s) + d(s, t) = E(s) + d(s, t) <= w + d(p, s) + d(s, t)
             = w + d(p, t), since E(p) = w: every stored pin is reproduced by
@@ -748,8 +747,8 @@ class LimitOracle:
         With an empty base, d(x, q) is the gap, at least twice every stored
         and requested value; then E(t) = 0, the envelope of no entries, and
         d(p, t) >= gap covers both directions of (c).  So the scan of every
-        stored pin that (c) replaces could never refuse a request that
-        validate_k and _check_rel accept; the tests keep it as a reference.
+        stored pin that (c) replaces could never refuse a request that the
+        walk accepts; the tests keep it as a reference.
         """
         ext, bm = rel.ext, rel.base_map
         trans = dict(bm)
@@ -775,40 +774,31 @@ class LimitOracle:
         for (n, m) in sorted(ext.slots()):
             g = slot_assign[(n, m)]
             fresh_slot = (n, g) not in self._pins
-            entries: list[tuple[tuple[str, ...], int]] = []
-            for tup, v in sorted(rel.birth_pins.get((n, m), {}).items()):
-                entries.append((tup, scaled(v, den)))
-            for tup in sorted(tuples_over(ext.points, n), key=lambda t: (new_pt in t, t)):
-                entries.append(
-                    (tuple(trans[p] for p in tup), scaled(ext.pred[(n, m, tup)], den))
-                )
-            if fresh_slot:
-                # a new slot must be born mutually consistent
-                for i, (ta, va) in enumerate(entries):
-                    for tb, vb in entries[i + 1 :]:
-                        gap = sum(ld[(x, y)] for x, y in zip(ta, tb) if x != y)
-                        if va > vb + gap or vb > va + gap:
-                            raise OracleGrowthError(
-                                f"fresh slot ({n},{g}) born inconsistent at "
-                                f"{ta} = {Fraction(va, den)} vs {tb} = {Fraction(vb, den)}"
-                            )
-            base_entries: list[tuple[tuple[str, ...], int]] = []
+            births = sorted(rel.birth_pins.get((n, m), {}).items())
+            tups = sorted(tuples_over(ext.points, n), key=lambda t: (new_pt in t, t))
+            entries = [(tup, scaled(v, den)) for tup, v in births]
+            entries += [(tuple(map(trans.get, t)), scaled(ext.pred[(n, m, t)], den)) for t in tups]
             added: dict[tuple[str, ...], int] = {}
-            for mt, v in entries:
-                if fresh_slot:
-                    env = _envelope(added.items(), mt, ld)
-                elif new_id in mt:
-                    env = _envelope(base_entries + list(added.items()), mt, ld)
+            for i, (mt, v) in enumerate(entries):
+                base_tuple = not fresh_slot and new_id not in mt
+                if base_tuple:
+                    lo = hi = scaled(self.predicate_value(n, g, mt), den)
                 else:
-                    env = scaled(self.predicate_value(n, g, mt), den)
-                    base_entries.append((mt, env))
-                if v < env:
-                    raise OracleGrowthError(
-                        f"value {Fraction(v, den)} at {mt} undershoots the envelope "
-                        f"{Fraction(env, den)} of slot ({n},{g})"
-                    )
-                if v > env:
-                    added[mt] = v
+                    before = entries[:i]
+                    lo, hi = _envelope(before, mt, ld), _ceiling(before, mt, ld)
+                if lo <= v <= hi:
+                    if v > lo:
+                        added[mt] = v
+                    continue
+                val = Fraction(v, den)
+                if base_tuple:
+                    raise OracleGrowthError(f"slot ({n},{g}) disagrees on base tuple {mt}: "
+                                            f"{val} != {Fraction(lo, den)}")
+                side = (f"undershoots the envelope {Fraction(lo, den)}" if v < lo
+                        else f"overshoots the ceiling {Fraction(hi, den)}")
+                fault = f"value {val} at {mt} {side}"
+                raise OracleGrowthError(f"fresh slot ({n},{g}) born inconsistent: {fault}"
+                                        if fresh_slot else f"{fault} of slot ({n},{g})")
             if added:
                 delta[(n, g)] = {mt: Fraction(v, den) for mt, v in added.items()}
         return delta

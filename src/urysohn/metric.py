@@ -278,9 +278,9 @@ def tuple_dist(m: FinMetric, a: tuple[str, ...], b: tuple[str, ...]) -> Fraction
 def _envelope(entries, tup, dist):
     """Katetov envelope max(0, max over pins (t, w) of w - d(t, tup)).
 
-    The one lower envelope of the package: oracle pins, tables of
-    ``FinMetric.table``, profiles (1-tuples of dense indices over a
-    presentation's ``_d``) and the lower side of every clamp window.
+    The one lower envelope of the package: the growth walk of
+    ``LimitOracle._rel_pins``, tables of ``FinMetric.table``, profiles (1-tuples
+    of dense indices over a presentation's ``_d``) and every clamp window's floor.
     ``dist`` maps ordered pairs of distinct coordinates to exact distances.
     Each caller gets the value its own loop gave before:
     - ``tuple_dist`` and ``d_idx`` count a coordinate with x = y as 0, and

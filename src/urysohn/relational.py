@@ -95,7 +95,22 @@ def tuples_over(points: tuple[str, ...], n: int) -> Iterable[tuple[str, ...]]:
 
 
 def validate_k(s: IndexedStructure) -> list[str]:
-    """Full validity report: metric axioms, index sets, totality, 1-Lipschitz law."""
+    """Full validity report: validate_k_shape's, then the 1-Lipschitz law."""
+    report = validate_k_shape(s)
+    if any(not msg.startswith("metric: ") for msg in report):
+        return report
+    for n, m in s.slots():
+        values = {tup: s.pred[(n, m, tup)] for tup in tuples_over(s.points, n)}
+        bad = find_lipschitz_violation(s.metric, values)
+        if bad is not None:
+            ta, tb, lhs, rhs = bad
+            report.append(f"lipschitz: p_{m}^{n}{ta} = {lhs} > {rhs} = p_{m}^{n}{tb} + d")
+    return report
+
+
+def validate_k_shape(s: IndexedStructure) -> list[str]:
+    """Metric axioms, arity bound, index sets and totality; a message without
+    the ``metric: `` prefix means some table is not total."""
     report = [f"metric: {msg}" for msg in validate_metric(s.metric)]
     if not 0 <= s.bound <= len(s):
         report.append(f"arity bound {s.bound} outside 0..{len(s)}")
@@ -123,16 +138,6 @@ def validate_k(s: IndexedStructure) -> list[str]:
         report.append(f"totality: p_{m}^{n} missing on {tup}")
     for n, m, tup in stray:
         report.append(f"totality: p_{m}^{n} defined on {tup} outside the pattern")
-    if missing or stray:
-        return report
-    for n, m in s.slots():
-        values = {tup: s.pred[(n, m, tup)] for tup in tuples_over(s.points, n)}
-        bad = find_lipschitz_violation(s.metric, values)
-        if bad is not None:
-            ta, tb, lhs, rhs = bad
-            report.append(
-                f"lipschitz: p_{m}^{n}{ta} = {lhs} > {rhs} = p_{m}^{n}{tb} + d"
-            )
     return report
 
 

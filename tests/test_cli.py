@@ -139,6 +139,33 @@ def test_grow_and_validate_oracle(tmp_path):
     assert main(["validate", log]) == 0
 
 
+@pytest.mark.parametrize("entry", ["11", "x:1=1"])
+def test_a_malformed_slot_entry_is_a_usage_error(tmp_path, capsys, entry):
+    ext = put(tmp_path, "ext.k", "K\npoint x\nnA 1\np 1 1 x 0/1\n")
+    assert main(["grow", ext, "--slot", entry]) == 2
+    assert capsys.readouterr().err == (
+        f"usage error: malformed slot entry {entry!r}, want n:m=g\n"
+    )
+
+
+@pytest.mark.parametrize("slot, error", [
+    ([], "fresh slot (1,2) born inconsistent: value 2 at ('u2',) overshoots the ceiling 1/2"),
+    (["--slot", "1:1=1"], "value 2 at ('u2',) overshoots the ceiling 1/2 of slot (1,1)"),
+])
+def test_grow_refuses_a_non_lipschitz_extension_and_keeps_the_log(tmp_path, capsys, slot, error):
+    log = tmp_path / "oracle.log"
+    ext = put(tmp_path, "ext.k", "K\npoint x\nnA 1\np 1 1 x 0/1\n")
+    assert main(["grow", ext, "--out-log", str(log)]) == 0
+    before = log.read_bytes()
+    # 2 > 0 + 1/2: y's value breaks the law against x's
+    bad = put(tmp_path, "bad.k", "K\npoint x\npoint y\nnA 1\nd x y 1/2\np 1 1 x 0/1\np 1 1 y 2/1\n")
+    capsys.readouterr()
+    argv = ["grow", bad, "--oracle", str(log), "--base", "x=u1", *slot, "--out-log", str(log)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert log.read_bytes() == before
+
+
 def test_embed_deterministic_and_certified(tmp_path):
     bark = put(tmp_path, "x.bark", BARK)
     c1 = str(tmp_path / "one.cert")

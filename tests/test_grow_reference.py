@@ -1,11 +1,13 @@
 """Differential tests of LimitOracle.grow against the whole-oracle reference.
 
 The reference is the growth step as it ran before the local envelope: every
-distance a rational, each new tuple on a realized slot checked 1-Lipschitz
-against every stored pin of its slot in both directions, and enveloped over
-all stored pins.  The oracle must agree with it on the new distance row,
-the denominator, the envelope values, the stored pins and the decision to
-accept or refuse; a refused request must leave the oracle unchanged.
+distance a rational, the extension checked whole by ``validate_k`` and
+against the oracle on every base tuple of a realized slot, each new tuple on
+a realized slot checked 1-Lipschitz against every stored pin of its slot in
+both directions, and enveloped over all stored pins.  The oracle must agree
+with it on the new distance row, the denominator, the envelope values, the
+stored pins and the decision to accept or refuse; a refused request must
+leave the oracle unchanged.
 """
 from fractions import Fraction
 from math import lcm
@@ -18,7 +20,13 @@ from urysohn import engine
 from urysohn.engine import LimitOracle, OracleGrowthError, RelExtension
 from urysohn.metric import _envelope, fin_metric
 from urysohn.rationals import scaled
-from urysohn.relational import IndexedStructure, pattern_indices, pattern_slots, tuples_over
+from urysohn.relational import (
+    IndexedStructure,
+    pattern_indices,
+    pattern_slots,
+    tuples_over,
+    validate_k,
+)
 
 from oracle_state import int_pins, int_table
 
@@ -39,6 +47,8 @@ def reference_growth(o, base_dists, rel):
             ep, eq, dpq = base_dists[p], base_dists[q], o.distance(p, q)
             if abs(ep - eq) > dpq or dpq > ep + eq:
                 raise Refused
+    if validate_k(rel.ext):
+        raise Refused
     try:
         slot_assign, _ = o._check_rel(rel, base, base_dists)
     except OracleGrowthError:
@@ -104,6 +114,8 @@ def reference_growth(o, base_dists, rel):
                 envs.append((mt, e))
             else:
                 e = o.predicate_value(n, g, mt)
+                if v != e:
+                    raise Refused
             if v < e:
                 raise Refused
             if v > e:
@@ -126,7 +138,8 @@ def state_of(o):
 
 
 def grow_and_compare(o, base_dists, rel):
-    """Grow ``o`` by one request and check it against the reference."""
+    """Grow ``o`` by one request and check it against the reference; the
+    oracle's refusal message, or None when it accepts."""
     try:
         want = reference_growth(o, base_dists, rel)
     except Refused:
@@ -146,10 +159,10 @@ def grow_and_compare(o, base_dists, rel):
         mp.setattr(engine, "_envelope", recording_envelope)
         try:
             o.grow(base_dists, rel=rel)
-        except OracleGrowthError:
+        except OracleGrowthError as exc:
             assert want is None, "the oracle refused a request the reference accepts"
             assert state_of(o) == before, "a refused request changed the oracle"
-            return False
+            return str(exc)
     assert want is not None, "the oracle accepted a request the reference refuses"
     full, den, delta, want_envs = want
     rec = o.log[-1]
@@ -157,7 +170,7 @@ def grow_and_compare(o, base_dists, rel):
     assert o.den == den
     assert rec.pins == delta
     assert [(t, F(v, den)) for t, v in envs] == want_envs
-    return True
+    return None
 
 
 def window(target, defined, tup, dist):
@@ -240,20 +253,33 @@ def test_grow_matches_whole_oracle_reference(seed):
 
 
 def test_reference_sees_accepted_and_refused_requests():
-    """The random requests reach every branch the differential test needs."""
-    seen = {"accepted": 0, "refused": 0, "realized": 0, "birth": 0, "empty base": 0}
+    """The random requests reach every branch the differential test needs,
+    and every refusal the window walk of _rel_pins can make."""
+    walk_faults = {
+        "fresh slot inconsistent": "born inconsistent",
+        "realized undershoot": "undershoots the envelope",
+        "realized overshoot": "overshoots the ceiling",
+        "base disagreement": "disagrees on base",
+    }
+    seen = dict.fromkeys(["accepted", "refused", "realized", "birth", "empty base"], 0)
+    seen.update(dict.fromkeys(walk_faults, 0))
     for seed in range(40):
         rng = Random(seed)
         o = LimitOracle()
         for _ in range(10):
             base_dists, rel = random_request(rng, o)
-            if grow_and_compare(o, base_dists, rel):
+            refusal = grow_and_compare(o, base_dists, rel)
+            if refusal is None:
                 seen["accepted"] += 1
                 seen["realized"] += any(g is not None for g in rel.slot_map.values())
                 seen["birth"] += bool(rel.birth_pins)
                 seen["empty base"] += not base_dists
-            else:
-                seen["refused"] += 1
+                continue
+            seen["refused"] += 1
+            # a fresh slot's faults all read "born inconsistent" first
+            kind = next((k for k, text in walk_faults.items() if text in refusal), None)
+            if kind is not None:
+                seen[kind] += 1
     assert all(count >= 5 for count in seen.values()), seen
 
 
