@@ -217,6 +217,13 @@ def _save_oracle(o: LimitOracle, path: str | None):
 
 
 def cmd_grow(args) -> int:
+    # an extension file gives the base and its distances, --dist the plain
+    # request; an option the request does not read is refused, not dropped
+    unread = ["--dist"] if args.ext else ["--base", "--slot"]
+    given = [opt for opt in unread if getattr(args, opt[2:])]
+    if given:
+        when = "with" if args.ext else "without"
+        raise UsageError(f"{' and '.join(given)}: not read {when} an extension file")
     compact = _load_kind(args.space, "COMPACT") if args.space else None
     polish = _load_kind(args.zspace, "POLISH") if args.zspace else None
     lip = parse_rat(args.lip) if args.lip else None

@@ -230,6 +230,11 @@ class GrowthRecord:
 
     A parsed record holds its distances as a ScaledDists; a committed one,
     grown or replayed, reads them from the oracle's rows through a RowDists.
+
+    ``base`` is None when the record gives the new point's distance to
+    every earlier point.  Otherwise it is the step's base, sorted, and only
+    the distances to those points are logged: replay rebuilds the rest of
+    the row by the path rule, as grow built it (``_extended_row``).
     """
 
     point: str
@@ -238,6 +243,7 @@ class GrowthRecord:
     fresh: tuple[tuple[int, int], ...]
     suitable: SuitableFn | None
     lip_index: int | None
+    base: tuple[str, ...] | None = None
 
 
 class RowDists(Mapping):
@@ -267,10 +273,13 @@ class RowDists(Mapping):
     def __len__(self) -> int:
         return self._h
 
-    def texts(self) -> list[tuple[str, str]]:
-        """(id, canonical "num/den") pairs in id order, from the integers."""
+    def texts(self, ids: Iterable[str] | None = None) -> list[tuple[str, str]]:
+        """(id, canonical "num/den") pairs in id order, from the integers;
+        only at ``ids``, given in id order, when they are given."""
         row, pos, den = self._rows[self._h], self._pos, self._scale[0]
-        return [(p, fmt_scaled(row[pos[p]], den)) for p in sorted(self._ids[: self._h])]
+        if ids is None:
+            ids = sorted(self._ids[: self._h])
+        return [(p, fmt_scaled(row[pos[p]], den)) for p in ids]
 
 
 class ScaledDists(Mapping):
@@ -301,10 +310,11 @@ class ScaledDists(Mapping):
     def __len__(self) -> int:
         return len(self.ints)
 
-    def texts(self) -> list[tuple[str, str]]:
-        """(id, canonical "num/den") pairs in id order, from the integers."""
+    def texts(self, ids: Iterable[str] | None = None) -> list[tuple[str, str]]:
+        """(id, canonical "num/den") pairs in id order, from the integers;
+        only at ``ids``, given in id order, when they are given."""
         ints, den = self.ints, self.den
-        return [(p, fmt_scaled(ints[p], den)) for p in sorted(ints)]
+        return [(p, fmt_scaled(ints[p], den)) for p in (sorted(ints) if ids is None else ids)]
 
 
 class _Pins:
@@ -405,10 +415,6 @@ class LimitOracle:
     def den(self) -> int:
         """The common denominator every stored distance and pin value fits."""
         return self._den
-
-    def _den_for(self, values: Iterable[Fraction]) -> int:
-        """The denominator that holds the present state and ``values`` exactly."""
-        return self._den_with({v.denominator for v in values})
 
     def _den_with(self, dens: Iterable[int]) -> int:
         """The denominator that holds the present state and values over the
@@ -532,25 +538,13 @@ class LimitOracle:
         the first write, so a refused request leaves the oracle unchanged.
         """
         base = list(base_dists.keys())
-        for p in base:
-            if p not in self._pos:
-                raise OracleGrowthError(f"base point {p!r} not in the oracle")
+        request = ScaledDists.of(base_dists)
+        self._check_base(request)
         if "prod" in self.modes and suitable is None:
             raise OracleGrowthError("prod mode requires a profile for the new point")
         if "lip" in self.modes and lip_index is None:
             raise OracleGrowthError("lip mode requires a dense index for the new point")
         self._check_carried(rel is not None, suitable, lip_index)
-
-        for i, p in enumerate(base):
-            ep = base_dists[p]
-            if ep <= 0:
-                raise OracleGrowthError(f"distance to {p!r} must be positive")
-            for q in base[i + 1 :]:
-                eq, dpq = base_dists[q], self.distance(p, q)
-                if abs(ep - eq) > dpq or dpq > ep + eq:
-                    raise OracleGrowthError(
-                        f"metric infeasible at the base pair ({p!r}, {q!r})"
-                    )
 
         slot_assign: dict[tuple[int, int], int] = {}
         fresh: list[tuple[int, int]] = []
@@ -559,17 +553,17 @@ class LimitOracle:
 
         # every path-rule distance is a base distance plus a stored one, so
         # the request's own values fix the scale of the whole new row
-        incoming = list(base_dists.values())
+        dens = {request.den}
         if rel is not None:
-            incoming += rel.ext.pred.values()
+            dens.update(v.denominator for v in rel.ext.pred.values())
             for pins in rel.birth_pins.values():
-                incoming += pins.values()
+                dens.update(v.denominator for v in pins.values())
         gap = None
         if not base and self._points:
             gap = self._gap(rel, suitable, lip_index)
-            incoming.append(gap)
-        den = self._den_for(incoming)
-        row = self._extended_row(base_dists, gap, den)
+            dens.add(gap.denominator)
+        den = self._den_with(dens)
+        row = self._extended_row(request, gap, den)
 
         if suitable is not None:
             self._check_suitable(suitable, row, den)
@@ -578,8 +572,35 @@ class LimitOracle:
 
         new_id = f"u{len(self._points) + 1}"
         pins = self._rel_pins(rel, slot_assign, new_id, row, den) if rel is not None else {}
-        self._commit(GrowthRecord(new_id, {}, pins, tuple(fresh), suitable, lip_index), row, den)
+        rec = GrowthRecord(new_id, {}, pins, tuple(fresh), suitable, lip_index,
+                           tuple(sorted(base)) if base else None)
+        self._commit(rec, row, den)
         return GrowthResult(new_id, slot_assign)
+
+    def _check_base(self, request: ScaledDists, prefix: str = ""):
+        """Refuse a base whose points are not in the oracle, or whose
+        requested distances e are not positive or not Katetov on the base:
+        |e_p - e_q| <= d(p, q) <= e_p + e_q for each pair.  In integers over
+        the lcm of the request's denominator and the oracle's.  grow and
+        replay_record both decide a base here, so replay refuses exactly
+        what grow refuses."""
+        pos, rows = self._pos, self._rows
+        for p in request.ints:
+            if p not in pos:
+                raise OracleGrowthError(f"{prefix}base point {p!r} not in the oracle")
+        den = lcm(request.den, self._den)
+        fe, fd = den // request.den, den // self._den
+        base = [(p, e * fe) for p, e in request.ints.items()]
+        for i, (p, ep) in enumerate(base):
+            if ep <= 0:
+                raise OracleGrowthError(f"{prefix}distance to {p!r} must be positive")
+            row = rows[pos[p]]
+            for q, eq in base[i + 1 :]:
+                dpq = row[pos[q]] * fd
+                if abs(ep - eq) > dpq or dpq > ep + eq:
+                    raise OracleGrowthError(
+                        f"{prefix}metric infeasible at the base pair ({p!r}, {q!r})"
+                    )
 
     def _commit(self, rec: GrowthRecord, row: list[int], den: int):
         """Write the step ``rec``, its point at the integer distances ``row``
@@ -605,7 +626,7 @@ class LimitOracle:
         self.log.append(rec)
         return rec
 
-    def _extended_row(self, base_dists, gap, den) -> list[int]:
+    def _extended_row(self, base_dists: Mapping[str, Fraction], gap, den) -> list[int]:
         """Distances from the new point to every point by handle, as
         integers at ``den``.
 
@@ -615,17 +636,18 @@ class LimitOracle:
         rows, each rescaled to ``den`` and shifted by its e_b.  On the base
         this is the request itself: b's own row gives e_b + d(b, b) = e_b,
         and every other base point b' gives e_b' + d(b', b) >= e_b, because
-        grow has checked |e_b - e_b'| <= d(b, b').
+        ``_check_base`` has checked |e_b - e_b'| <= d(b, b').
         """
         if gap is not None:
             return [scaled(gap, den)] * len(self._points)
-        factor = den // self._den
+        request = ScaledDists.of(base_dists)
+        factor, fe = den // self._den, den // request.den
         shifted = []
-        for p, e in base_dists.items():
+        for p, e in request.ints.items():
             row = self._rows[self._pos[p]]
             if factor != 1:
                 row = map(mul, row, repeat(factor))
-            shifted.append(map(add, row, repeat(scaled(e, den))))
+            shifted.append(map(add, row, repeat(e * fe)))
         if len(shifted) < 2:
             return list(shifted[0]) if shifted else []
         return list(map(min, *shifted))
@@ -1012,34 +1034,48 @@ class LimitOracle:
     def replay_record(self, rec: GrowthRecord):
         """Re-apply a logged step.
 
-        Values are not re-validated (validate_state does that), but the
-        record must have the shape grow writes: a new point id, distances to
-        exactly the earlier points, fresh slots that take the next free
-        index of their arity within the budget len + 2 - n, pins on slots
-        registered at or before the record and on points that exist at that
-        step, profiles, labels and pins or fresh slots only where the modes
-        carry them, and profile support indices and labels inside their
-        presentations; OracleGrowthError otherwise, before anything is
-        written.
+        Values other than a base's are not re-validated (validate_state
+        does that), but the record must have the shape grow writes: a new
+        point id, distances to exactly the earlier points or to a base,
+        fresh slots that take the next free index of their arity within the
+        budget len + 2 - n, pins on slots registered at or before the record
+        and on points that exist at that step, profiles, labels and pins or
+        fresh slots only where the modes carry them, and profile support
+        indices and labels inside their presentations; OracleGrowthError
+        otherwise, before anything is written.
 
-        Every record is read as integers over one denominator
-        (``ScaledDists.of``), so the new row costs one multiply per
-        distance.  Returns the logged record, whose distances are a RowDists
-        on that row.
+        A record with a base gives the distances to its base points only;
+        they must be the very request grow would take (``_check_base``), and
+        the row is rebuilt from them by the path rule, as grow built it.
+        Any other record gives the distances to every earlier point.  Every
+        record is read as integers over one denominator (``ScaledDists.of``),
+        so the new row costs one multiply or one ``min`` per distance.
+        Returns the logged record, whose distances are a RowDists on that
+        row.
         """
         step = len(self._points) + 1
         prefix = f"step {step}: "
-        dists = ScaledDists.of(rec.dists)
-        ints = dists.ints
         if rec.point in self._pos:
             raise OracleGrowthError(f"{prefix}point {rec.point!r} already exists")
-        if ints.keys() != self._pos.keys():
-            stray = sorted(ints.keys() - self._pos.keys())
-            missing = [p for p in self._points if p not in ints]
-            raise OracleGrowthError(
-                f"{prefix}distances must cover exactly the earlier points; "
-                f"stray {stray}, missing {missing}"
-            )
+        if rec.base is None:
+            dists = ScaledDists.of(rec.dists)
+            ints = dists.ints
+            if ints.keys() != self._pos.keys():
+                stray = sorted(ints.keys() - self._pos.keys())
+                missing = [p for p in self._points if p not in ints]
+                raise OracleGrowthError(
+                    f"{prefix}distances must cover exactly the earlier points; "
+                    f"stray {stray}, missing {missing}"
+                )
+        else:
+            dists = rec.dists
+            if not isinstance(dists, ScaledDists):
+                dists = ScaledDists.of({p: dists[p] for p in rec.base if p in dists})
+            if not rec.base or tuple(dists.ints) != rec.base:
+                raise OracleGrowthError(
+                    f"{prefix}base {list(rec.base)} wants one distance per base point, in its order"
+                )
+            self._check_base(dists, prefix)
         self._check_carried(bool(rec.pins or rec.fresh), rec.suitable, rec.lip_index, prefix)
         taken = dict(self._counts)
         for n, g in rec.fresh:
@@ -1061,5 +1097,8 @@ class LimitOracle:
         for delta in rec.pins.values():
             dens.update(v.denominator for v in delta.values())
         den = self._den_with(dens)
-        row = list(map(mul, map(ints.__getitem__, self._points), repeat(den // dists.den)))
+        if rec.base is None:
+            row = list(map(mul, map(ints.__getitem__, self._points), repeat(den // dists.den)))
+        else:
+            row = self._extended_row(dists, None, den)
         return self._commit(rec, row, den)

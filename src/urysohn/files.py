@@ -254,10 +254,10 @@ def serialize_structure(kind: str, value) -> str:
 
 
 def _block_dists(ids: list[str], nums: list[int], dens: list[int]) -> ScaledDists:
-    """A block's ``gd`` fields, as read, over the least common denominator
-    of their values: over the lcm of the denominators read, then divided by
-    what that lcm shares with every scaled value, so ``2/4`` counts as
-    ``1/2``.  Where an id repeats, its last field stands."""
+    """A block's ``gd`` or ``gb`` fields, as read, over the least common
+    denominator of their values: over the lcm of the denominators read, then
+    divided by what that lcm shares with every scaled value, so ``2/4``
+    counts as ``1/2``.  Where an id repeats, its last field stands."""
     den = lcm(*dens)
     ints = dict(zip(ids, map(mul, nums, map(den.__floordiv__, dens))))
     g = gcd(den, *ints.values())
@@ -268,44 +268,59 @@ def _block_dists(ids: list[str], nums: list[int], dens: list[int]) -> ScaledDist
 
 
 def _parse_oracle(lines: Iterator[tuple[int, str]]) -> OracleFile:
-    """The ORACLE body from ``lines``, (line number, raw line) pairs."""
+    """The ORACLE body from ``lines``, (line number, raw line) pairs.
+
+    A block gives the new point's distances either to every earlier point,
+    in ``gd`` lines, or to its base alone, in ``gb`` lines, never both."""
     modes: list[str] = []
     lip: Fraction | None = None
     records: list[GrowthRecord] = []
     cur: dict | None = None
-    # the open block's gd fields in file order: ids, numerators, denominators
+    # the open block's gd or gb fields in file order: ids, numerators,
+    # denominators; form is the record name they came in, or None
     ids: list[str] = []
     nums: list[int] = []
     dens: list[int] = []
+    form: str | None = None
 
     def flush():
-        nonlocal cur
+        nonlocal cur, form
         if cur is not None:
+            dists, base = _block_dists(ids, nums, dens), None
+            if form == "gb":
+                # in base order, the order replay checks the base in
+                base = tuple(sorted(dists.ints))
+                dists.ints = {p: dists.ints[p] for p in base}
             records.append(
                 GrowthRecord(
                     cur["point"],
-                    _block_dists(ids, nums, dens),
+                    dists,
                     cur["pins"],
                     tuple(cur["fresh"]),
                     cur["suit"],
                     cur["pz"],
+                    base,
                 )
             )
             ids.clear()
             nums.clear()
             dens.clear()
-        cur = None
+        cur = form = None
 
     for lineno, raw in lines:
         parts = raw.split()
         if not parts:
             continue
         rec = parts[0]
-        if rec == "gd" and cur is not None:
+        if rec in ("gd", "gb") and cur is not None:
+            if form != rec:
+                if form is not None:
+                    raise ParseError(lineno, "a growth block holds gd or gb records, not both")
+                form = rec
             # parse_rat's rules on the integers alone; a token they refuse
             # goes to parse_rat for its error
             if len(parts) != 3:
-                raise ParseError(lineno, "gd record wants a point id and a rational")
+                raise ParseError(lineno, f"{rec} record wants a point id and a rational")
             num_s, _, den_s = parts[2].partition("/")
             try:
                 num, den = int(num_s), int(den_s)
@@ -372,7 +387,8 @@ def oracle_chunks(of: OracleFile) -> Iterator[str]:
         dists = rec.dists
         if not isinstance(dists, RowDists):
             dists = ScaledDists.of(dists)
-        lines += [f"gd {p} {text}" for p, text in dists.texts()]
+        tag = "gd" if rec.base is None else "gb"
+        lines += [f"{tag} {p} {text}" for p, text in dists.texts(rec.base)]
         for (n, g) in sorted(rec.pins):
             for tup in sorted(rec.pins[(n, g)]):
                 lines.append(

@@ -40,6 +40,19 @@ def plain_oracle(rng, points):
     return o
 
 
+def wide_oracle(rng, points):
+    """Points whose base is every earlier point, each at r beyond a random
+    centre c: e_b = d(c, b) + r is Katetov on the base, and every block of
+    the log holds one line per earlier point, so the log is quadratic."""
+    o = LimitOracle()
+    o.grow({})
+    while len(o) < points:
+        c = rng.choice(o.points)
+        r = F(rng.randint(1, 12), rng.choice([1, 2, 3, 5, 7]))
+        o.grow({b: o.distance(c, b) + r for b in o.points})
+    return o
+
+
 def shares_each_distance(o):
     rows = o._rows
     return all(rows[i][j] is rows[j][i] for i in range(len(rows)) for j in range(i))
@@ -60,7 +73,7 @@ def test_streamed_log_equals_the_serialized_log(tmp_path, kind):
 
 
 def test_saving_a_log_holds_one_block_not_the_log(tmp_path):
-    o = plain_oracle(Random(1), 150)
+    o = wide_oracle(Random(1), 150)
     path = tmp_path / "o.log"
     tracemalloc.start()
     try:

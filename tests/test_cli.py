@@ -1,9 +1,11 @@
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 from urysohn.cli import main
 from urysohn.certificates import verify_certificate
+from urysohn.files import parse_structure_file, replay_oracle
 
 K_GOOD = """K
 point a
@@ -137,6 +139,27 @@ def test_grow_and_validate_oracle(tmp_path):
         ["grow", ext2, "--oracle", log, "--base", "x=u1", "--slot", "1:1=1", "--out-log", log]
     ) == 0
     assert main(["validate", log]) == 0
+
+
+@pytest.mark.parametrize("with_ext, extra, named", [
+    (True, ["--base", "y=u1", "--dist", "u1=3/1"], "--dist: not read with"),
+    (False, ["--slot", "1:1=1", "--base", "x=u1", "--dist", "u1=1/1"],
+     "--base and --slot: not read without"),
+    (False, ["--base", "x=u1", "--dist", "u1=1/1"], "--base: not read without"),
+])
+def test_grow_refuses_an_option_its_request_does_not_read(tmp_path, capsys, with_ext, extra, named):
+    log = tmp_path / "o.log"
+    assert main(["grow", put(tmp_path, "x.k", "K\npoint x\nnA 1\np 1 1 x 0/1\n"),
+                 "--out-log", str(log)]) == 0
+    before = log.read_bytes()
+    ext = put(tmp_path, "y.k", "K\npoint x\npoint y\nnA 1\nd x y 3/1\np 1 1 x 0/1\n"
+              "p 1 1 y 0/1\n")
+    capsys.readouterr()
+    argv = ["grow", *([ext] if with_ext else []), "--oracle", str(log), *extra,
+            "--out-log", str(log)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"usage error: {named} an extension file\n")
+    assert log.read_bytes() == before
 
 
 @pytest.mark.parametrize("entry", ["11", "x:1=1"])
@@ -671,8 +694,9 @@ def test_one_parser_serves_every_call_and_keeps_nothing_between_them(tmp_path, c
                  "--out-log", log]) == 0
     # a --dist list carried over would put u4 at 1 from u1, not 1/2 + 1
     assert main(["grow", "--oracle", log, "--dist", "u3=1/2", "--out-log", log]) == 0
-    assert Path(log).read_text().split("grow u4\n")[1].split("\n")[:3] == [
-        "gd u1 3/2", "gd u2 3/2", "gd u3 1/2"]
+    assert Path(log).read_text().split("grow u4\n")[1] == "gb u3 1/2\n"
+    replayed = replay_oracle(parse_structure_file(Path(log).read_text()).value)
+    assert replayed.distance("u4", "u1") == F(3, 2)
 
     a = put(tmp_path, "a.k", "K\npoint a\nnA 1\np 1 1 a 1/1\n")
     c = put(tmp_path, "c.k", "K\npoint a\npoint c\nnA 1\nd a c 1/1\np 1 1 a 1/1\np 1 1 c 1/1\n")

@@ -359,7 +359,7 @@ def test_extended_row_matches_the_per_point_scan(seed):
                 base[b] = o.distance(c, b) + r
         gap = o._gap(None, None, None) if not base and o.points else None
         incoming = list(base.values()) + [gap or F(0), F(1, rng.choice([1, 3, 5]))]
-        den = o._den_for(incoming)
+        den = o._den_with({v.denominator for v in incoming})
         assert o._extended_row(base, gap, den) == reference_row(o, base, gap, den)
         o.grow(base)
 

@@ -1,9 +1,11 @@
 """Pinned output bytes of the one-point solvers.
 
 Each case runs one solver on a small fixed input and hashes the certificate
-it emits and the ORACLE log of the oracle it grew.  The solvers must keep
-producing these bytes exactly: check names, check order, distances, pins,
-profiles and labels all enter the hashes.
+it emits and the ORACLE log of the oracle it grew, written twice: by the
+all-``gd`` reference writer, whose hashes are those of the logs written
+before base steps were logged by their base alone, and by the log writer.
+The solvers must keep producing these bytes exactly: check names, check
+order, distances, pins, profiles and labels all enter the hashes.
 """
 import hashlib
 from fractions import Fraction
@@ -29,6 +31,8 @@ from urysohn.product import embed_point_c, extend_one_point_c
 from urysohn.rationals import pow2
 from urysohn.spaces import CompactPresentation, PolishPresentation, suitable
 
+from reference_log import reference_oracle_text
+
 F = Fraction
 
 
@@ -38,9 +42,10 @@ def _sha(data) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _hashes(o: LimitOracle, checks) -> tuple[str, str]:
-    log = serialize_structure("ORACLE", oracle_file(o))
-    return _sha(emit_certificate(list(checks))), _sha(log)
+def _hashes(o: LimitOracle, checks) -> tuple[str, str, str]:
+    of = oracle_file(o)
+    return (_sha(emit_certificate(list(checks))), _sha(reference_oracle_text(of)),
+            _sha(serialize_structure("ORACLE", of)))
 
 
 def _bark3():
@@ -150,27 +155,32 @@ def case_partial_iso():
     return _hashes(o, wish_out.checks + tuple(checks))
 
 
-# (certificate sha256, log sha256)
+# (certificate sha256, reference log sha256, log sha256)
 PINNED = {
     "embed": (
         "3c8f84640a54c3ea1b329c8dcc79be9a49d499b4ac3345abec2fd68998c13119",
         "ddcd58882705673328ef7085a9dc5bbae0e5ffff4420acf00ce81a46f31b8eab",
+        "7068c5bc05e816eb82e4288d03d279143ce5714a89adf682a4e083890b014a68",
     ),
     "drift_slack": (
         "dda9ce65e1783b6f3bcc75c235435a9f353fa2dc76f9aebff3e7e2de12ae2f4c",
         "852a3fc9ac5fe8117de1110360ff0ffdb94b2c2e1dc79dacb1242bec880b65fe",
+        "6a5b34df762f0014eb77c5ff4bbeca98dcaff97402a29fc02a85fd2c187291dc",
     ),
     "prod_lip": (
         "e29d94c71512e012d493bbbb78bc457f66ef136fc68abeed58210b3faa3d30b3",
         "10dbdfb8135c20612419545115bc962958ce1dc90137b6fbc425fcd55b1fb8c2",
+        "54cc215913d54caea5149b35fe4f78fee0069e475409791ef39bcc4d48b22485",
     ),
     "lip": (
         "6638c4cb1e4857ce9a3a9f6b6a6d30cb0ee2587fd40792cd542ba1a0b71bf498",
         "cf537798f7ab4d2327b5d3cde06dfd5eeda3ecead22d16ce3c136a5300de0f9a",
+        "af08bda7ffe5ff1514cad0067cb29b5d3c3d5a7e7e38a86361f45441ec014b27",
     ),
     "partial_iso": (
         "53bffded2ff6eea9ef738cff5fc15a9cb148b366792111a2c1959d280c585d84",
         "f10c499ea50ae9601fe4a337673d38b01afc253c1c1a97e38a72f5632fbd9aea",
+        "5bec188f1addf14c7ea76b12f12f5d6a7b37f5b24fbbd288fec549ccbc308dbe",
     ),
 }
 
