@@ -50,10 +50,11 @@ def main() -> int:
             )
     for (n, m), g in sorted(out.slot_globals.items()):
         worst = Fraction(0)
-        for sel in tuples_over(tuple(range(len(ids))), n):
-            tup = tuple(out.points[i].at(args.depth) for i in sel)
+        sels = list(tuples_over(tuple(range(len(ids))), n))
+        tups = [tuple(out.points[i].at(args.depth) for i in sel) for sel in sels]
+        for sel, v in zip(sels, oracle.predicate_values(n, g, tups)):
             ideal = x.pred[(n, m, tuple(ids[i] for i in sel))]
-            worst = max(worst, abs(oracle.predicate_value(n, g, tup) - ideal))
+            worst = max(worst, abs(v - ideal))
         print(f"slot ({n},{m}) -> global {g}: worst deviation {fmt_rat(worst)}")
     report = validate_k(oracle.snapshot())
     print("snapshot valid" if not report else f"snapshot INVALID: {report[0]}")

@@ -301,14 +301,20 @@ def extend_one_point(
                                     defined_i[tup] = val_i
                                 else:
                                     birth_pins.setdefault((n, pos), {})[tup] = val
-                    for tup in sorted(
+                    tups = sorted(
                         tuples_over(tuple(base_pts + [temp]), n),
                         key=lambda t: (temp in t, t),
-                    ):
+                    )
+                    realized = {}
+                    if g_known is not None:
+                        # the realized slot's base tuples, read in one batch
+                        base_tups = [t for t in tups if temp not in t]
+                        realized = dict(zip(base_tups, o.predicate_values(n, g_known, base_tups)))
+                    for tup in tups:
                         if tup in defined:
                             continue
-                        if g_known is not None and temp not in tup:
-                            val = o.predicate_value(n, g_known, tup)
+                        if tup in realized:
+                            val = realized[tup]
                             val_i = scaled(val, scale)
                         else:
                             eps = target.pred[
@@ -525,9 +531,10 @@ def witness_checks(
             gap = abs(o.distance(dpts[i], dpts[j]) - o.distance(rpts[i], rpts[j]))
             checks.append(Check(f"match-dist-{i}-{j}", gap, "<=", tol))
     for (n, g_dom), g_rng in sorted(iso.slots.items()):
-        for sel in tuples_over(tuple(range(len(dpts))), n):
-            dv = o.predicate_value(n, g_dom, tuple(dpts[i] for i in sel))
-            rv = o.predicate_value(n, g_rng, tuple(rpts[i] for i in sel))
+        sels = list(tuples_over(tuple(range(len(dpts))), n))
+        dvs = o.predicate_values(n, g_dom, [tuple(dpts[i] for i in sel) for sel in sels])
+        rvs = o.predicate_values(n, g_rng, [tuple(rpts[i] for i in sel) for sel in sels])
+        for sel, dv, rv in zip(sels, dvs, rvs):
             sel_name = ".".join(map(str, sel))
             checks.append(
                 Check(f"match-slot-{n}.{g_dom}-{sel_name}", abs(dv - rv), "<=", tol)
@@ -667,12 +674,11 @@ def extend_partial_iso(
         }
         eff_bound = min(bound, k)
         idx = {n: src_family[n][: eff_bound + 1 - n] for n in range(1, eff_bound + 1)}
-        pred = {
-            (n, m, tup): o.predicate_value(n, m, tup)
-            for n in idx
-            for m in idx[n]
-            for tup in tuples_over(tuple(measured), n)
-        }
+        pred = {}
+        for n in idx:
+            tups = list(tuples_over(tuple(measured), n))
+            for m in idx[n]:
+                pred.update(((n, m, t), v) for t, v in zip(tups, o.predicate_values(n, m, tups)))
         target = IndexedStructure(fin_metric(measured, entries), eff_bound, idx, pred)
         pair_of = iso.slots if side == "dom" else inv_slots
         known = {(n, m): pair_of[(n, m)] for n in idx for m in idx[n]}

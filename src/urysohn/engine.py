@@ -348,10 +348,6 @@ class _Pins:
             self._gets = [_getter(col) for col in zip(*self.tups)]
         return self._gets
 
-    def low(self, rows: list[list[int]], t: tuple[int, ...]) -> int:
-        """min over pins (p, w) of d(p, t) - w, one row gather per coordinate."""
-        return _gather_min(rows, self.gets(), self.neg, t)
-
     def unreproduced(self, rows: list[list[int]]) -> Iterator[tuple[int, ...]]:
         """The pins their envelope does not reproduce, in column order, on
         rows >= 0.  Each is checked against the strictly heavier pins alone
@@ -406,7 +402,10 @@ class LimitOracle:
         self._rows: list[list[int]] = []
         self._pins: dict[tuple[int, int], _Pins] = {}
         # realized values never change once their points exist, so envelope
-        # evaluations can be memoized for the lifetime of the oracle
+        # values are memoized for the lifetime of the oracle: predicate_values
+        # stores each value it computes, and grow, after its commit, stores
+        # the value its walk gave each entry of the request (_rel_pins), which
+        # equals the envelope there.  Replay and a refused request store none.
         self._value_cache: dict[tuple[int, int, tuple[str, ...]], Fraction] = {}
 
     # -- scaled representation ----------------------------------------------
@@ -478,30 +477,75 @@ class LimitOracle:
         return self._counts.get(arity, 0)
 
     def predicate_value(self, n: int, g: int, tup: tuple[str, ...]) -> Fraction:
-        """Katetov envelope of the stored pins of global slot (n, g).
+        """Katetov envelope of the stored pins of global slot (n, g) at
+        ``tup``: ``predicate_values`` of the one tuple."""
+        return self.predicate_values(n, g, (tup,))[0]
 
-        max(0, max over pins (p, w) of w - d(p, tup)) = max(0, -low), with
-        low the one row gather of the slot's columns at tup.  KeyError for a
-        tuple of another arity or on a point outside the oracle; only a
+    def predicate_values(
+        self, n: int, g: int, tups: Iterable[tuple[str, ...]]
+    ) -> list[Fraction]:
+        """Katetov envelopes of the stored pins of global slot (n, g) at each
+        of ``tups``, in their order; every value computed is cached.
+
+        KeyError for an unrealized slot, and, before any value is cached, for
+        a tuple of another arity or on a point outside the oracle; only a
         cache miss checks, since the cache holds nothing else.
+        """
+        vals, missed = self._envelopes(n, g, tups)
+        self._value_cache.update(missed)
+        return vals
+
+    def _envelopes(
+        self, n: int, g: int, tups: Iterable[tuple[str, ...]]
+    ) -> tuple[list[Fraction], dict[tuple[int, int, tuple[str, ...]], Fraction]]:
+        """``predicate_values`` without its cache write: the values, and the
+        cache entries of the misses.
+
+        E(t) = max(0, -low(t)), with low(t) the min over pins (p, w) of
+        d(p, t) - w in the sum metric.  Split t into its first n - 1 points h
+        and its last point z: d(p, t) - w = (d(p', h) - w) + d(p_n, z), p'
+        the first n - 1 points of p.  So the misses take one summed gather of
+        the pin columns per distinct prefix h, one gather of the last column
+        per distinct last point z, and then one ``map(add)`` and one ``min``
+        per tuple.
         """
         if not 1 <= g <= self._counts.get(n, 0):
             raise KeyError(f"global slot ({n}, {g}) not realized")
-        key = (n, g, tup)
-        cached = self._value_cache.get(key)
-        if cached is None:
+        keys = [(n, g, t) for t in tups]
+        vals = list(map(self._value_cache.get, keys))
+        miss = [key for key, v in zip(keys, vals) if v is None]
+        if not miss:
+            return vals, {}
+        pos = self._pos
+        handles = {}
+        for key in miss:
+            tup = key[2]
             if len(tup) != n:
                 raise KeyError(f"tuple {tup!r} has arity {len(tup)}, slot ({n}, {g}) wants {n}")
             try:
-                t = tuple(map(self._pos.__getitem__, tup))
+                handles[key] = tuple(map(pos.__getitem__, tup))
             except KeyError:
                 raise KeyError(f"tuple {tup!r} has a point outside the oracle") from None
-            pins = self._pins[(n, g)]
-            env = 0
-            if pins.neg:
-                env = max(0, -pins.low(self._rows, t))
-            cached = self._value_cache[key] = Fraction(env, self._den)
-        return cached
+        pins = self._pins[(n, g)]
+        if not pins.neg:
+            missed = dict.fromkeys(handles, ZERO)
+        else:
+            rows, gets, den = self._rows, pins.gets(), self._den
+            heads: dict[tuple[int, ...], list[int]] = {(): pins.neg}
+            tails: dict[int, tuple[int, ...]] = {}
+            missed = {}
+            for key, t in handles.items():
+                head = heads.get(t[:-1])
+                if head is None:
+                    head = pins.neg
+                    for get, i in zip(gets, t[:-1]):
+                        head = map(add, head, get(rows[i]))
+                    head = heads[t[:-1]] = list(head)
+                tail = tails.get(t[-1])
+                if tail is None:
+                    tail = tails[t[-1]] = gets[-1](rows[t[-1]])
+                missed[key] = Fraction(max(0, -min(map(add, head, tail))), den)
+        return [missed[key] if v is None else v for key, v in zip(keys, vals)], missed
 
     def suitable_at(self, point: str) -> SuitableFn:
         return self._suit[point]
@@ -571,10 +615,13 @@ class LimitOracle:
             self._check_lip(lip_index, row, den)
 
         new_id = f"u{len(self._points) + 1}"
-        pins = self._rel_pins(rel, slot_assign, new_id, row, den) if rel is not None else {}
+        pins, walked = {}, {}
+        if rel is not None:
+            pins, walked = self._rel_pins(rel, slot_assign, new_id, row, den)
         rec = GrowthRecord(new_id, {}, pins, tuple(fresh), suitable, lip_index,
                            tuple(sorted(base)) if base else None)
         self._commit(rec, row, den)
+        self._value_cache.update(walked)
         return GrowthResult(new_id, slot_assign)
 
     def _check_base(self, request: ScaledDists, prefix: str = ""):
@@ -724,6 +771,10 @@ class LimitOracle:
     def _rel_pins(self, rel, slot_assign, new_id, row, den) -> dict:
         """Walk each slot's entries once; keep the pins the envelope does not force.
 
+        Returns the pins to store, by slot, and the value the walk gave each
+        entry, by cache key (n, g, tuple): grow caches those after its commit,
+        by (d) below, and stores nothing for a refused request.
+
         Integers at ``den`` up to the pins it keeps, which come back as the
         log's rationals, and no read of the oracle beyond the points the
         request touches: the new point's own row, the distances among the
@@ -771,6 +822,19 @@ class LimitOracle:
         d(p, t) >= gap covers both directions of (c).  So the scan of every
         stored pin that (c) replaces could never refuse a request that the
         walk accepts; the tests keep it as a reference.
+        (d) Cached values.  Once the step is committed, the slot's envelope
+            E' over P and the pins added equals v(t) at every walked entry
+            (t, v).  E'(t) >= v(t), along the walk: an entry kept as a pin
+            has E'(t) >= v - d(t, t) = v; a base tuple of a realized slot
+            has E'(t) >= E(t) = v, as added pins only raise the envelope; and
+            an entry at lo has E'(s) >= w at every earlier entry (s, w), so
+            E'(t) >= max(0, max of E'(s) - d(s, t)) >= lo = v, since E' is
+            1-Lipschitz.  E'(t) <= v(t): v >= 0; each added pin is an entry,
+            and every pair of entries (s, w), (t, v) has |v - w| <= d(s, t),
+            by the window of the later one or, for two base tuples of a
+            realized slot, as both sit at the 1-Lipschitz E; and each stored
+            pin (p, w) has w - d(p, t) <= v(t), by (c) for a tuple with x and
+            by v = E(t) for a base tuple.
         """
         ext, bm = rel.ext, rel.base_map
         trans = dict(bm)
@@ -793,24 +857,30 @@ class LimitOracle:
                     )
 
         delta: dict[tuple[int, int], dict[tuple[str, ...], Fraction]] = {}
+        walked: dict[tuple[int, int, tuple[str, ...]], Fraction] = {}
         for (n, m) in sorted(ext.slots()):
             g = slot_assign[(n, m)]
             fresh_slot = (n, g) not in self._pins
             births = sorted(rel.birth_pins.get((n, m), {}).items())
             tups = sorted(tuples_over(ext.points, n), key=lambda t: (new_pt in t, t))
-            entries = [(tup, scaled(v, den)) for tup, v in births]
-            entries += [(tuple(map(trans.get, t)), scaled(ext.pred[(n, m, t)], den)) for t in tups]
-            added: dict[tuple[str, ...], int] = {}
+            walk = births + [(tuple(map(trans.get, t)), ext.pred[(n, m, t)]) for t in tups]
+            entries = [(mt, scaled(v, den)) for mt, v in walk]
+            known = {}
+            if not fresh_slot:
+                # read in one batch, and cached by grow only after its commit
+                base = [mt for mt, _ in entries if new_id not in mt]
+                known = dict(zip(base, self._envelopes(n, g, base)[0]))
+            added: dict[tuple[str, ...], Fraction] = {}
             for i, (mt, v) in enumerate(entries):
                 base_tuple = not fresh_slot and new_id not in mt
                 if base_tuple:
-                    lo = hi = scaled(self.predicate_value(n, g, mt), den)
+                    lo = hi = scaled(known[mt], den)
                 else:
                     before = entries[:i]
                     lo, hi = _envelope(before, mt, ld), _ceiling(before, mt, ld)
                 if lo <= v <= hi:
                     if v > lo:
-                        added[mt] = v
+                        added[mt] = walk[i][1]
                     continue
                 val = Fraction(v, den)
                 if base_tuple:
@@ -822,8 +892,9 @@ class LimitOracle:
                 raise OracleGrowthError(f"fresh slot ({n},{g}) born inconsistent: {fault}"
                                         if fresh_slot else f"{fault} of slot ({n},{g})")
             if added:
-                delta[(n, g)] = {mt: Fraction(v, den) for mt, v in added.items()}
-        return delta
+                delta[(n, g)] = added
+            walked.update(((n, g, mt), v) for mt, v in walk)
+        return delta, walked
 
     def _fresh_slot(self, n, taken, claimed=None, prefix="") -> int:
         """Take the next free arity-``n`` index g after ``taken``, within the
@@ -896,9 +967,9 @@ class LimitOracle:
         metric = self.metric()
         pred: PredTable = {}
         for n, ms in pattern_indices(n_u).items():
+            tups = list(tuples_over(metric.points, n))
             for m in ms[: self._counts.get(n, 0)]:
-                for tup in tuples_over(metric.points, n):
-                    pred[(n, m, tup)] = self.predicate_value(n, m, tup)
+                pred.update(((n, m, t), v) for t, v in zip(tups, self.predicate_values(n, m, tups)))
         return indexed_structure(metric, n_u, pred)
 
     def validate_state(self) -> list[str]:

@@ -224,11 +224,8 @@ def random_wish_extension(
     pred = {}
     for n in x.indices:
         for m in x.indices[n]:
-            g = side_globals[(n, m)]
-            base = {
-                tup: o.predicate_value(n, g, tup)
-                for tup in tuples_over(tuple(measured), n)
-            }
+            tups = list(tuples_over(tuple(measured), n))
+            base = dict(zip(tups, o.predicate_values(n, side_globals[(n, m)], tups)))
             for tup, v in random_table(rng, metric, n, base, den=den).items():
                 pred[(n, m, tup)] = v
     return IndexedStructure(metric, x.bound, dict(x.indices), pred)

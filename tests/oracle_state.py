@@ -5,6 +5,9 @@ columns; these helpers give tests one way in, at the oracle's scale
 ``o.den``.  Damage drops the envelope cache, so predicate_value and
 snapshot read the damaged state, as they would on a replay of it.
 """
+from fractions import Fraction
+
+from urysohn.metric import _gather_min, _getter
 
 
 def int_dist(o, x, y):
@@ -39,3 +42,36 @@ def set_int_pin(o, slot, tup, v):
     """Pin ``tup`` of ``slot`` at v / o.den, overwriting a pin already there."""
     o._pins[slot].add(o._pos, {tup: v})
     o._value_cache.clear()
+
+
+def full_scan_value(o, n, g, tup):
+    """The envelope of slot (n, g) at ``tup`` by one row gather of every
+    pin column at each coordinate of the tuple, summed, and one ``min``:
+    the scan ``_Pins.low`` made for each cache miss before misses were read
+    in batches.  It reads the current state and never the cache."""
+    pins = o._pins[(n, g)]
+    if not pins.neg:
+        return Fraction(0)
+    gets = [_getter(col) for col in zip(*pins.tups)]
+    low = _gather_min(o._rows, gets, pins.neg, tuple(o._pos[p] for p in tup))
+    return Fraction(max(0, -low), o.den)
+
+
+def stale_cache_entries(o):
+    """The cache entries a full scan of the current state does not give."""
+    return {key: v for key, v in o._value_cache.items() if full_scan_value(o, *key) != v}
+
+
+def walked_keys(rel, result):
+    """Cache key -> value of every entry grow's walk decides for the accepted
+    request ``rel``: the extension's tuples mapped to oracle ids, and the
+    birth pins."""
+    trans = dict(rel.base_map)
+    trans.update((p, result.point) for p in rel.ext.points if p not in rel.base_map)
+    out = {}
+    for (n, m, tup), v in rel.ext.pred.items():
+        out[(n, result.slot_globals[(n, m)], tuple(trans[p] for p in tup))] = v
+    for (n, m), pins in rel.birth_pins.items():
+        for tup, v in pins.items():
+            out[(n, result.slot_globals[(n, m)], tup)] = v
+    return out

@@ -28,7 +28,7 @@ from urysohn.relational import (
     validate_k,
 )
 
-from oracle_state import int_pins, int_table
+from oracle_state import int_pins, int_table, stale_cache_entries, walked_keys
 
 F = Fraction
 
@@ -303,14 +303,23 @@ def test_refused_grow_keeps_denominator_and_state():
     assert o.den == 1
 
 
-def grown_rel_oracle(rng, steps):
+def grown_rel_oracle(rng, steps, max_arity=2):
+    """An oracle grown by ``steps`` random requests.  After each accepted
+    one, the cache holds the value grow's walk gave each entry of the
+    request, and every cache entry is what a full scan of the pins reads; a
+    refused one leaves the cache as it was."""
     o = LimitOracle()
     for _ in range(steps):
-        base_dists, rel = random_request(rng, o)
+        base_dists, rel = random_request(rng, o, max_arity)
+        before = dict(o._value_cache)
         try:
-            o.grow(base_dists, rel=rel)
+            result = o.grow(base_dists, rel=rel)
         except OracleGrowthError:
-            pass
+            assert o._value_cache == before
+            continue
+        walked = walked_keys(rel, result)
+        assert {key: o._value_cache.get(key) for key in walked} == walked
+        assert stale_cache_entries(o) == {}
     return o
 
 

@@ -5,7 +5,9 @@ After every step, every distance, predicate value, profile and label read
 earlier must read the same, in the oracle and in a replay of its serialized
 log; the replay must have the same points, denominator and log bytes; and
 validate_state must find nothing.  A refused request must leave the log
-bytes and the denominator as they were.
+bytes, the denominator and the envelope cache as they were.  After each rel
+growth the cache holds the values the step's walk decided, and every cached
+value is what a full scan of the pins reads; a replay caches nothing.
 """
 from fractions import Fraction
 from random import Random
@@ -20,6 +22,8 @@ from urysohn.metric import fin_metric
 from urysohn.randgen import compatible_profile
 from urysohn.relational import IndexedStructure, pattern_indices, pattern_slots, tuples_over
 from urysohn.spaces import CompactPresentation, PolishPresentation, suitable
+
+from oracle_state import stale_cache_entries, walked_keys
 
 F = Fraction
 
@@ -155,7 +159,12 @@ class OracleMachine(RuleBasedStateMachine):
         rng = Random(seed)
         o = self.oracles["rel"]
         e, rel = rel_request(rng, o)
-        o.grow(e, rel=rel)
+        result = o.grow(e, rel=rel)
+        # grow caches the value its walk gave each entry, and every cached
+        # value, read earlier or cached by grow, is the envelope's now
+        walked = walked_keys(rel, result)
+        assert {key: o._value_cache.get(key) for key in walked} == walked
+        assert stale_cache_entries(o) == {}
 
     @rule(seed=seeds, which=st.sampled_from(["distance", "value", "profile", "label"]))
     def refused(self, seed, which):
@@ -204,10 +213,12 @@ class OracleMachine(RuleBasedStateMachine):
                 if any(Z.d_idx(i, o.lip_index_at(u)) > LIP * full[u] for u in o.points)
             ]
             kwargs["lip_index"] = rng.choice(far) if far else Z.size + 1
+        cache = dict(o._value_cache)
         with pytest.raises(OracleGrowthError):
             o.grow(e, **kwargs)
         assert log_bytes(o) == before
         assert o.den == den
+        assert o._value_cache == cache
 
     @invariant()
     def realized_values_never_change(self):
@@ -226,6 +237,7 @@ class OracleMachine(RuleBasedStateMachine):
     def replay_gives_the_same_oracle(self):
         for o in self.oracles.values():
             r = replay(o)
+            assert r._value_cache == {}
             assert r.points == o.points
             assert r.den == o.den
             assert log_bytes(r) == log_bytes(o)
