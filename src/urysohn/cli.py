@@ -126,6 +126,19 @@ def _in_space(s: StructureC | StructureL, space):
 
 def cmd_validate(args) -> int:
     parsed = _load(args.file)
+    # --space is read by C and L files and by a prod oracle, or by a lip one
+    # as its polish presentation when --zspace is not given; --zspace only by
+    # a lip oracle.  A presentation that is not read is refused, not dropped.
+    modes = parsed.value.modes if parsed.kind == "ORACLE" else ()
+    reads = {
+        "--space": parsed.kind in ("C", "L") or "prod" in modes
+        or ("lip" in modes and not args.zspace),
+        "--zspace": "lip" in modes,
+    }
+    given = [opt for opt, read in reads.items() if getattr(args, opt[2:]) and not read]
+    if given:
+        what = f"a {'+'.join(modes)} oracle" if modes else f"a {parsed.kind} file"
+        raise UsageError(f"{' and '.join(given)}: not read for {what}")
     report: list[str] = []
     if parsed.kind in ("K", "BARK"):
         report = validate_k(parsed.value)

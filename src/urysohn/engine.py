@@ -26,7 +26,6 @@ from typing import Iterable, Iterator, Mapping
 
 from .metric import (
     FinMetric,
-    IntRows,
     MetricTableError,
     WitnessError,
     _ceiling,
@@ -35,6 +34,7 @@ from .metric import (
     _getter,
     jep_gap,
     jep_gap_metric,
+    katetov_break,
     path_amalgam_metric,
 )
 from .rationals import ZERO, fmt_scaled, scaled
@@ -350,9 +350,11 @@ class _Pins:
 
     def unreproduced(self, rows: list[list[int]]) -> Iterator[tuple[int, ...]]:
         """The pins their envelope does not reproduce, in column order, on
-        rows >= 0.  Each is checked against the strictly heavier pins alone
-        (validate_state has the proof): sorted heaviest first, they are a
-        prefix, and ``map`` in the row gather stops at its end."""
+        rows >= 0, as grow and replay_record keep them: each refuses a step
+        whose distances are not positive.  Each pin is checked against the
+        strictly heavier pins alone (validate_state has the proof): sorted
+        heaviest first, they are a prefix, and ``map`` in the row gather
+        stops at its end."""
         order = sorted(range(len(self.neg)), key=self.neg.__getitem__)
         neg = [self.neg[i] for i in order]
         tups = list(self.tups)
@@ -584,11 +586,7 @@ class LimitOracle:
         base = list(base_dists.keys())
         request = ScaledDists.of(base_dists)
         self._check_base(request)
-        if "prod" in self.modes and suitable is None:
-            raise OracleGrowthError("prod mode requires a profile for the new point")
-        if "lip" in self.modes and lip_index is None:
-            raise OracleGrowthError("lip mode requires a dense index for the new point")
-        self._check_carried(rel is not None, suitable, lip_index)
+        self._check_payload(rel is not None, suitable, lip_index)
 
         slot_assign: dict[tuple[int, int], int] = {}
         fresh: list[tuple[int, int]] = []
@@ -624,7 +622,7 @@ class LimitOracle:
         self._value_cache.update(walked)
         return GrowthResult(new_id, slot_assign)
 
-    def _check_base(self, request: ScaledDists, prefix: str = ""):
+    def _check_base(self, request: ScaledDists):
         """Refuse a base whose points are not in the oracle, or whose
         requested distances e are not positive or not Katetov on the base:
         |e_p - e_q| <= d(p, q) <= e_p + e_q for each pair.  In integers over
@@ -634,19 +632,19 @@ class LimitOracle:
         pos, rows = self._pos, self._rows
         for p in request.ints:
             if p not in pos:
-                raise OracleGrowthError(f"{prefix}base point {p!r} not in the oracle")
+                raise OracleGrowthError(f"base point {p!r} not in the oracle")
         den = lcm(request.den, self._den)
         fe, fd = den // request.den, den // self._den
         base = [(p, e * fe) for p, e in request.ints.items()]
         for i, (p, ep) in enumerate(base):
             if ep <= 0:
-                raise OracleGrowthError(f"{prefix}distance to {p!r} must be positive")
+                raise OracleGrowthError(f"distance to {p!r} must be positive")
             row = rows[pos[p]]
             for q, eq in base[i + 1 :]:
                 dpq = row[pos[q]] * fd
                 if abs(ep - eq) > dpq or dpq > ep + eq:
                     raise OracleGrowthError(
-                        f"{prefix}metric infeasible at the base pair ({p!r}, {q!r})"
+                        f"metric infeasible at the base pair ({p!r}, {q!r})"
                     )
 
     def _commit(self, rec: GrowthRecord, row: list[int], den: int):
@@ -896,35 +894,44 @@ class LimitOracle:
             walked.update(((n, g, mt), v) for mt, v in walk)
         return delta, walked
 
-    def _fresh_slot(self, n, taken, claimed=None, prefix="") -> int:
+    def _fresh_slot(self, n, taken, claimed=None) -> int:
         """Take the next free arity-``n`` index g after ``taken``, within the
         budget len + 2 - n that keeps n + g - 1 at most the point count.  A
         replayed record must have ``claimed`` that very index."""
         g = taken.get(n, 0) + 1
         if n < 1 or claimed not in (None, g):
             raise OracleGrowthError(
-                f"{prefix}fresh slot ({n}, {claimed}) is not the next free "
+                f"fresh slot ({n}, {claimed}) is not the next free "
                 f"arity-{n} index {g}"
             )
         budget = len(self._points) + 2 - n
         if g > budget:
             raise OracleGrowthError(
-                f"{prefix}no room for a fresh arity-{n} slot: {g} of {budget}"
+                f"no room for a fresh arity-{n} slot: {g} of {budget}"
             )
         taken[n] = g
         return g
 
-    def _check_carried(self, rel: bool, suitable, lip_index, prefix: str = ""):
-        """Refuse a payload of a mode the oracle does not carry."""
+    def _check_payload(self, rel: bool, suitable, lip_index):
+        """Refuse a step without the profile or the label its modes want, or
+        with a payload of a mode the oracle does not carry."""
+        if "prod" in self.modes and suitable is None:
+            raise OracleGrowthError(f"prod mode requires a profile for the new point")
+        if "lip" in self.modes and lip_index is None:
+            raise OracleGrowthError(f"lip mode requires a dense index for the new point")
         for given, mode, what in (
             (rel, "rel", "indexed predicates"),
             (suitable is not None, "prod", "profiles"),
             (lip_index is not None, "lip", "labels"),
         ):
             if given and mode not in self.modes:
-                raise OracleGrowthError(f"{prefix}oracle does not carry {what}")
+                raise OracleGrowthError(f"oracle does not carry {what}")
 
     def _check_suitable(self, f: SuitableFn, row: list[int], den: int):
+        """Refuse a profile that is invalid on its own or breaks the cross
+        condition, either way, against the profile of an earlier point at
+        its distance in ``row``: validate_c's checks on every pair with the
+        new point."""
         k = self.compact
         report = validate_suitable(f, k)
         if report:
@@ -939,6 +946,9 @@ class LimitOracle:
                 )
 
     def _check_lip(self, idx: int, row: list[int], den: int):
+        """Refuse a label outside the presentation, or one that breaks the
+        Lipschitz bound against an earlier point's label at its distance in
+        ``row``: validate_l's checks on every pair with the new point."""
         try:
             self.polish.check_index(idx)
         except IndexError as exc:
@@ -948,6 +958,19 @@ class LimitOracle:
                 raise OracleGrowthError(
                     f"index {idx} breaks the Lipschitz bound against {u!r}"
                 )
+
+    def _check_row(self, row: list[int], den: int):
+        """Refuse a whole row, as a ``gd`` record gives it, that is not
+        positive or not a Katetov function on the earlier points
+        (``metric.katetov_break``), so the oracle stays a metric.  Its
+        failures name what _check_base names for a base."""
+        pts = self._points
+        if row and min(row) <= 0:
+            raise OracleGrowthError(f"distance to {pts[row.index(min(row))]!r} must be positive")
+        pair = katetov_break(self._rows, row, den // self._den)
+        if pair is not None:
+            s, q = sorted(pair)
+            raise OracleGrowthError(f"metric infeasible at the pair ({pts[s]!r}, {pts[q]!r})")
 
     # -- snapshots -----------------------------------------------------------
 
@@ -973,50 +996,30 @@ class LimitOracle:
         return indexed_structure(metric, n_u, pred)
 
     def validate_state(self) -> list[str]:
-        """Check the oracle's invariants directly on the lazy representation.
+        """Report each stored pin that its slot's envelope does not reproduce.
 
-        The envelope of any pin set is 1-Lipschitz by construction, so the
-        realized state is valid exactly when the distance table is a metric
-        and every pin value is reproduced by its slot's envelope.  Each
-        logged pin must also sit on a slot registered by its step and on
-        points that exist at that step, and each profile must be valid on
-        its own as well as against every other point's.
+        Every other invariant is decided one step at a time, before the step
+        is written, by grow and replay_record alike (``_replayed_row``): the
+        rows stay a metric, each pin sits where its step could put it, and
+        profiles and labels pass validate_c's and validate_l's checks pair
+        by pair.  Replay reads pin values as logged; they are decided here.
 
-        The metric and pin checks run on the oracle's own integer rows and
-        pin columns.  A pin (p, v) of a slot with pins P is reproduced,
+        The check runs on the oracle's own integer rows and pin columns.  A
+        pin (p, v) of a slot with pins P is reproduced,
         E(p) = max(0, max over (q, w) in P of w - d(q, p)) = v, exactly when
         v >= 0 and low(p) + v >= 0, with low(p) = min over (q, w) in P of
         d(q, p) - w: the pin itself gives low(p) <= -v, so the second
         condition says low(p) = -v, no pin pushes E(p) above v, and
-        E(p) = max(0, v) = v.  Once the rows are symmetric and positive off
-        their zero diagonal, every d(q, p) >= 0, so a pin with w <= v gives
+        E(p) = max(0, v) = v.  The rows are >= 0, so a pin with w <= v gives
         d(q, p) - w >= -v and cannot decide low(p) + v >= 0: one row gather
         per pin, over the strictly heavier pins only, decides it
-        (``_Pins.unreproduced``).
-        Triangles are decided one point at a time by
-        ``IntRows.katetov_rows``: each row must be a Katetov function on the
-        points before it, as the step that wrote it made it.  That costs the
-        sum over points of their count times the size of their row's
-        support, near quadratic on grown logs and cubic only when rows are
-        constant; ``triangle_breaks`` runs only to name what breaks.  The pin
-        check is quadratic in the pins of a slot, each pin summed over the
-        heavier ones only, and neither needs the exponential tuple tables a
-        materialized snapshot needs.
+        (``_Pins.unreproduced``).  That is quadratic in the pins of a slot,
+        and it needs none of the exponential tuple tables a materialized
+        snapshot needs.
 
-        This is the one decision for profiles and labels: validate_c and
-        validate_l, run on snapshot_product and snapshot_lipschitz, never
-        report alone.  Their validate_metric checks symmetry, identity,
-        negativity and triangles on the same table, as the metric checks
-        here do.  validate_c wants a profile per point, validate_suitable on
-        each and _cross_breaks over every ordered pair: all three are below.
-        validate_l wants lip_const > 0 (the constructor enforces it), a label
-        per point (below), each in the presentation (grow and replay_record
-        check it) and the bound over every pair (below).  So `urysohn
-        validate` exits with the same code without them.
-
-        It is the one decision for predicates too: once it reports nothing,
-        neither can validate_k(snapshot()).  The rows are then a metric, so
-        the snapshot's metric passes.  grow and replay_record take a fresh
+        It is the one decision for predicates: once it reports nothing,
+        neither can validate_k(snapshot()).  The rows are a metric, so the
+        snapshot's metric passes.  grow and replay_record take a fresh
         arity-n slot only at g <= len + 2 - n, len counted before the step
         (``_fresh_slot``), so the bound n_u, the largest n + g - 1, lies in
         1..len(self), and the initial segments of pattern_indices(n_u) hold
@@ -1029,105 +1032,72 @@ class LimitOracle:
         reproduction check sees it; tests/test_validate_reference.py
         compares the two on damaged oracles.
         """
-        report = []
-        pts, rows, den = self._points, self._rows, self._den
-        ir = IntRows(pts, rows, den)
-        # replay stores what the log says, so a row may hold 0
-        if not ir.symmetric_positive():
-            for i, x in enumerate(pts):
-                for j in range(i + 1, len(pts)):
-                    if rows[i][j] != rows[j][i]:
-                        report.append(f"metric: missing or asymmetric pair ({x},{pts[j]})")
-                    elif rows[i][j] <= 0:
-                        report.append(f"metric: nonpositive distance ({x},{pts[j]})")
-            return report
-        if not ir.katetov_rows():
-            # the cubic scan runs only to name the triangles that break
-            for i, j in ir.triangle_breaks():
-                dxy = rows[i][j]
-                z = next(k for k, r in enumerate(rows[j]) if dxy > rows[i][k] + r)
-                report.append(f"metric: triangle ({pts[i]},{pts[j]}) via {pts[z]}")
-        # where each pin stands is checked against the step that logged it
-        for step, rec in enumerate(self.log, start=1):
-            for slot, delta in rec.pins.items():
-                for tup in delta:
-                    why = self._bad_pin(step, slot, tup)
-                    if why:
-                        report.append(why)
-        if report:
-            return report
-        for (n, g), pins in sorted(self._pins.items()):
-            for t in pins.unreproduced(rows):
-                ptup = tuple(pts[h] for h in t)
-                report.append(f"slot ({n},{g}): pin at {ptup} not reproduced by its envelope")
-        if "prod" in self.modes:
-            k = self.compact
-            for i, x in enumerate(pts):
-                fx = self._suit.get(x)
-                if fx is None:
-                    report.append(f"profile missing for {x!r}")
-                    continue
-                for msg in validate_suitable(fx, k):
-                    report.append(f"profile {x!r}: {msg}")
-                for j in range(i + 1, len(pts)):
-                    y = pts[j]
-                    fy = self._suit.get(y)
-                    if fy is None:
-                        continue  # reported at its own turn
-                    d = Fraction(rows[i][j], den)
-                    for f, g in ((fx, fy), (fy, fx)):
-                        for idx, _, _ in _cross_breaks(f, g, d, k):
-                            report.append(f"profiles of ({x},{y}) clash at index {idx}")
-        if "lip" in self.modes:
-            labelled = [x for x in pts if x in self._lip]
-            report += [f"label missing for {x!r}" for x in pts if x not in self._lip]
-            for i, x in enumerate(labelled):
-                for y in labelled[i + 1 :]:
-                    dz = self.polish.d_idx(self._lip[x], self._lip[y])
-                    if dz > self.lip_const * self.distance(x, y):
-                        report.append(f"labels of ({x},{y}) break the Lipschitz bound")
-        return report
+        pts, rows = self._points, self._rows
+        return [
+            f"slot ({n},{g}): pin at {tuple(pts[h] for h in t)} not reproduced by its envelope"
+            for (n, g), pins in sorted(self._pins.items())
+            for t in pins.unreproduced(rows)
+        ]
 
-    def _bad_pin(self, step: int, slot: tuple[int, int], tup: tuple[str, ...],
-                 rec: GrowthRecord | None = None) -> str | None:
-        """Why grow could not have stored this pin at ``step``, or None;
-        ``rec`` is that step's record, its slots and point not yet written."""
-        born = step if rec is not None and slot in rec.fresh else self.registry.get(slot)
-        if born is None or born > step:
-            return f"step {step}: pin on slot {slot}, which is not registered by then"
+    def _bad_pin(self, rec: GrowthRecord, slot: tuple[int, int],
+                 tup: tuple[str, ...]) -> str | None:
+        """Why grow could not have stored this pin of ``rec``, or None; the
+        record's slots and point are not yet written."""
+        if slot not in rec.fresh and slot not in self.registry:
+            return f"pin on slot {slot}, which is not registered by then"
         if len(tup) != slot[0]:
-            return f"step {step}: pin at {tup} has the wrong arity for slot {slot}"
+            return f"pin at {tup} has the wrong arity for slot {slot}"
         for p in tup:
-            if (rec is None or p != rec.point) and self._pos.get(p, step) >= step:
-                return f"step {step}: pin at {tup} on {p!r}, which does not exist yet"
+            if p != rec.point and p not in self._pos:
+                return f"pin at {tup} on {p!r}, which does not exist yet"
         return None
 
     def replay_record(self, rec: GrowthRecord):
-        """Re-apply a logged step.
+        """Re-apply a logged step; OracleGrowthError, with a ``step N: ``
+        prefix and before anything is written, for a step grow would have
+        refused or could not have written (``_replayed_row``).  Returns the
+        logged record, whose distances are a RowDists on the new row."""
+        try:
+            row, den = self._replayed_row(rec)
+        except OracleGrowthError as exc:
+            raise OracleGrowthError(f"step {len(self._points) + 1}: {exc}") from None
+        return self._commit(rec, row, den)
 
-        Values other than a base's are not re-validated (validate_state
-        does that), but the record must have the shape grow writes: a new
-        point id, distances to exactly the earlier points or to a base,
-        fresh slots that take the next free index of their arity within the
-        budget len + 2 - n, pins on slots registered at or before the record
-        and on points that exist at that step, profiles, labels and pins or
-        fresh slots only where the modes carry them, and profile support
-        indices and labels inside their presentations; OracleGrowthError
-        otherwise, before anything is written.
+    def _replayed_row(self, rec: GrowthRecord) -> tuple[list[int], int]:
+        """The new point's row, as integers at the denominator returned,
+        once ``rec`` has passed every check; OracleGrowthError otherwise.
 
-        A record with a base gives the distances to its base points only;
-        they must be the very request grow would take (``_check_base``), and
-        the row is rebuilt from them by the path rule, as grow built it.
-        Any other record gives the distances to every earlier point.  Every
-        record is read as integers over one denominator (``ScaledDists.of``),
-        so the new row costs one multiply or one ``min`` per distance.
-        Returns the logged record, whose distances are a RowDists on that
-        row.
+        The record must have the shape grow writes: a new point id,
+        distances to exactly the earlier points or to a base, fresh slots
+        that take the next free index of their arity within the budget
+        len + 2 - n, and pins on slots registered at or before the record
+        and on points that exist at that step.  Its values go through
+        grow's own checks, with grow's messages: the base (``_check_base``),
+        the payloads its modes want or do not carry (``_check_payload``),
+        and the profile and the label against every earlier point at the
+        replayed row (``_check_suitable``, ``_check_lip``).  A record that
+        gives the whole row must give one that is positive and Katetov on
+        the earlier points (``_check_row``).  Pin values are left to
+        validate_state.
+
+        A record with a base gives the distances e_b to its base points
+        only, and the row is rebuilt from them by the path rule, as grow
+        built it: r(q) = min over base points b of e_b + d(b, q).  It needs
+        no check beyond the base's.  The earlier points form a metric, as
+        every earlier step was checked, and ``_check_base`` has made each
+        e_b positive and Katetov on the base.  Each term e_b + d(b, .) is
+        then >= e_b > 0 and 1-Lipschitz, and so is their min: r is positive
+        and |r(p) - r(q)| <= d(p, q).  With b and c attaining r(p) and r(q),
+        r(p) + r(q) = e_b + d(b, p) + e_c + d(c, q)
+        >= d(b, c) + d(b, p) + d(c, q) >= d(p, q), as e_b + e_c >= d(b, c).
+        So r is Katetov on every earlier point, and the rows stay a metric.
+
+        Every record is read as integers over one denominator
+        (``ScaledDists.of``), so the new row costs one multiply or one
+        ``min`` per distance.
         """
-        step = len(self._points) + 1
-        prefix = f"step {step}: "
         if rec.point in self._pos:
-            raise OracleGrowthError(f"{prefix}point {rec.point!r} already exists")
+            raise OracleGrowthError(f"point {rec.point!r} already exists")
         if rec.base is None:
             dists = ScaledDists.of(rec.dists)
             ints = dists.ints
@@ -1135,7 +1105,7 @@ class LimitOracle:
                 stray = sorted(ints.keys() - self._pos.keys())
                 missing = [p for p in self._points if p not in ints]
                 raise OracleGrowthError(
-                    f"{prefix}distances must cover exactly the earlier points; "
+                    f"distances must cover exactly the earlier points; "
                     f"stray {stray}, missing {missing}"
                 )
         else:
@@ -1144,24 +1114,16 @@ class LimitOracle:
                 dists = ScaledDists.of({p: dists[p] for p in rec.base if p in dists})
             if not rec.base or tuple(dists.ints) != rec.base:
                 raise OracleGrowthError(
-                    f"{prefix}base {list(rec.base)} wants one distance per base point, in its order"
+                    f"base {list(rec.base)} wants one distance per base point, in its order"
                 )
-            self._check_base(dists, prefix)
-        self._check_carried(bool(rec.pins or rec.fresh), rec.suitable, rec.lip_index, prefix)
+            self._check_base(dists)
+        self._check_payload(bool(rec.pins or rec.fresh), rec.suitable, rec.lip_index)
         taken = dict(self._counts)
         for n, g in rec.fresh:
-            self._fresh_slot(n, taken, g, prefix)
-        try:
-            if rec.suitable is not None:
-                for i in rec.suitable.support:
-                    self.compact.check_index(i)
-            if rec.lip_index is not None:
-                self.polish.check_index(rec.lip_index)
-        except IndexError as exc:
-            raise OracleGrowthError(f"{prefix}{exc}") from None
+            self._fresh_slot(n, taken, g)
         for slot, delta in rec.pins.items():
             for tup in delta:
-                why = self._bad_pin(step, slot, tup, rec)
+                why = self._bad_pin(rec, slot, tup)
                 if why:
                     raise OracleGrowthError(why)
         dens = {dists.den}
@@ -1170,6 +1132,11 @@ class LimitOracle:
         den = self._den_with(dens)
         if rec.base is None:
             row = list(map(mul, map(ints.__getitem__, self._points), repeat(den // dists.den)))
+            self._check_row(row, den)
         else:
             row = self._extended_row(dists, None, den)
-        return self._commit(rec, row, den)
+        if rec.suitable is not None:
+            self._check_suitable(rec.suitable, row, den)
+        if rec.lip_index is not None:
+            self._check_lip(rec.lip_index, row, den)
+        return row, den

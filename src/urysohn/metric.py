@@ -141,54 +141,6 @@ class IntRows:
             for i, row in enumerate(rows)
         )
 
-    def katetov_rows(self) -> bool:
-        """Every row is a Katetov function on the points before it, that is,
-        no triangle breaks; the rows must be symmetric and >= 0.
-
-        Decides what an empty ``triangle_breaks`` decides, one point at a
-        time.  For each h, with r = rows[h][:h], walk the earlier points q in
-        ascending (r_q, q), keep a support S, and gather d(q, S) with one
-        getter to form m(q) = min over s in S of r_s + d(s, q):
-        - r_q == m(q): q is explained by S;
-        - r_q > m(q): the triangle (h, q) via some s breaks;
-        - r_q < m(q): q joins S if d(s, q) <= r_s + r_q for every s in S,
-          and otherwise the triangle (s, q) via h breaks.
-        So a False names a broken triangle.  If every step passes, the points
-        before h form a metric by induction on h, and r is Katetov on S:
-        |r_s - r_q| <= d(s, q) holds by the ascending order and r_q < m(q),
-        and d(s, q) <= r_s + r_q is the join check.  The path row
-        f = min over s in S of r_s + d(s, .) extends a Katetov function on S,
-        so it is Katetov on every earlier point, and r = f: on S by the
-        Katetov property; off S because r_q = m(q) >= f(q) when q was met,
-        and no s gives less, the members then present by m(q) and the later
-        ones by r_s >= r_q.  Every triangle has a largest handle h among its
-        corners, so none breaks.
-
-        The cost is at most the sum over h of h * |S_h| C-level steps.  Rows
-        that a few points explain, as one-point extensions of a small base
-        are, make it near quadratic; a constant row puts every point in S,
-        and then it is cubic like ``triangle_breaks``.
-        """
-        rows = self.rows
-        for h in range(1, len(rows)):
-            r = rows[h][:h]
-            order = sorted(range(h), key=r.__getitem__)
-            s = order[0]
-            supp, rs = [s], [r[s]]
-            gather = _getter(supp)
-            for q in order[1:]:
-                rq = r[q]
-                g = gather(rows[q])
-                m = min(map(add, rs, g))
-                if rq == m:
-                    continue
-                if rq > m or max(map(sub, g, rs)) > rq:
-                    return False
-                supp.append(q)
-                rs.append(rq)
-                gather = _getter(supp)
-        return True
-
     def triangle_breaks(self) -> Iterator[tuple[int, int]]:
         """Index pairs i < j with d(x_i, x_j) > d(x_i, z) + d(z, x_j) for
         some z, in row order.
@@ -202,6 +154,54 @@ class IntRows:
             for j in range(i + 1, len(rows)):
                 if row[j] > min(map(add, row, cols[j])):
                     yield i, j
+
+
+def katetov_break(rows: list[list[int]], r: list[int], factor: int = 1) -> tuple[int, int] | None:
+    """A pair (s, q) of earlier points at which the row ``r`` of a new point
+    is not Katetov, |r_s - r_q| <= d(s, q) <= r_s + r_q failing, or None.
+
+    ``r`` gives the new point's distances, by handle, to the first len(r)
+    points of ``rows``, which must form a metric; each entry of ``rows``
+    times ``factor`` is on r's scale, and r must be >= 0.  Walk the earlier
+    points q in ascending (r_q, q), keep a support S, and gather d(q, S)
+    with one getter to form m(q) = min over s in S of r_s + d(s, q):
+    - r_q == m(q): q is explained by S;
+    - r_q > m(q): r_q - r_s > d(s, q) at the s attaining m(q);
+    - r_q < m(q): q joins S if d(s, q) <= r_s + r_q for every s in S.
+    A failure returns the first s of S at which the pair (s, q) fails.
+    If every step passes, r is Katetov on S: |r_s - r_q| <= d(s, q) holds by
+    the ascending order and r_q < m(q), and d(s, q) <= r_s + r_q is the join
+    check.  The path row f = min over s in S of r_s + d(s, .) extends a
+    Katetov function on S, so it is Katetov on every earlier point, and
+    r = f: on S by the Katetov property; off S because r_q = m(q) >= f(q)
+    when q was met, and no s gives less, the members then present by m(q)
+    and the later ones by r_s >= r_q.  So the earlier points and the new one
+    form a metric exactly when this returns None.
+
+    The cost is at most len(r) * |S| C-level steps: near linear for a row
+    that a few points explain, as a one-point extension of a small base is,
+    and quadratic for a constant row, which puts every point in S.
+    """
+    order = sorted(range(len(r)), key=r.__getitem__)
+    if not order:
+        return None
+    supp, rs = order[:1], [r[order[0]]]
+    gather = _getter(supp)
+    for q in order[1:]:
+        rq = r[q]
+        g = gather(rows[q])
+        if factor != 1:
+            g = [v * factor for v in g]
+        m = min(map(add, rs, g))
+        if rq == m:
+            continue
+        if rq > m or max(map(sub, g, rs)) > rq:
+            fails = (s for s, d, r_s in zip(supp, g, rs) if not abs(rq - r_s) <= d <= rq + r_s)
+            return next(fails), q
+        supp.append(q)
+        rs.append(rq)
+        gather = _getter(supp)
+    return None
 
 
 def _getter(idx: Sequence[int]):

@@ -337,16 +337,17 @@ TWO_POINT_COMPACT = "COMPACT\npoint q1\npoint q2\nd q1 q2 1/1\n"
 
 
 def test_validate_reports_a_profile_grow_refuses_above_the_snapshot_cut(tmp_path, capsys):
-    # 61 points: too many for the validate_c cross-check of the snapshot,
-    # and 5 away from everything, so no pair of profiles clashes
+    # 61 points, 5 away from everything, so no pair of profiles clashes:
+    # the last profile is refused on its own, at its step, as grow refuses it
     space = put(tmp_path, "k.compact", TWO_POINT_COMPACT)
     good = put(tmp_path, "good.log", _prod_log(61, "1=1/1,2=0/1"))
     assert main(["validate", good, "--space", space]) == 0
     capsys.readouterr()
     bad = put(tmp_path, "bad.log", _prod_log(61, "1=5/1,2=0/1"))
     assert main(["validate", bad, "--space", space]) == 1
-    out = capsys.readouterr().out.splitlines()
-    assert out == ["profile 'u61': support clash: r_1 = 5 > 0 + 1 = r_2 + d"]
+    assert capsys.readouterr() == (
+        "", "error: step 61: profile invalid: support clash: r_1 = 5 > 0 + 1 = r_2 + d\n"
+    )
 
 
 def test_validate_refuses_profiles_and_labels_outside_their_presentation(tmp_path, capsys):
@@ -355,7 +356,7 @@ def test_validate_refuses_profiles_and_labels_outside_their_presentation(tmp_pat
         log = put(tmp_path, "p.log", _prod_log(3, profile))
         assert main(["validate", log, "--space", space]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: step 3: dense index {index} outside 1..2")
+        assert err == f"error: step 3: profile invalid: support index {index} outside 1..2\n"
     z = put(tmp_path, "z.polish", POLISH)
     for label in (0, 99):
         log = put(tmp_path, "l.log", f"ORACLE\nmode lip\nL 1/1\ngrow u1\ngpz {label}\n")
@@ -523,9 +524,10 @@ def test_embed_reads_a_k_file_like_the_same_bark_file(tmp_path):
 def test_validate_refuses_payloads_the_modes_do_not_carry(
     tmp_path, capsys, modes, records, error
 ):
-    space = put(tmp_path, "k.compact", TWO_POINT_COMPACT)
+    # the compact presentation only where a prod oracle reads it
+    space = ["--space", put(tmp_path, "k.compact", TWO_POINT_COMPACT)] if modes else []
     log = put(tmp_path, "o.log", "\n".join(["ORACLE", *modes, *records]) + "\n")
-    assert main(["validate", log, "--space", space]) == 1
+    assert main(["validate", log, *space]) == 1
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"error: {error}\n"
@@ -535,28 +537,63 @@ LIP_LOG_HEAD = ["ORACLE", "mode lip", "L 1/1"]
 
 
 @pytest.mark.parametrize(
-    "lines, flag, report",
+    "lines, flag, error",
     [
         (["ORACLE", "mode prod", "grow u1", "gsuit 1=5/1", "grow u2", "gd u1 1/1", "gsuit -"],
-         "--space", ["profiles of (u1,u2) clash at index 1"]),
+         "--space", "step 2: existing profile of 'u1' at 1 too far from the new point"),
         (LIP_LOG_HEAD + ["grow u1", "gpz 1", "grow u2", "gd u1 1/2", "gpz 2"],
-         "--zspace", ["labels of (u1,u2) break the Lipschitz bound"]),
+         "--zspace", "step 2: index 2 breaks the Lipschitz bound against 'u1'"),
         (["ORACLE", "mode prod", "grow u1", "gsuit -", "grow u2", "gd u1 1/1"],
-         "--space", ["profile missing for 'u2'"]),
+         "--space", "step 2: prod mode requires a profile for the new point"),
         (LIP_LOG_HEAD + ["grow u1", "gpz 1", "grow u2", "gd u1 1/1"],
-         "--zspace", ["label missing for 'u2'"]),
+         "--zspace", "step 2: lip mode requires a dense index for the new point"),
     ],
     ids=["profile-clash", "label-clash", "profile-missing", "label-missing"],
 )
 def test_validate_reports_each_profile_and_label_fault_once(
-    tmp_path, capsys, lines, flag, report
+    tmp_path, capsys, lines, flag, error
 ):
+    # replay refuses the step, with grow's message, before it is written
     space = put(tmp_path, "space", TWO_POINT_COMPACT if flag == "--space" else POLISH)
     log = put(tmp_path, "o.log", "\n".join(lines) + "\n")
     assert main(["validate", log, flag, space]) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+@pytest.mark.parametrize(
+    "modes, flags, code, error",
+    [
+        (None, ["--space"], 2, "--space: not read for a BARK file"),
+        (None, ["--zspace"], 2, "--zspace: not read for a BARK file"),
+        ([], ["--space"], 2, "--space: not read for a rel oracle"),
+        ([], ["--space", "--zspace"], 2, "--space and --zspace: not read for a rel oracle"),
+        (["prod"], ["--space", "--zspace"], 2, "--zspace: not read for a prod oracle"),
+        (["lip"], ["--space", "--zspace"], 2, "--space: not read for a lip oracle"),
+        (["lip"], ["--zspace"], 0, ""),
+        (["lip"], ["--space"], 0, ""),
+        (["prod", "lip"], ["--space", "--zspace"], 0, ""),
+    ],
+)
+def test_validate_refuses_a_presentation_it_does_not_read(tmp_path, capsys, modes, flags,
+                                                          code, error):
+    # an unread path is refused before it is read, so a missing file is not
+    # what decides; the presentations read are real files
+    given = {"--space": put(tmp_path, "k.compact", TWO_POINT_COMPACT),
+             "--zspace": put(tmp_path, "z.polish", POLISH)}
+    if code:
+        given = dict.fromkeys(given, str(tmp_path / "nothere"))
+    elif flags == ["--space"]:
+        given["--space"] = given["--zspace"]  # a lip oracle's polish presentation
+    if modes is None:
+        path = put(tmp_path, "x.bark", "BARK\npoint x1\nnA 1\np 1 1 x1 0/1\n")
+    else:
+        lines = ["ORACLE", *(f"mode {m}" for m in modes)] + (["L 1/1"] if "lip" in modes else [])
+        lines += ["grow u1"] + (["gsuit -"] if "prod" in modes else [])
+        lines += ["gpz 1"] if "lip" in modes else []
+        path = put(tmp_path, "o.log", "\n".join(lines) + "\n")
+    assert main(["validate", path, *(x for f in flags for x in (f, given[f]))]) == code
     out = capsys.readouterr()
-    assert out.out.splitlines() == report
-    assert out.err == ""
+    assert out == (("", f"usage error: {error}\n") if code else ("valid\n", ""))
 
 
 def test_certify_a_missing_file_is_a_usage_error(tmp_path, capsys):

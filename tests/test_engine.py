@@ -470,6 +470,12 @@ _OLD = {"u1": _THIRD, "u2": _THIRD}
         _refused(_rel_pair, "u3", _OLD, pins={(1, 1): {("u4",): _THIRD}}),
         _refused(_rel_pair, "u3", _OLD, {(1, 2): {("u3",): _THIRD}, (1, 3): {("u3",): _THIRD}},
                  fresh=((1, 2),)),
+        # profiles and labels grow refuses, in the order grow checks them
+        _refused(_prod_lip_point, "u2", {"u1": _THIRD}, profile="fits"),
+        _refused(_prod_lip_point, "u2", {"u1": _THIRD}, profile="clash", label=1),
+        _refused(_prod_lip_point, "u2", {"u1": _THIRD}, profile="far", label=1),
+        _refused(_prod_lip_point, "u2", {"u1": _THIRD}, profile="low", label=1),
+        _refused(_prod_lip_point, "u2", {"u1": _THIRD}, profile="fits", label=2),
     ],
 )
 def test_refused_replay_writes_nothing(make, point, dists, pins, fresh, profile, label):
@@ -477,7 +483,11 @@ def test_refused_replay_writes_nothing(make, point, dists, pins, fresh, profile,
     from urysohn.spaces import SuitableFn, suitable
 
     o, grow_next = make()
-    profile = {None: None, "empty": SuitableFn(()), "outside": suitable({5: F(1)})}[profile]
+    profile = {
+        None: None, "empty": SuitableFn(()), "outside": suitable({5: F(1)}),
+        "fits": suitable({1: F(1)}), "clash": suitable({1: F(3), 2: F(0)}),
+        "far": suitable({1: F(2)}), "low": suitable({1: F(0)}),
+    }[profile]
     before = (o.metric(), list(o.log), dict(o.registry),
               [o.realized_count(n) for n in range(1, 5)], o.den)
     with pytest.raises(OracleGrowthError, match="^step "):
@@ -500,18 +510,8 @@ def test_replay_accepts_a_pin_on_its_own_point_and_fresh_slot():
     assert o.validate_state() == []
 
 
-def test_validate_state_reports_pins_out_of_place():
-    o = LimitOracle()
-    o.grow({}, rel=one_point_ext(1))
-    o.grow({"u1": F(1)})
-    assert o.log[0].pins == {(1, 1): {("u1",): F(1)}}
-    assert o.validate_state() == []
-    o.registry[(1, 1)] = 2  # as if the slot were registered after its pin
-    assert any("not registered" in msg for msg in o.validate_state())
-
-
 def test_labels_outside_the_presentation_are_refused_and_missing_ones_reported():
-    from urysohn.engine import GrowthRecord
+    from urysohn.files import parse_structure_file, replay_oracle
     from urysohn.spaces import PolishPresentation
 
     z = PolishPresentation(fin_metric(["z1", "z2"], {("z1", "z2"): F(1)}))
@@ -520,21 +520,23 @@ def test_labels_outside_the_presentation_are_refused_and_missing_ones_reported()
         with pytest.raises(OracleGrowthError, match=f"dense index {label} outside 1..2"):
             o.grow({}, lip_index=label)
     assert len(o) == 0
-    o.grow({}, lip_index=1)
-    o.replay_record(GrowthRecord("u2", {"u1": F(2)}, {}, (), None, None))
-    assert o.validate_state() == ["label missing for 'u2'"]
+    log = parse_structure_file("ORACLE\nmode lip\nL 1/1\ngrow u1\ngpz 1\ngrow u2\ngd u1 2/1\n")
+    with pytest.raises(OracleGrowthError) as exc:
+        replay_oracle(log.value, polish=z)
+    assert str(exc.value) == "step 2: lip mode requires a dense index for the new point"
 
 
-def test_validate_state_reports_every_missing_profile():
-    from urysohn.engine import GrowthRecord
-    from urysohn.spaces import CompactPresentation, SuitableFn
+def test_replay_refuses_a_missing_profile():
+    from urysohn.files import parse_structure_file, replay_oracle
+    from urysohn.spaces import CompactPresentation
 
     k = CompactPresentation(fin_metric(["q1", "q2"], {("q1", "q2"): F(1)}))
-    o = LimitOracle(("prod",), compact=k)
-    o.replay_record(GrowthRecord("u1", {}, {}, (), SuitableFn(()), None))
-    o.replay_record(GrowthRecord("u2", {"u1": F(1)}, {}, (), None, None))
-    o.replay_record(GrowthRecord("u3", {"u1": F(1), "u2": F(1)}, {}, (), None, None))
-    assert o.validate_state() == ["profile missing for 'u2'", "profile missing for 'u3'"]
+    log = parse_structure_file(
+        "ORACLE\nmode prod\ngrow u1\ngsuit -\ngrow u2\ngd u1 1/1\ngrow u3\ngb u1 1/1\n"
+    )
+    with pytest.raises(OracleGrowthError) as exc:
+        replay_oracle(log.value, compact=k)
+    assert str(exc.value) == "step 2: prod mode requires a profile for the new point"
 
 
 def test_grow_refuses_profiles_and_labels_the_oracle_does_not_carry():

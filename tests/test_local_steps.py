@@ -1,8 +1,10 @@
 """Differential tests of the one-step validators against the scans they replace.
 
-``IntRows.katetov_rows`` decides the triangle inequality one point at a time,
-through the Katetov support of each row, and must agree with an empty
-``IntRows.triangle_breaks`` on every symmetric table with entries >= 0.
+``metric.katetov_break`` decides the triangle inequality one point at a
+time, through the Katetov support of each row, and run on each row in turn
+must agree with an empty ``IntRows.triangle_breaks`` on every symmetric
+table with entries >= 0.  Replay runs it on each row a log gives whole, so a
+damaged log is refused exactly when the scan finds a broken triangle.
 ``relational._lines_hold`` decides the 1-Lipschitz law of a total table along
 its coordinate lines and must agree with the law over all pairs; with it,
 ``find_lipschitz_violation`` must return what the row scan alone returned.
@@ -17,14 +19,14 @@ from random import Random
 from hypothesis import given, settings, strategies as st
 
 from urysohn import relational
-from urysohn.engine import LimitOracle
+from urysohn.engine import LimitOracle, OracleGrowthError
 from urysohn.files import oracle_file, parse_structure_file, replay_oracle, serialize_structure
-from urysohn.metric import FinMetric, IntRows, fin_metric
+from urysohn.metric import FinMetric, IntRows, fin_metric, katetov_break
 from urysohn.randgen import random_metric
-from urysohn.rationals import scaled
+from urysohn.rationals import fmt_rat, scaled
 from urysohn.relational import find_lipschitz_violation, tuples_over
 
-from oracle_state import set_int_dist
+from reference_log import reference_oracle_text, unchecked_replay
 from test_katetov_kernel import old_find_lipschitz_violation
 from test_validate_reference import grown_oracle, reference_validate_state
 
@@ -33,9 +35,17 @@ seeds = st.integers(0, 2**32)
 
 
 def decide(rows):
-    """(the step check, no pair from the cubic scan) on integer rows."""
-    ir = IntRows(range(len(rows)), rows, 1)
-    return ir.katetov_rows(), next(ir.triangle_breaks(), None) is None
+    """(each row Katetov on the rows before it, by ``katetov_break`` in row
+    order, as replay runs it; no pair from the cubic scan) on integer rows.
+    The pair a break names must itself fail the Katetov condition."""
+    pair = None
+    for h, r in enumerate(rows):
+        pair = katetov_break(rows, r[:h])
+        if pair is not None:
+            s, q = pair
+            assert not abs(r[s] - r[q]) <= rows[s][q] <= r[s] + r[q]
+            break
+    return pair is None, next(IntRows(range(len(rows)), rows, 1).triangle_breaks(), None) is None
 
 
 def damage_one_pair(rng, rows, unit):
@@ -47,6 +57,35 @@ def damage_one_pair(rng, rows, unit):
 
 def replayed(o):
     return replay_oracle(parse_structure_file(serialize_structure("ORACLE", oracle_file(o))).value)
+
+
+def set_gd(text, point, other, value):
+    """The log ``text`` with the gd line of ``other`` in ``point``'s block
+    set to ``value``."""
+    lines = text.split("\n")
+    i = lines.index(f"grow {point}") + 1
+    while not lines[i].startswith(f"gd {other} "):
+        i += 1
+    lines[i] = f"gd {other} {fmt_rat(value)}"
+    return "\n".join(lines)
+
+
+def damaged_log(rng, o):
+    """The all-gd log of ``o`` with one distance moved by one unit of its
+    scale, by 1 or by 3, and kept positive."""
+    x, y = sorted(rng.sample(o.points, 2), key=o.points.index)
+    unit = F(1, o.den)
+    v = o.distance(x, y) + rng.choice([-1, 1]) * rng.choice([unit, 1, 3])
+    return set_gd(reference_oracle_text(oracle_file(o)), y, x, max(unit, v))
+
+
+def replay_refusal(text):
+    """replay's refusal of the log ``text``, or None."""
+    try:
+        replay_oracle(parse_structure_file(text).value)
+    except OracleGrowthError as exc:
+        return str(exc)
+    return None
 
 
 # -- the triangle inequality, one point at a time ---------------------------------
@@ -62,25 +101,27 @@ def test_steps_match_the_scan_on_grown_and_replayed_rows(seed, replay):
     assert decide([list(r) for r in o._rows]) == (True, True)
     if len(o) < 2:
         return
-    x, y = rng.sample(o.points, 2)
-    v = o._rows[o._pos[x]][o._pos[y]]
-    set_int_dist(o, x, y, max(1, v + rng.choice([-1, 1]) * rng.choice([1, o.den, 3 * o.den])))
-    ok, want = decide([list(r) for r in o._rows])
+    text = damaged_log(rng, o)
+    ok, want = decide(unchecked_replay(parse_structure_file(text).value)._rows)
     assert ok == want
-    assert o.validate_state() == reference_validate_state(o)
+    refusal = replay_refusal(text)
+    assert (refusal is None) == want
+    assert want or "metric infeasible at the pair" in refusal
 
 
 def test_damaged_rows_reach_both_answers():
-    """One damaged pair of a grown oracle is sometimes still a metric and
-    sometimes not, so both branches of the differential test are driven."""
+    """One damaged distance in the log of a grown oracle sometimes leaves a
+    metric and sometimes not, so both branches of the differential test are
+    driven."""
     seen = set()
     for seed in range(40):
         rng = Random(seed)
-        rows = [list(r) for r in grown_oracle(rng, steps=10)._rows]
-        if len(rows) > 2:
-            damage_one_pair(rng, rows, 4)
-            seen.add(decide(rows))
-    assert seen == {(True, True), (False, False)}
+        o = grown_oracle(rng, steps=10)
+        if len(o) > 2:
+            text = damaged_log(rng, o)
+            rows = unchecked_replay(parse_structure_file(text).value)._rows
+            seen.add((*decide(rows), replay_refusal(text) is None))
+    assert seen == {(True, True, True), (False, False, False)}
 
 
 @st.composite
@@ -140,13 +181,13 @@ def test_equilateral_worst_case_passes_and_catches_one_long_pair():
     o = LimitOracle()
     for _ in range(40):
         o.grow({p: F(1) for p in o.points})
-    assert o.validate_state() == []
-    set_int_dist(o, "u7", "u23", 2 * o.den)  # 1 + 1: still a metric
-    assert o.validate_state() == []
-    set_int_dist(o, "u7", "u23", 2 * o.den + 1)
-    report = o.validate_state()
-    assert report == reference_validate_state(o)
-    assert report == ["metric: triangle (u7,u23) via u1"]
+    text = reference_oracle_text(oracle_file(o))
+    assert replay_refusal(text) is None
+    assert replay_refusal(set_gd(text, "u23", "u7", F(2))) is None  # 1 + 1: still a metric
+    long = set_gd(text, "u23", "u7", F(2 * o.den + 1, o.den))
+    assert replay_refusal(long) == "step 23: metric infeasible at the pair ('u1', 'u7')"
+    state = unchecked_replay(parse_structure_file(long).value)
+    assert reference_validate_state(state) == ["metric: triangle (u7,u23) via u1"]
 
 
 # -- the Lipschitz law along coordinate lines -------------------------------------
