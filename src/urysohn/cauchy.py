@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .certificates import Check
 from .engine import LimitOracle, RelExtension
-from .metric import FinMetric, OnePointSpec, _ceiling, _envelope, fin_metric, one_point_feasible
+from .metric import FinMetric, _ceiling, _envelope, fin_metric
 from .rationals import ZERO, pow2, scaled
 from .relational import (
     IndexedStructure,
@@ -106,53 +107,47 @@ def solve_sandwich(
     an exact 2^-level link to the previous approximant.
 
     Offsets take the smallest band value (2i-1)/(k 2^(level+1)); with rational
-    targets this already makes every distance rational.  Feasibility of the
-    whole system is verified exactly and a failure raises with a full dump.
+    targets this already makes every distance rational.  Each base pair must
+    pass its Katetov sandwich checks; the first to fail raises with a full dump.
     """
     if len(anchors) != len(targets):
         raise SolverError("anchor/target length mismatch")
-    if len(set(anchors)) != len(anchors):
-        raise SolverError(f"anchors must be distinct oracle points: {anchors}")
+    if len(set(anchors)) != len(anchors) or prev in anchors:
+        raise SolverError(f"anchors and prev must be distinct points: {anchors}, {prev!r}")
     k = len(anchors) + 1
     order = tuple(sorted(range(len(anchors)), key=lambda i: (-targets[i], i)))
     gamma = [ZERO] * len(anchors)
     eta = [ZERO] * len(anchors)
     checks: list[Check] = []
+    unit = Fraction(1, k * 2 ** (level + 1))
     for pos, i in enumerate(order, start=1):
-        gamma[i] = Fraction(2 * pos - 1, k * 2 ** (level + 1))
+        gamma[i] = (2 * pos - 1) * unit
         eta[i] = targets[i] + gamma[i]
-        checks.append(
-            Check(f"band-lower-{anchors[i]}", targets[i] + Fraction(2 * pos - 1, k * 2 ** (level + 1)), "<=", eta[i])
-        )
-        checks.append(
-            Check(f"band-upper-{anchors[i]}", eta[i], "<=", targets[i] + Fraction(2 * pos, k * 2 ** (level + 1)))
-        )
+        checks.append(Check(f"band-lower-{anchors[i]}", targets[i] + gamma[i], "<=", eta[i]))
+        checks.append(Check(f"band-upper-{anchors[i]}", eta[i], "<=", targets[i] + 2 * pos * unit))
     link = pow2(-level) if prev is not None else None
-    base_pts = list(anchors) + ([prev] if prev is not None else [])
-    spec_eta = {a: eta[i] for i, a in enumerate(anchors)}
+    spec_eta = dict(zip(anchors, eta))
     if prev is not None:
         spec_eta[prev] = link
         checks.append(Check("link", link, "=", pow2(-level)))
-    if base_pts:
-        entries = {
-            (x, y): dist(x, y)
-            for i, x in enumerate(base_pts)
-            for y in base_pts[i + 1 :]
-        }
-        base = fin_metric(base_pts, entries)
-        ok, why = one_point_feasible(base, OnePointSpec(tuple(base_pts), spec_eta))
-        if not ok:
+    entries = {(x, y): dist(x, y) for x, y in combinations(spec_eta, 2)}
+    for p, e in spec_eta.items():
+        if e == 0:
+            raise ValueError(f"eta({p}) = 0: the new point must be distinct")
+        if e < 0:
+            raise ValueError(f"eta({p}) < 0")
+    for (x, y), dxy in entries.items():
+        ex, ey = spec_eta[x], spec_eta[y]
+        gap = Check(f"triangle-gap-{x}-{y}", abs(ex - ey), "<=", dxy)
+        tri = Check(f"triangle-sum-{x}-{y}", dxy, "<=", ex + ey)
+        checks += gap, tri
+        if not (gap.holds and tri.holds):
+            why = (f"|eta({x}) - eta({y})| = {gap.lhs} > d = {dxy}" if not gap.holds
+                   else f"d({x},{y}) = {dxy} > eta({x}) + eta({y}) = {tri.rhs}")
             raise SandwichInfeasible(
                 f"no admissible point at level {level}: {why}; "
                 f"targets={list(map(str, targets))} eta={list(map(str, eta))} "
                 f"base={[(x, y, str(v)) for (x, y), v in entries.items()]}"
-            )
-        for x, y in base.pairs():
-            checks.append(
-                Check(f"triangle-gap-{x}-{y}", abs(spec_eta[x] - spec_eta[y]), "<=", base.d(x, y))
-            )
-            checks.append(
-                Check(f"triangle-sum-{x}-{y}", base.d(x, y), "<=", spec_eta[x] + spec_eta[y])
             )
     return SandwichSolution(tuple(eta), tuple(gamma), link, order, tuple(checks))
 
@@ -553,9 +548,15 @@ def validate_witness(
         checks = witness_checks(o, iso, eval_depth, tol)
     except SolverError as exc:
         return ZERO, [str(exc)]
-    worst = max((c.lhs for c in checks), default=ZERO)
-    failures = [f"{c.name}: {c.lhs} > {c.rhs}" for c in checks if not c.holds]
-    return worst, failures
+    return _worst_gap(checks), _failures(checks)
+
+
+def _worst_gap(checks: Iterable[Check]) -> Fraction:
+    return max((c.lhs for c in checks), default=ZERO)
+
+
+def _failures(checks: Iterable[Check]) -> list[str]:
+    return [f"{c.name}: {c.lhs} > {c.rhs}" for c in checks if not c.holds]
 
 
 def _slot_family_shape(slots: Iterable[Slot]) -> tuple[int, dict[int, tuple[int, ...]]]:
@@ -609,8 +610,15 @@ class BackAndForthOutcome:
     iso: PartialIso
     new_dom: tuple[CauchyPoint, ...]
     new_rng: tuple[CauchyPoint, ...]
-    worst_gap: Fraction
-    failures: tuple[str, ...]
+    checks: tuple[Check, ...]  # the final witness checks, at tolerance 2^-(depth-1)
+
+    @property
+    def worst_gap(self) -> Fraction:
+        return _worst_gap(self.checks)
+
+    @property
+    def failures(self) -> tuple[str, ...]:
+        return tuple(_failures(self.checks))
 
 
 def extend_partial_iso(
@@ -695,5 +703,5 @@ def extend_partial_iso(
             new_dom.append(outcome.point)
 
     final = PartialIso(tuple(dom), tuple(rng), dict(iso.slots))
-    worst, failures = validate_witness(o, final, depth, pow2(-(depth - 1)))
-    return BackAndForthOutcome(final, tuple(new_dom), tuple(new_rng), worst, tuple(failures))
+    checks = witness_checks(o, final, depth, pow2(-(depth - 1)))
+    return BackAndForthOutcome(final, tuple(new_dom), tuple(new_rng), tuple(checks))

@@ -22,7 +22,6 @@ from .cauchy import (
     extend_one_point,
     extend_partial_iso,
     homog_depth_plan,
-    witness_checks,
 )
 from .certificates import Check, emit_certificate, verify_certificate
 from .engine import LimitOracle, OracleGrowthError, RelExtension, amalgamate_k, joint_embed_k
@@ -30,6 +29,7 @@ from .files import (
     ParseError,
     oracle_chunks,
     oracle_file,
+    parse_profile_entries,
     parse_structure_file,
     replay_oracle,
     serialize_structure,
@@ -67,6 +67,16 @@ def _load_kind(path: str, *kinds: str):
     if parsed.kind not in kinds:
         raise UsageError(f"{path}: expected a {'/'.join(kinds)} file, got {parsed.kind}")
     return parsed.value
+
+
+def _option(opt: str, parse, text: str):
+    """``parse(text)`` for a value of ``opt``; a malformed one is a usage error."""
+    try:
+        return parse(text)
+    except RatParseError as exc:
+        raise UsageError(f"{opt}: {exc}") from None
+    except ParseError as exc:
+        raise UsageError(f"{opt}: {exc.message}") from None
 
 
 def _point_map(pairs: list[str]) -> dict[str, str]:
@@ -239,14 +249,14 @@ def cmd_grow(args) -> int:
         raise UsageError(f"{' and '.join(given)}: not read {when} an extension file")
     compact = _load_kind(args.space, "COMPACT") if args.space else None
     polish = _load_kind(args.zspace, "POLISH") if args.zspace else None
-    lip = parse_rat(args.lip) if args.lip else None
+    lip = _option("--lip", parse_rat, args.lip) if args.lip else None
     o = _load_oracle(args, compact, polish, tuple(args.mode or ("rel",)), lip)
     dists = {}
     for pair in args.dist or []:
         if "=" not in pair:
             raise UsageError(f"malformed distance entry {pair!r}")
         pt, val = pair.split("=", 1)
-        dists[pt] = parse_rat(val)
+        dists[pt] = _option("--dist", parse_rat, val)
     rel = None
     if args.ext:
         ext = _load_kind(args.ext, "K")
@@ -265,11 +275,7 @@ def cmd_grow(args) -> int:
             raise UsageError("the extension must leave exactly one point unmapped")
         dists = {base_map[p]: ext.metric.d(new_pts[0], p) for p in base_map}
         rel = RelExtension(ext, base_map, slots)
-    suit = None
-    if args.suit:
-        from .files import parse_profile_entries
-
-        suit = parse_profile_entries(args.suit)
+    suit = _option("--suit", parse_profile_entries, args.suit) if args.suit else None
     lip_index = args.pz
     result = o.grow(dists, rel=rel, suitable=suit, lip_index=lip_index)
     print(result.point)
@@ -337,8 +343,7 @@ def cmd_homog(args) -> int:
             bucket.append(outcome.point)
     iso = PartialIso(left.points, right.points, slots)
     result = extend_partial_iso(o, iso, wish_dom, wish_rng, depth)
-    checks = witness_checks(o, result.iso, depth, pow2(-(depth - 1)))
-    _write(args.out, emit_certificate(checks))
+    _write(args.out, emit_certificate(result.checks))
     _save_oracle(o, args.out_log)
     return 0 if not result.failures else 1
 

@@ -50,7 +50,7 @@ from .relational import (
     pattern_indices,
     pattern_slots,
     tuples_over,
-    validate_k_shape,
+    validate_pattern,
 )
 from .spaces import (
     CompactPresentation,
@@ -714,25 +714,33 @@ class LimitOracle:
         return jep_gap(values)
 
     def _check_rel(self, rel: RelExtension, base, base_dists):
+        """Every check of an extension but the 1-Lipschitz law and base
+        agreement, which are _rel_pins's walk.  Its metric needs none of its
+        own: _check_base has made the request e positive and Katetov on the
+        base, and below, the points but one new x are distinct and mapped
+        injectively onto the base, with d(x, p) = d(p, x) = e there and
+        d(p, q) = d(q, p) = the oracle's distance.  So the extension is the
+        base plus one Katetov row: a metric."""
         ext, bm = rel.ext, rel.base_map
-        # the 1-Lipschitz law and base agreement are _rel_pins's walk
-        report = validate_k_shape(ext)
+        report = validate_pattern(ext)
         if report:
             raise OracleGrowthError(f"extension structure invalid: {report[0]}")
         new_pts = [p for p in ext.points if p not in bm]
         if len(new_pts) != 1:
             raise OracleGrowthError("extension must have exactly one unmapped point")
+        if len(set(ext.points)) != len(ext.points):
+            raise OracleGrowthError("extension repeats a point")
         if len(set(bm.values())) != len(bm):
             raise OracleGrowthError("base map is not injective")
         if set(bm.values()) != set(base):
             raise OracleGrowthError("base map image must equal the base")
-        new_pt = new_pts[0]
+        new_pt, d = new_pts[0], ext.metric.d
         for p in bm:
-            if ext.metric.d(new_pt, p) != base_dists[bm[p]]:
+            if not d(new_pt, p) == d(p, new_pt) == base_dists[bm[p]]:
                 raise OracleGrowthError(f"distance to {bm[p]!r} disagrees with the request")
         for p in bm:
             for q in bm:
-                if p < q and ext.metric.d(p, q) != self.distance(bm[p], bm[q]):
+                if p < q and not d(p, q) == d(q, p) == self.distance(bm[p], bm[q]):
                     raise OracleGrowthError(
                         f"extension distorts the base pair ({bm[p]!r}, {bm[q]!r})"
                     )

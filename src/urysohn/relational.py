@@ -95,10 +95,11 @@ def tuples_over(points: tuple[str, ...], n: int) -> Iterable[tuple[str, ...]]:
 
 
 def validate_k(s: IndexedStructure) -> list[str]:
-    """Full validity report: validate_k_shape's, then the 1-Lipschitz law."""
-    report = validate_k_shape(s)
-    if any(not msg.startswith("metric: ") for msg in report):
-        return report
+    """Full validity report: metric axioms, validate_pattern's, then the 1-Lipschitz law."""
+    report = [f"metric: {msg}" for msg in validate_metric(s.metric)]
+    pattern = validate_pattern(s)
+    if pattern:
+        return report + pattern
     for n, m in s.slots():
         values = {tup: s.pred[(n, m, tup)] for tup in tuples_over(s.points, n)}
         bad = find_lipschitz_violation(s.metric, values)
@@ -108,16 +109,13 @@ def validate_k(s: IndexedStructure) -> list[str]:
     return report
 
 
-def validate_k_shape(s: IndexedStructure) -> list[str]:
-    """Metric axioms, arity bound, index sets and totality; a message without
-    the ``metric: `` prefix means some table is not total."""
-    report = [f"metric: {msg}" for msg in validate_metric(s.metric)]
+def validate_pattern(s: IndexedStructure) -> list[str]:
+    """Arity bound, index sets and totality: everything validate_k checks
+    before the 1-Lipschitz law except the metric axioms."""
     if not 0 <= s.bound <= len(s):
-        report.append(f"arity bound {s.bound} outside 0..{len(s)}")
-        return report
+        return [f"arity bound {s.bound} outside 0..{len(s)}"]
     if set(s.indices) != set(range(1, s.bound + 1)):
-        report.append("index sets must cover exactly the arities 1..bound")
-        return report
+        return ["index sets must cover exactly the arities 1..bound"]
     shape = []
     for n, members in sorted(s.indices.items()):
         if len(set(members)) != len(members) or list(members) != sorted(members):
@@ -130,15 +128,13 @@ def validate_k_shape(s: IndexedStructure) -> list[str]:
         if any(m < 1 for m in members):
             shape.append(f"index set for arity {n} has a non-positive member")
     if shape:
-        return report + shape
+        return shape
     expected = {(n, m, tup) for n, m in s.slots() for tup in tuples_over(s.points, n)}
     missing = sorted(expected - s.pred.keys())
     stray = sorted(s.pred.keys() - expected)
-    for n, m, tup in missing:
-        report.append(f"totality: p_{m}^{n} missing on {tup}")
-    for n, m, tup in stray:
-        report.append(f"totality: p_{m}^{n} defined on {tup} outside the pattern")
-    return report
+    return [f"totality: p_{m}^{n} missing on {tup}" for n, m, tup in missing] + [
+        f"totality: p_{m}^{n} defined on {tup} outside the pattern" for n, m, tup in stray
+    ]
 
 
 def find_lipschitz_violation(

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -17,7 +18,10 @@ from urysohn.cauchy import (
     validate_witness,
     verify_cauchy,
     PartialIso,
+    SandwichInfeasible,
+    SandwichSolution,
 )
+from urysohn.certificates import Check
 from urysohn.engine import LimitOracle
 from urysohn.metric import FinMetric, fin_metric, validate_metric, OnePointSpec, one_point_feasible
 from urysohn.rationals import pow2
@@ -59,6 +63,11 @@ def test_sandwich_no_anchor_cases():
     assert sol.eta == () and sol.link is None
     sol2 = solve_sandwich([], [], lambda x, y: F(0), 3, prev="p")
     assert sol2.link == F(1, 8)
+
+
+def test_sandwich_refuses_a_previous_approximant_among_the_anchors():
+    with pytest.raises(SolverError, match="anchors and prev must be distinct points"):
+        solve_sandwich(["a"], [F(1)], lambda x, y: F(1), 1, prev="a")
 
 
 def test_sandwich_chain_with_fixed_anchors_stays_feasible():
@@ -143,6 +152,108 @@ def test_sandwich_brute_force_agreement():
                 for other in [f"g{j}" for j in range(1, level - 1)]:
                     dists[(g, other)] = sol.link + d(prev, other)
             prev = g
+
+
+def reference_solve_sandwich(anchors, targets, dist, level, prev=None):
+    """solve_sandwich as it was: the sandwich decided by one_point_feasible
+    on a FinMetric built for the call, then the triangle checks recorded
+    over the same pairs."""
+    if len(anchors) != len(targets):
+        raise SolverError("anchor/target length mismatch")
+    if len(set(anchors)) != len(anchors):
+        raise SolverError(f"anchors must be distinct oracle points: {anchors}")
+    k = len(anchors) + 1
+    order = tuple(sorted(range(len(anchors)), key=lambda i: (-targets[i], i)))
+    gamma = [F(0)] * len(anchors)
+    eta = [F(0)] * len(anchors)
+    checks = []
+    for pos, i in enumerate(order, start=1):
+        gamma[i] = F(2 * pos - 1, k * 2 ** (level + 1))
+        eta[i] = targets[i] + gamma[i]
+        checks.append(
+            Check(f"band-lower-{anchors[i]}", targets[i] + F(2 * pos - 1, k * 2 ** (level + 1)), "<=", eta[i])
+        )
+        checks.append(
+            Check(f"band-upper-{anchors[i]}", eta[i], "<=", targets[i] + F(2 * pos, k * 2 ** (level + 1)))
+        )
+    link = pow2(-level) if prev is not None else None
+    base_pts = list(anchors) + ([prev] if prev is not None else [])
+    spec_eta = {a: eta[i] for i, a in enumerate(anchors)}
+    if prev is not None:
+        spec_eta[prev] = link
+        checks.append(Check("link", link, "=", pow2(-level)))
+    if base_pts:
+        entries = {
+            (x, y): dist(x, y)
+            for i, x in enumerate(base_pts)
+            for y in base_pts[i + 1 :]
+        }
+        base = fin_metric(base_pts, entries)
+        ok, why = one_point_feasible(base, OnePointSpec(tuple(base_pts), spec_eta))
+        if not ok:
+            raise SandwichInfeasible(
+                f"no admissible point at level {level}: {why}; "
+                f"targets={list(map(str, targets))} eta={list(map(str, eta))} "
+                f"base={[(x, y, str(v)) for (x, y), v in entries.items()]}"
+            )
+        for x, y in base.pairs():
+            checks.append(
+                Check(f"triangle-gap-{x}-{y}", abs(spec_eta[x] - spec_eta[y]), "<=", base.d(x, y))
+            )
+            checks.append(
+                Check(f"triangle-sum-{x}-{y}", base.d(x, y), "<=", spec_eta[x] + spec_eta[y])
+            )
+    return SandwichSolution(tuple(eta), tuple(gamma), link, order, tuple(checks))
+
+
+def _outcome(solve, *args):
+    try:
+        return solve(*args)
+    except (SandwichInfeasible, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("den", [8, 64, 1024])
+def test_solve_sandwich_decides_as_one_point_feasible_did(den):
+    """solve_sandwich against the reference on random bases: the same
+    solution and recorded checks, or the same refusal with the same words.
+    Half the bases are a metric with the target point in it, so the
+    sandwich often holds; the rest are random distances, which it often
+    does not.  Some targets are negative enough to reach eta = 0 or below."""
+    rng = Random(den)
+    seen = {"solved": 0, "gap": 0, "sum": 0, "eta = 0": 0, "eta < 0": 0}
+    for _ in range(300):
+        k = rng.randint(0, 4)
+        anchors = [f"u{i}" for i in rng.sample(range(1, 40), k)]
+        prev = "v" if rng.random() < 0.7 else None
+        pts = anchors + ([prev] if prev else [])
+        if rng.random() < 0.5:
+            # points on a line, the target point among them
+            pos = {p: F(rng.randint(0, 4 * den), den) for p in pts + ["t"]}
+            d = {(x, y): abs(pos[x] - pos[y]) or F(1, den) for x in pts for y in pts}
+            targets = [abs(pos[a] - pos["t"]) for a in anchors]
+        else:
+            d = {}
+            for i, x in enumerate(pts):
+                for y in pts[i + 1 :]:
+                    d[(x, y)] = d[(y, x)] = F(rng.randint(1, 4 * den), den)
+            targets = [F(rng.randint(0, 4 * den), den) for _ in anchors]
+        level = rng.randint(1, 6)
+        if anchors and rng.random() < 0.15:
+            # the lowest target takes the widest offset (2k - 1) / ((k + 1) 2^(level + 1));
+            # minus exactly that, its eta is 0
+            low = F(2 * k - 1, (k + 1) * 2 ** (level + 1))
+            targets[rng.randrange(k)] = -low - rng.choice([0, F(rng.randint(1, 2 * den), den)])
+        args = (anchors, targets, lambda x, y: d[(x, y)], level, prev)
+        got = _outcome(solve_sandwich, *args)
+        assert got == _outcome(reference_solve_sandwich, *args)
+        if isinstance(got, SandwichSolution):
+            seen["solved"] += 1
+        elif got[0] is ValueError:
+            seen["eta = 0" if "= 0" in got[1] else "eta < 0"] += 1
+        else:
+            seen["gap" if ": |eta(" in got[1] else "sum"] += 1
+    assert min(seen.values()) >= 5, seen
 
 
 def test_indexed_structure_validation():

@@ -171,6 +171,24 @@ def test_a_malformed_slot_entry_is_a_usage_error(tmp_path, capsys, entry):
     )
 
 
+@pytest.mark.parametrize("extra, error", [
+    (["--dist", "u1=zz"], "--dist: expected num/den, got 'zz'"),
+    (["--dist", "u1=1/0"], "--dist: denominator must be positive in '1/0'"),
+    (["--lip", "zz"], "--lip: expected num/den, got 'zz'"),
+    (["--suit", "1"], "--suit: malformed profile entry '1'"),
+    (["--suit", "1=zz"], "--suit: expected num/den, got 'zz'"),
+    (["--suit", "x=1/1"], "--suit: bad index 'x'"),
+])
+def test_a_malformed_grow_option_value_is_a_usage_error(tmp_path, capsys, extra, error):
+    # as a malformed --slot is: exit 2, the option named, no line number
+    space = put(tmp_path, "k.compact", COMPACT)
+    log = tmp_path / "o.log"
+    argv = ["grow", "--mode", "prod", "--space", space, *extra, "--out-log", str(log)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"usage error: {error}\n")
+    assert not log.exists()
+
+
 @pytest.mark.parametrize("slot, error", [
     ([], "fresh slot (1,2) born inconsistent: value 2 at ('u2',) overshoots the ceiling 1/2"),
     (["--slot", "1:1=1"], "value 2 at ('u2',) overshoots the ceiling 1/2 of slot (1,1)"),
@@ -285,8 +303,10 @@ def test_infeasible_sandwich_is_an_error_not_a_traceback(tmp_path, capsys):
     cert, log = str(tmp_path / "c"), str(tmp_path / "l")
     argv = ["homog", x, "--wishes", "2", "--depth", "6", "--seed", "31", "--out", cert, "--out-log", log]
     assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: no admissible point at level 1")
+    assert capsys.readouterr().err == (
+        "error: no admissible point at level 1: |eta(u6) - eta(u47)| = 1/6 > d = 147/1024; "
+        "targets=['5/8', '5/8'] eta=['17/24', '7/8'] base=[('u6', 'u47', '147/1024')]\n"
+    )
 
 
 def test_missing_fields_are_parse_errors(tmp_path, capsys):
@@ -304,6 +324,19 @@ def test_validate_rejects_pin_on_unregistered_slot(tmp_path, capsys):
     out = capsys.readouterr()
     assert "valid" not in out.out.split()
     assert "not registered" in out.err
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "validate_state checks pin reproduction only: the step-3 pin raises E(u2) "
+    "from 0 to 1/2 and is itself reproduced, so validate prints valid, while "
+    "grow refuses the request (value 3/2 overshoots the ceiling 1 of slot (1,1))"
+))
+def test_validate_refuses_a_pin_that_raises_an_existing_value(tmp_path, capsys):
+    log = put(tmp_path, "raise.log", "ORACLE\nmode rel\ngrow u1\ngp 1 1 u1 1/2\n"
+              "greg 1 1\ngrow u2\ngb u1 1/1\ngrow u3\ngb u1 1/1\ngb u2 1/1\n"
+              "gp 1 1 u3 3/2\n")
+    assert main(["validate", log]) == 1
+    assert capsys.readouterr().err.startswith("error: step 3: ")
 
 
 def test_eval_unknown_point_or_index_is_a_usage_error(tmp_path, capsys):

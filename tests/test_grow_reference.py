@@ -9,6 +9,7 @@ with it on the new distance row, the denominator, the envelope values, the
 stored pins and the decision to accept or refuse; a refused request must
 leave the oracle unchanged.
 """
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 from random import Random
@@ -18,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from urysohn import engine
 from urysohn.engine import LimitOracle, OracleGrowthError, RelExtension
-from urysohn.metric import _envelope, fin_metric
+from urysohn.metric import FinMetric, MetricTableError, _envelope, fin_metric, validate_metric
 from urysohn.rationals import scaled
 from urysohn.relational import (
     IndexedStructure,
@@ -26,6 +27,7 @@ from urysohn.relational import (
     pattern_slots,
     tuples_over,
     validate_k,
+    validate_pattern,
 )
 
 from oracle_state import int_pins, int_table, stale_cache_entries, walked_keys
@@ -381,3 +383,161 @@ def test_extended_row_of_an_empty_base():
     gap = o._gap(None, None, None)
     assert gap == 1
     assert o._extended_row({}, gap, 2) == reference_row(o, {}, gap, 2) == [2, 2]
+
+
+class ParentOracle(LimitOracle):
+    """The oracle with _check_rel as it was: the extension's metric
+    validated whole (validate_metric) before the request checks, the
+    agreement and distortion checks reading one order of each pair."""
+
+    def _check_rel(self, rel, base, base_dists):
+        ext, bm = rel.ext, rel.base_map
+        report = [f"metric: {msg}" for msg in validate_metric(ext.metric)]
+        report += validate_pattern(ext)
+        if report:
+            raise OracleGrowthError(f"extension structure invalid: {report[0]}")
+        new_pts = [p for p in ext.points if p not in bm]
+        if len(new_pts) != 1:
+            raise OracleGrowthError("extension must have exactly one unmapped point")
+        if len(set(bm.values())) != len(bm):
+            raise OracleGrowthError("base map is not injective")
+        if set(bm.values()) != set(base):
+            raise OracleGrowthError("base map image must equal the base")
+        new_pt = new_pts[0]
+        for p in bm:
+            if ext.metric.d(new_pt, p) != base_dists[bm[p]]:
+                raise OracleGrowthError(f"distance to {bm[p]!r} disagrees with the request")
+        for p in bm:
+            for q in bm:
+                if p < q and ext.metric.d(p, q) != self.distance(bm[p], bm[q]):
+                    raise OracleGrowthError(
+                        f"extension distorts the base pair ({bm[p]!r}, {bm[q]!r})"
+                    )
+        if set(rel.slot_map.keys()) != set(ext.slots()):
+            raise OracleGrowthError("slot map must cover exactly the extension slots")
+        for slot, pins in rel.birth_pins.items():
+            if rel.slot_map.get(slot, 0) is not None:
+                raise OracleGrowthError(
+                    f"birth pins are only allowed on fresh slots, got {slot}"
+                )
+            for tup in pins:
+                if len(tup) != slot[0]:
+                    raise OracleGrowthError(f"birth pin arity mismatch at {tup}")
+                if any(p not in self._pos for p in tup):
+                    raise OracleGrowthError(f"birth pin on unknown points {tup}")
+        slot_assign = {}
+        fresh = []
+        taken = dict(self._counts)
+        used = {}
+        for (n, m), g in sorted(rel.slot_map.items()):
+            if g is None:
+                g_new = self._fresh_slot(n, taken)
+                slot_assign[(n, m)] = g_new
+                fresh.append((n, g_new))
+            else:
+                if not 1 <= g <= self._counts.get(n, 0):
+                    raise OracleGrowthError(f"global slot ({n}, {g}) not realized")
+                if g in used.setdefault(n, set()):
+                    raise OracleGrowthError(f"global slot ({n}, {g}) used twice")
+                used[n].add(g)
+                slot_assign[(n, m)] = g
+        return slot_assign, fresh
+
+
+def exit_code(exc):
+    """What ``urysohn grow`` exits with on ``exc``: 1 for a refusal it
+    reports, None for one that would end in a traceback."""
+    return 1 if isinstance(exc, (OracleGrowthError, MetricTableError, ValueError)) else None
+
+
+def grow_outcome(o, base_dists, rel):
+    before = state_of(o)
+    try:
+        o.grow(base_dists, rel=rel)
+    except Exception as exc:  # noqa: BLE001 - any refusal is compared
+        assert state_of(o) == before, "a refused request changed the oracle"
+        return exit_code(exc), type(exc).__name__
+    return 0, None
+
+
+def damaged(rng, e, rel):
+    """(kind, request distances, extension) for one fault put into a
+    feasible rel request over at least two base points."""
+    ext, bm = rel.ext, rel.base_map
+    x = next(p for p in ext.points if p not in bm)
+    olds = [p for p in ext.points if p != x]
+    a, b = rng.sample(olds, 2)
+    table = dict(ext.metric.table)
+    out = []
+
+    def put(kind, entries, dists=e, points=None, base_map=bm):
+        t = dict(table)
+        for (p, q), v in entries.items():
+            if v is None:
+                t.pop((p, q), None)
+            else:
+                t[(p, q)] = v
+        metric = FinMetric(tuple(points or ext.points), t)
+        out.append((kind, dists, RelExtension(replace(ext, metric=metric), dict(base_map),
+                                              rel.slot_map, rel.birth_pins)))
+
+    dab, dxa = table[(a, b)], table[(x, a)]
+    for v in (dab + F(1, 3), dab / 2):
+        put("base pair", {(a, b): v, (b, a): v})
+    for v in (dxa + F(1, 3), F(0), -dxa):
+        put("new-point distance", {(x, a): v, (a, x): v})
+        # as urysohn grow asks it: the request reads the damaged extension
+        put("new-point distance in the request", {(x, a): v, (a, x): v},
+            dists={**e, bm[a]: v})
+    put("asymmetric base pair", {(a, b): dab + F(1, 3)})
+    put("asymmetric new-point distance", {(a, x): dxa + F(1, 3)})
+    put("missing base pair", {(b, a): None})
+    put("missing new-point distance", {(x, a): None, (a, x): None})
+    c = next((p for p in olds if p not in (a, b)), None)
+    if c is not None:
+        far = table[(a, c)] + table[(c, b)] + 1
+        put("broken base triangle", {(a, b): far, (b, a): far})
+    far = table[(x, b)] + dab + 1
+    put("broken triangle at the new point", {(x, a): far, (a, x): far},
+        dists={**e, bm[a]: far})
+    put("two unmapped points", {}, base_map={p: q for p, q in bm.items() if p != a})
+    put("repeated point", {}, points=ext.points + (a,))
+    return out
+
+
+def test_grow_refuses_damaged_extensions_as_the_full_metric_check_did():
+    """grow without the extension's validate_metric against ParentOracle,
+    the oracle with it, on twin oracles grown alike.  Each request is sent
+    with every fault of ``damaged`` in turn, then intact: each is refused
+    by both, with the same exit code and exception, or accepted by both
+    into the same state, and a refusal leaves both unchanged."""
+    refused = {}  # fault -> refusals of a request whose intact form was accepted
+    for seed in range(20):
+        twins = []
+        for cls in (LimitOracle, ParentOracle):
+            rng = Random(seed)
+            o = cls()
+            for _ in range(4):
+                base_dists, rel = random_request(rng, o)
+                try:
+                    o.grow(base_dists, rel=rel)
+                except OracleGrowthError:
+                    pass
+            twins.append(o)
+        new, parent = twins
+        assert state_of(new) == state_of(parent)
+        rng = Random(seed)
+        for _ in range(8):
+            base_dists, rel = random_request(rng, new)
+            if len(base_dists) < 2:
+                continue
+            outcomes = {}
+            for kind, dists, bad in damaged(rng, base_dists, rel) + [("intact", base_dists, rel)]:
+                got = grow_outcome(new, dists, bad)
+                assert got == grow_outcome(parent, dists, bad), kind
+                assert state_of(new) == state_of(parent), kind
+                outcomes[kind] = got
+            if outcomes.pop("intact") == (0, None):
+                for kind, (code, _) in outcomes.items():
+                    refused[kind] = refused.get(kind, 0) + (code == 1)
+    assert len(refused) == 11 and min(refused.values()) >= 5, refused
