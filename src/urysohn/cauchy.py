@@ -11,7 +11,7 @@ clamped into their admissible Katetov windows around the target values.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -25,7 +25,6 @@ from .relational import (
     IndexedStructure,
     PredTable,
     indexed_structure,
-    pattern_indices,
     restrict_k,
     tuples_over,
     validate_k,
@@ -169,10 +168,15 @@ class StepValue:
 
 @dataclass(frozen=True)
 class ExtensionOutcome:
+    """What a one-point solver realized: the point, every check it made, the
+    oracle slot of each target slot, and each clamped value with its target
+    (``StepValue`` for predicate tables, ``product.ProfileValue`` for
+    profiles)."""
+
     point: CauchyPoint
-    slot_globals: dict[Slot, int]
-    values: tuple[StepValue, ...]
     checks: tuple[Check, ...]
+    slot_globals: dict[Slot, int] = field(default_factory=dict)
+    values: tuple = ()
 
 
 def required_depth(k: int, depth: int) -> int:
@@ -200,26 +204,22 @@ def extend_one_point(
     Step l reads the anchors at level k+l+2, checks their pairwise drift
     against the target metric (within 2^-(l+k+1), widened by ``drift_slack``
     powers of two), solves the sandwich system, clamps the requested
-    predicate values into their Katetov windows and grows the oracle.
+    predicate values into their Katetov windows and grows the oracle.  Each
+    step's extension keeps the target's own slot indices.
     """
-    known = dict(known or {})
+    assigned = dict(known or {})
     report = validate_k(target)
     if report:
         raise SolverError(f"target structure invalid: {report[0]}")
     k = len(target)
     _check_anchors(anchors, k, depth)
-    pts = target.points
-    olds, new_pt = pts[:-1], pts[-1]
-    canon: dict[Slot, Slot] = {}
-    for n in sorted(target.indices):
-        for pos, m in enumerate(target.indices[n], start=1):
-            canon[(n, m)] = (n, pos)
-    for slot, g in known.items():
-        if slot not in canon:
+    olds, new_pt = target.points[:-1], target.points[-1]
+    slots = target.slots()
+    for slot, g in assigned.items():
+        if slot not in slots:
             raise SolverError(f"known slot {slot} is not a slot of the target")
         if not 1 <= g <= o.realized_count(slot[0]):
             raise SolverError(f"oracle slot ({slot[0]}, {g}) not realized")
-    assigned: dict[Slot, int] = {canon[s]: g for s, g in known.items()}
 
     all_checks: list[Check] = []
     values: list[StepValue] = []
@@ -228,117 +228,85 @@ def extend_one_point(
     pred_den = lcm(1, *{v.denominator for v in target.pred.values()})
 
     def step(level, avec, prev, base_dists):
-        rel = None
-        if target.bound > 0:
-            base_pts = list(base_dists)
-            temp = "g"
-            assert temp not in base_pts
-            entries = {
-                (x, y): o.distance(x, y)
-                for i, x in enumerate(base_pts)
-                for y in base_pts[i + 1 :]
-            }
-            entries.update({(temp, p): v for p, v in base_dists.items()})
-            ext_metric = fin_metric(base_pts + [temp], entries)
-            scale = lcm(pred_den, o.den, *{v.denominator for v in base_dists.values()})
-            ext_d = {pair: scaled(v, scale) for pair, v in ext_metric.table.items()}
-            tail_d = None
-            to_target = {a: olds[i] for i, a in enumerate(avec)}
-            if prev:
-                to_target[prev] = new_pt
-            to_target[temp] = new_pt
-            back = {(n, canon[(n, m)][1]): m for n, m in canon}
-            pred: PredTable = {}
-            birth_pins: dict[Slot, dict[tuple[str, ...], Fraction]] = {}
-            for n in sorted(target.indices):
-                for pos in range(1, target.bound + 2 - n):
-                    g_known = assigned.get((n, pos))
-                    orig_m = back[(n, pos)]
-                    defined: dict[tuple[str, ...], Fraction] = {}
-                    defined_i: dict[tuple[str, ...], int] = {}
-                    if g_known is None:
-                        # birth of a fresh slot: pin it along every anchor
-                        # tail level this run will read, so later steps see
-                        # target-accurate values instead of a sagging envelope
-                        if tail_d is None:
-                            tails = list(dict.fromkeys(
-                                a.at(required_depth(k, lev))
-                                for lev in range(1, depth + 1)
-                                for a in anchors
-                            ))
-                            tail_d = {
-                                (x, y): scaled(o.distance(x, y), scale)
-                                for x in tails
-                                for y in tails
-                                if x != y
-                            }
-                        acc: dict[tuple[str, ...], int] = {}
-                        for lev in range(1, depth + 1):
-                            pts_j = tuple(a.at(required_depth(k, lev)) for a in anchors)
-                            proj = {p: olds[i] for i, p in enumerate(pts_j)}
-                            for tup in tuples_over(pts_j, n):
-                                if tup in acc:
-                                    continue
-                                eps = target.pred[
-                                    (n, orig_m, tuple(proj[p] for p in tup))
-                                ]
-                                val, val_i = _clamped(eps, acc, tail_d, tup, scale)
-                                sv = StepValue(level, (n, orig_m), tup, eps, val)
-                                values.append(sv)
-                                if sv.deviation > deviation_bound(n, level):
-                                    raise SandwichInfeasible(
-                                        f"birth pin at slot ({n},{orig_m}), tuple {tup} "
-                                        f"deviates by {sv.deviation}"
-                                    )
-                                acc[tup] = val_i
-                                if lev == 1:
-                                    defined[tup] = val
-                                    defined_i[tup] = val_i
-                                else:
-                                    birth_pins.setdefault((n, pos), {})[tup] = val
-                    tups = sorted(
-                        tuples_over(tuple(base_pts + [temp]), n),
-                        key=lambda t: (temp in t, t),
-                    )
-                    realized = {}
-                    if g_known is not None:
-                        # the realized slot's base tuples, read in one batch
-                        base_tups = [t for t in tups if temp not in t]
-                        realized = dict(zip(base_tups, o.predicate_values(n, g_known, base_tups)))
-                    for tup in tups:
-                        if tup in defined:
-                            continue
-                        if tup in realized:
-                            val = realized[tup]
-                            val_i = scaled(val, scale)
-                        else:
-                            eps = target.pred[
-                                (n, orig_m, tuple(to_target[p] for p in tup))
-                            ]
-                            val, val_i = _clamped(eps, defined_i, ext_d, tup, scale)
-                            sv = StepValue(level, (n, orig_m), tup, eps, val)
-                            values.append(sv)
-                            if sv.deviation > deviation_bound(n, level):
-                                raise SandwichInfeasible(
-                                    f"clamp at level {level}, slot ({n},{orig_m}), tuple {tup} "
-                                    f"deviates by {sv.deviation} > {deviation_bound(n, level)}"
-                                )
-                        defined[tup] = val
-                        defined_i[tup] = val_i
-                    for tup, val in defined.items():
-                        pred[(n, pos, tup)] = val
-            ext = IndexedStructure(ext_metric, target.bound, pattern_indices(target.bound), pred)
-            slot_map: dict[Slot, int | None] = {s: assigned.get(s) for s in ext.slots()}
-            rel = RelExtension(ext, {p: p for p in base_pts}, slot_map, birth_pins)
+        if target.bound == 0:
+            return o.grow(base_dists).point
+        base_pts = list(base_dists)
+        temp = "g"
+        assert temp not in base_pts
+        entries = {
+            (x, y): o.distance(x, y)
+            for i, x in enumerate(base_pts)
+            for y in base_pts[i + 1 :]
+        }
+        entries.update({(temp, p): v for p, v in base_dists.items()})
+        ext_metric = fin_metric(base_pts + [temp], entries)
+        scale = lcm(pred_den, o.den, *{v.denominator for v in base_dists.values()})
+        dist = {pair: scaled(v, scale) for pair, v in ext_metric.table.items()}
+        to_target = {**dict(zip(avec, olds)), prev: new_pt, temp: new_pt}
+        slot_map = {s: assigned.get(s) for s in slots}
+        if None in slot_map.values():
+            # fresh slots are pinned along every anchor tail level this run
+            # will read, so the table gains the distances among the tails
+            tails = {a.at(required_depth(k, lev)) for lev in range(1, depth + 1) for a in anchors}
+            dist.update(((x, y), scaled(o.distance(x, y), scale))
+                        for x in tails for y in tails if x != y)
+        pred: PredTable = {}
+        birth_pins: dict[Slot, dict[tuple[str, ...], Fraction]] = {}
 
-        result = o.grow(base_dists, rel=rel)
-        if rel is not None and level == 1:
+        def clamp(n, m, tup, eps, defined_i):
+            val, val_i = _clamped(eps, defined_i, dist, tup, scale)
+            sv = StepValue(level, (n, m), tup, eps, val)
+            values.append(sv)
+            if sv.deviation > deviation_bound(n, level):
+                raise SandwichInfeasible(
+                    f"clamp at level {level}, slot ({n},{m}), tuple {tup} "
+                    f"deviates by {sv.deviation} > {deviation_bound(n, level)}"
+                )
+            return val, val_i
+
+        for (n, m), g in slot_map.items():
+            tups = sorted(
+                tuples_over(tuple(base_pts + [temp]), n),
+                key=lambda t: (temp in t, t),
+            )
+            if g is not None:
+                # the realized slot's base tuples, read in one batch
+                base_tups = [t for t in tups if temp not in t]
+                defined = dict(zip(base_tups, o.predicate_values(n, g, base_tups)))
+                defined_i = {t: scaled(v, scale) for t, v in defined.items()}
+            else:
+                # birth of a fresh slot: pin it along the anchor tails, so
+                # later steps see target-accurate values, not a sagging envelope
+                defined, defined_i = {}, {}
+                acc: dict[tuple[str, ...], int] = {}
+                for lev in range(1, depth + 1):
+                    pts_j = tuple(a.at(required_depth(k, lev)) for a in anchors)
+                    proj = dict(zip(pts_j, olds))
+                    for tup in tuples_over(pts_j, n):
+                        if tup in acc:
+                            continue
+                        eps = target.pred[(n, m, tuple(proj[p] for p in tup))]
+                        val, acc[tup] = clamp(n, m, tup, eps, acc)
+                        if lev == 1:
+                            defined[tup], defined_i[tup] = val, acc[tup]
+                        else:
+                            birth_pins.setdefault((n, m), {})[tup] = val
+            for tup in tups:
+                if tup not in defined:
+                    eps = target.pred[(n, m, tuple(to_target[p] for p in tup))]
+                    defined[tup], defined_i[tup] = clamp(n, m, tup, eps, defined_i)
+            pred.update(((n, m, tup), val) for tup, val in defined.items())
+        ext = IndexedStructure(ext_metric, target.bound, target.indices, pred)
+        result = o.grow(base_dists, rel=RelExtension(
+            ext, {p: p for p in base_pts}, slot_map, birth_pins
+        ))
+        if level == 1:
             assigned.update(result.slot_globals)
         return result.point
 
     point = _sandwich_chain(o, anchors, target.metric, depth, drift_slack, all_checks, step)
-    outcome_slots = {s: assigned[canon[s]] for s in canon} if target.bound > 0 else {}
-    return ExtensionOutcome(point, outcome_slots, tuple(values), tuple(all_checks))
+    outcome_slots = {s: assigned[s] for s in slots}
+    return ExtensionOutcome(point, tuple(all_checks), outcome_slots, tuple(values))
 
 
 def _check_anchors(anchors: Sequence[CauchyPoint], k: int, depth: int) -> int:

@@ -18,6 +18,7 @@ from .cauchy import (
     PartialIso,
     SandwichInfeasible,
     SolverError,
+    deviation_bound,
     embed_structure,
     extend_one_point,
     extend_partial_iso,
@@ -104,6 +105,14 @@ def _write(path: str | None, data: bytes | str | Iterable[str]):
             fh.writelines(chunks)
     except OSError as exc:
         raise UsageError(f"cannot write {path or '-'}: {exc.strerror}") from None
+
+
+def _check_counts(args, **lows: int):
+    """Refuse, before any work, an integer option below its least value."""
+    for name, low in lows.items():
+        value = getattr(args, name)
+        if value < low:
+            raise UsageError(f"--{name} must be at least {low}, got {value}")
 
 
 def _check_out(*paths: str | None):
@@ -286,6 +295,7 @@ def cmd_grow(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    _check_counts(args, depth=1)
     _check_out(args.out, args.out_log)
     x = _load_kind(args.file, "BARK", "K")
     o = _load_oracle(args)
@@ -308,7 +318,7 @@ def cmd_embed(args) -> int:
                 f"dev-{sv.level}-{sv.slot[0]}.{sv.slot[1]}",
                 sv.deviation,
                 "<=",
-                (2 * sv.slot[0] + 1) * pow2(-sv.level),
+                deviation_bound(sv.slot[0], sv.level),
             )
         )
     _write(args.out, emit_certificate(checks))
@@ -318,6 +328,7 @@ def cmd_embed(args) -> int:
 
 def cmd_homog(args) -> int:
     """Self-contained back-and-forth demo: embed two copies, absorb random wishes."""
+    _check_counts(args, depth=1, wishes=0)
     _check_out(args.out, args.out_log)
     x = _load_kind(args.file, "BARK")
     rng = Random(args.seed)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .cauchy import CauchyPoint, SolverError, _check_anchors, _sandwich_chain
+from .cauchy import CauchyPoint, ExtensionOutcome, SolverError, _check_anchors, _sandwich_chain
 from .certificates import Check
 from .engine import LimitOracle
 from .metric import FinMetric, jep_gap, jep_gap_metric, path_amalgam_carry, validate_metric
@@ -108,19 +108,13 @@ def check_label_modulus(
     return checks
 
 
-@dataclass(frozen=True)
-class LipschitzExtensionOutcome:
-    point: CauchyPoint
-    checks: tuple[Check, ...]
-
-
 def extend_one_point_l(
     o: LimitOracle,
     anchors: Sequence[CauchyPoint],
     target_metric: FinMetric,
     target: int | Sequence[int],
     depth: int,
-) -> LipschitzExtensionOutcome:
+) -> ExtensionOutcome:
     """Realize the last point of ``target_metric`` with label targets ``target``.
 
     A plain index means the constant sequence.  Every per-step Lipschitz
@@ -151,7 +145,7 @@ def extend_one_point_l(
         return o.grow(base_dists, lip_index=label).point
 
     point = _sandwich_chain(o, anchors, target_metric, depth, 0, checks, step)
-    return LipschitzExtensionOutcome(point, tuple(checks))
+    return ExtensionOutcome(point, tuple(checks))
 
 
 def _check_label(

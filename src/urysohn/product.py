@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Mapping, Sequence
 
-from .cauchy import CauchyPoint, SolverError, _check_anchors, _sandwich_chain
+from .cauchy import CauchyPoint, ExtensionOutcome, SolverError, _check_anchors, _sandwich_chain
 from .certificates import Check
 from .engine import LimitOracle
 from .lipschitz import _check_label
@@ -105,13 +105,6 @@ class ProfileValue:
         return abs(self.value - self.target)
 
 
-@dataclass(frozen=True)
-class ProductExtensionOutcome:
-    point: CauchyPoint
-    values: tuple[ProfileValue, ...]
-    checks: tuple[Check, ...]
-
-
 def extend_one_point_c(
     o: LimitOracle,
     anchors: Sequence[CauchyPoint],
@@ -119,7 +112,7 @@ def extend_one_point_c(
     new_fn: SuitableFn,
     depth: int,
     lip_target: int | Sequence[int] | None = None,
-) -> ProductExtensionOutcome:
+) -> ExtensionOutcome:
     """Realize the last point of ``target_metric`` with profile targets ``new_fn``.
 
     Step l works over the net at scale 2^-(l+2) joined with the supports of
@@ -201,7 +194,7 @@ def extend_one_point_c(
         return result.point
 
     point = _sandwich_chain(o, anchors, target_metric, depth, 0, checks, step)
-    return ProductExtensionOutcome(point, tuple(values), tuple(checks))
+    return ExtensionOutcome(point, tuple(checks), values=tuple(values))
 
 
 def embed_point_c(
@@ -209,7 +202,7 @@ def embed_point_c(
     new_fn: SuitableFn,
     depth: int,
     lip_target: int | Sequence[int] | None = None,
-) -> ProductExtensionOutcome:
+) -> ExtensionOutcome:
     """Singleton case: realize one point whose profile tracks ``new_fn``."""
     return extend_one_point_c(
         o, [], FinMetric(("b1",), {}), new_fn, depth, lip_target=lip_target

@@ -4,10 +4,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-Rat = Fraction
-
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class RatParseError(ValueError):

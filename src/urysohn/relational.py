@@ -129,12 +129,19 @@ def validate_pattern(s: IndexedStructure) -> list[str]:
             shape.append(f"index set for arity {n} has a non-positive member")
     if shape:
         return shape
-    expected = {(n, m, tup) for n, m in s.slots() for tup in tuples_over(s.points, n)}
-    missing = sorted(expected - s.pred.keys())
-    stray = sorted(s.pred.keys() - expected)
+    missing, stray = _totality(
+        ((n, m, tup) for n, m in s.slots() for tup in tuples_over(s.points, n)), s.pred
+    )
     return [f"totality: p_{m}^{n} missing on {tup}" for n, m, tup in missing] + [
         f"totality: p_{m}^{n} defined on {tup} outside the pattern" for n, m, tup in stray
     ]
+
+
+def _totality(expected: Iterable, table: Mapping) -> tuple[list, list]:
+    """The expected keys ``table`` lacks and its keys outside ``expected``,
+    each in sorted order, so a report never depends on hash order."""
+    expected = set(expected)
+    return sorted(expected - table.keys()), sorted(table.keys() - expected)
 
 
 def find_lipschitz_violation(
@@ -379,17 +386,17 @@ class FixedArityStructure:
 
 def validate_fixed(s: FixedArityStructure) -> list[str]:
     report = [f"metric: {msg}" for msg in validate_metric(s.metric)]
-    expected = set()
-    for i, n in enumerate(s.config.arities, start=1):
-        for tup in tuples_over(s.metric.points, n):
-            expected.add((i, tup))
-    for key in expected:
-        if key not in s.pred:
-            report.append(f"totality: slot {key[0]} missing on {key[1]}")
-    for key in s.pred:
-        if key not in expected:
-            report.append(f"totality: slot {key[0]} defined on stray tuple {key[1]}")
-    if any(msg.startswith("totality") for msg in report):
+    missing, stray = _totality(
+        (
+            (i, tup)
+            for i, n in enumerate(s.config.arities, start=1)
+            for tup in tuples_over(s.metric.points, n)
+        ),
+        s.pred,
+    )
+    report += [f"totality: slot {i} missing on {tup}" for i, tup in missing]
+    report += [f"totality: slot {i} defined on stray tuple {tup}" for i, tup in stray]
+    if missing or stray:
         return report
     for i, n in enumerate(s.config.arities, start=1):
         values = {tup: s.pred[(i, tup)] for tup in tuples_over(s.metric.points, n)}

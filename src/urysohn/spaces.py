@@ -118,9 +118,6 @@ class SuitableFn:
         return max((v for _, v in self.pins), default=ZERO)
 
 
-ZERO_FN = SuitableFn(())
-
-
 def suitable(values: Mapping[int, Fraction]) -> SuitableFn:
     return SuitableFn(tuple(sorted(values.items())))
 

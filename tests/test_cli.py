@@ -249,6 +249,50 @@ def test_homog_small(tmp_path):
     assert ok, problems
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "homog on the 0-point structure fails its own witness: at depth 3 with 1 "
+    "wish the certificate reads check match-dist-0-1 17/64 <= 1/4 FAIL"
+))
+def test_homog_on_the_empty_structure(tmp_path):
+    bark = put(tmp_path, "empty.bark", "BARK\nnA 0\n")
+    cert = str(tmp_path / "h.cert")
+    assert main(["homog", bark, "--depth", "4", "--wishes", "1", "--out", cert]) == 0
+    ok, problems = verify_certificate(Path(cert).read_bytes())
+    assert ok, problems
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["embed", "--depth", "0"], "--depth must be at least 1, got 0"),
+    (["embed", "--depth", "-2"], "--depth must be at least 1, got -2"),
+    (["homog", "--depth", "0"], "--depth must be at least 1, got 0"),
+    (["homog", "--depth", "4", "--wishes", "-1"], "--wishes must be at least 0, got -1"),
+])
+def test_a_depth_below_one_or_a_negative_wish_count_is_a_usage_error(
+    tmp_path, capsys, monkeypatch, argv, error
+):
+    import urysohn.cli as cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the construction ran before the counts were checked")
+
+    monkeypatch.setattr(cli, "embed_structure", unreachable)
+    bark = put(tmp_path, "x.bark", BARK)
+    assert main([argv[0], bark, *argv[1:], "--out", str(tmp_path / "x.cert")]) == 2
+    assert capsys.readouterr() == ("", f"usage error: {error}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["embed", "--depth", "1"],
+    ["homog", "--depth", "1", "--wishes", "0"],
+])
+def test_depth_one_and_no_wishes_still_run(tmp_path, argv):
+    bark = put(tmp_path, "x.bark", BARK)
+    cert = str(tmp_path / "x.cert")
+    assert main([argv[0], bark, *argv[1:], "--out", cert]) == 0
+    ok, problems = verify_certificate(Path(cert).read_bytes())
+    assert ok, problems
+
+
 def test_eval_c_file(tmp_path, capsys):
     space = put(tmp_path, "k.compact", COMPACT)
     cfile = put(tmp_path, "s.c", C_GOOD)

@@ -192,6 +192,37 @@ def test_fixed_arity_mode():
     assert validate_fixed(FixedArityStructure(m, cfg, bad)) != []
 
 
+def test_validate_fixed_reports_totality_in_sorted_order_under_any_hash_seed():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import urysohn
+
+    # slot 1 defined on ('a',) alone: every other tuple of both slots is missing
+    code = (
+        "from fractions import Fraction as F\n"
+        "from urysohn.metric import fin_metric\n"
+        "from urysohn.relational import FixedArityConfig, FixedArityStructure, validate_fixed\n"
+        "m = fin_metric('abc', {('a', 'b'): F(1), ('a', 'c'): F(1), ('b', 'c'): F(1)})\n"
+        "s = FixedArityStructure(m, FixedArityConfig((1, 2)), {(1, ('a',)): F(0)})\n"
+        "print('\\n'.join(validate_fixed(s)))\n"
+    )
+    src = str(Path(urysohn.__file__).resolve().parents[1])
+    outs = set()
+    for seed in "1234":
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=60, check=True)
+        outs.add(run.stdout)
+    assert len(outs) == 1
+    missing = [(1, (p,)) for p in "bc"] + [(2, (p, q)) for p in "abc" for q in "abc"]
+    assert outs.pop().splitlines() == [
+        f"totality: slot {i} missing on {tup}" for i, tup in missing
+    ]
+
+
 def test_fixed_arity_isomorphism_does_not_permute_slots():
     cfg = FixedArityConfig((1, 1))
     m1 = two_points()
