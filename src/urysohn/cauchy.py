@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .certificates import Check
 from .engine import LimitOracle, RelExtension
-from .metric import FinMetric, _ceiling, _envelope, fin_metric
+from .metric import FinMetric, _katetov_window, fin_metric
 from .rationals import ZERO, pow2, scaled
 from .relational import (
     IndexedStructure,
@@ -388,8 +388,8 @@ def _clamped(eps, defined, dist, tup, scale) -> tuple[Fraction, int]:
     rational and at that scale.
     """
     val = scaled(eps, scale)
-    pins = defined.items()
-    v = min(max(val, _envelope(pins, tup, dist)), _ceiling(pins, tup, dist))
+    lo, hi = _katetov_window(defined.items(), tup, dist)
+    v = min(max(val, lo), hi)
     return (eps if v == val else Fraction(v, scale)), v
 
 

@@ -70,6 +70,17 @@ def _load_kind(path: str, *kinds: str):
     return parsed.value
 
 
+def _load_space(opt: str, path: str | None, kind: str):
+    """The COMPACT or POLISH presentation that option ``opt`` names, refused
+    before any work, in the words of its first violation, unless
+    ``validate_compact`` or ``validate_polish`` passes it."""
+    space = _load_kind(path, kind)
+    report = (validate_compact if kind == "COMPACT" else validate_polish)(space)
+    if report:
+        raise ValueError(f"{opt} {path}: {report[0]}")
+    return space
+
+
 def _option(opt: str, parse, text: str):
     """``parse(text)`` for a value of ``opt``; a malformed one is a usage error."""
     try:
@@ -168,22 +179,22 @@ def cmd_validate(args) -> int:
     elif parsed.kind == "C":
         if not args.space:
             raise UsageError("validating a C file needs --space COMPACT_FILE")
-        report = validate_c(parsed.value, _load_kind(args.space, "COMPACT"))
+        report = validate_c(parsed.value, _load_space("--space", args.space, "COMPACT"))
     elif parsed.kind == "L":
         if not args.space:
             raise UsageError("validating an L file needs --space POLISH_FILE")
-        report = validate_l(parsed.value, _load_kind(args.space, "POLISH"))
+        report = validate_l(parsed.value, _load_space("--space", args.space, "POLISH"))
     elif parsed.kind == "ORACLE":
         compact = polish = None
         if "prod" in parsed.value.modes:
             if not args.space:
                 raise UsageError("a prod-mode oracle needs --space COMPACT_FILE")
-            compact = _load_kind(args.space, "COMPACT")
+            compact = _load_space("--space", args.space, "COMPACT")
         if "lip" in parsed.value.modes:
-            zpath = args.zspace or args.space
+            zopt, zpath = ("--zspace", args.zspace) if args.zspace else ("--space", args.space)
             if not zpath:
                 raise UsageError("a lip-mode oracle needs --zspace POLISH_FILE")
-            polish = _load_kind(zpath, "POLISH")
+            polish = _load_space(zopt, zpath, "POLISH")
         o = replay_oracle(parsed.value, compact=compact, polish=polish)
         report += o.validate_state()
     for msg in report:
@@ -207,7 +218,7 @@ def cmd_amalgamate(args) -> int:
         wac = EmbeddingWitness(map_c, pi)
         out = amalgamate_k(b, c, a, wab, wac).result
     elif kind in ("C", "L"):
-        space = _load_kind(args.space, "COMPACT" if kind == "C" else "POLISH")
+        space = _load_space("--space", args.space, "COMPACT" if kind == "C" else "POLISH")
         for s in (b, c, a):
             _in_space(s, space)
         out = (amalgamate_c if kind == "C" else amalgamate_l)(b, c, a, map_b, map_c, space)
@@ -225,7 +236,7 @@ def cmd_joint_embed(args) -> int:
     if kind == "K":
         out = joint_embed_k(a, b).result
     elif kind in ("C", "L"):
-        space = _load_kind(args.space, "COMPACT" if kind == "C" else "POLISH")
+        space = _load_space("--space", args.space, "COMPACT" if kind == "C" else "POLISH")
         for s in (a, b):
             _in_space(s, space)
         out = (joint_embed_c if kind == "C" else joint_embed_l)(a, b, space)
@@ -256,8 +267,8 @@ def cmd_grow(args) -> int:
     if given:
         when = "with" if args.ext else "without"
         raise UsageError(f"{' and '.join(given)}: not read {when} an extension file")
-    compact = _load_kind(args.space, "COMPACT") if args.space else None
-    polish = _load_kind(args.zspace, "POLISH") if args.zspace else None
+    compact = _load_space("--space", args.space, "COMPACT") if args.space else None
+    polish = _load_space("--zspace", args.zspace, "POLISH") if args.zspace else None
     lip = _option("--lip", parse_rat, args.lip) if args.lip else None
     o = _load_oracle(args, compact, polish, tuple(args.mode or ("rel",)), lip)
     dists = {}
@@ -371,7 +382,7 @@ def cmd_certify(args) -> int:
 def cmd_eval(args) -> int:
     parsed = _load(args.file)
     if parsed.kind == "C":
-        k = _load_kind(args.space, "COMPACT")
+        k = _load_space("--space", args.space, "COMPACT")
         s: StructureC = parsed.value
         if args.point is None or args.index is None:
             raise UsageError("eval on a C file wants --point and --index")
@@ -391,7 +402,7 @@ def cmd_eval(args) -> int:
         if args.point not in s.labels:
             raise UsageError(f"{args.file} has no point {args.point!r}")
         if args.space:
-            _in_space(s, _load_kind(args.space, "POLISH"))
+            _in_space(s, _load_space("--space", args.space, "POLISH"))
         print(s.labels[args.point])
         return 0
     raise UsageError(f"cannot eval a {parsed.kind} file")

@@ -19,19 +19,17 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, islice, repeat
 from math import lcm
-from operator import add, itemgetter, mul
+from operator import add, itemgetter, lt, mul
 from typing import Iterable, Iterator, Mapping
 
 from .metric import (
     FinMetric,
     MetricTableError,
     WitnessError,
-    _ceiling,
-    _envelope,
-    _gather_min,
     _getter,
+    _katetov_window,
     jep_gap,
     jep_gap_metric,
     katetov_break,
@@ -348,21 +346,56 @@ class _Pins:
             self._gets = [_getter(col) for col in zip(*self.tups)]
         return self._gets
 
-    def unreproduced(self, rows: list[list[int]]) -> Iterator[tuple[int, ...]]:
+    def unreproduced(self, rows: list[list[int]]) -> list[tuple[int, ...]]:
         """The pins their envelope does not reproduce, in column order, on
         rows >= 0, as grow and replay_record keep them: each refuses a step
-        whose distances are not positive.  Each pin is checked against the
-        strictly heavier pins alone (validate_state has the proof): sorted
-        heaviest first, they are a prefix, and ``map`` in the row gather
-        stops at its end."""
-        order = sorted(range(len(self.neg)), key=self.neg.__getitem__)
-        neg = [self.neg[i] for i in order]
+        whose distances are not positive.  A pin (p, v) is reproduced
+        exactly when v >= 0 and d(q, p) - w >= -v for every pin (q, w)
+        (validate_state has the proof).
+
+        The pins are grouped by their head, every point but the last.  For
+        a group of head h, head[q] = d(q', h) - w sums the distances from h
+        to the first n - 1 points q' of each pin (q, w), in one pass per
+        coordinate; then d(q, p) - w = head[q] + d(q_n, z) >= head[q] for
+        each pin (p, v) of the group, p = (h, z).  So only the entries with
+        head[q] < -v, the pin's bound, can refuse it, and those are strictly
+        heavier pins: otherwise head[q] >= -w >= -v.  Sorted heaviest first,
+        the strictly heavier pins of the group's lightest pin are a prefix
+        of the columns; the head is built over that prefix alone, and its
+        entries below that pin's bound are kept, sorted by value.  Each pin
+        then reads its last point's row lazily along the kept entries below
+        its own bound: one head list and its kept entries, at most P of
+        each, are alive at a time.
+        """
+        neg = self.neg
+        if not neg:
+            return []
+        order = sorted(range(len(neg)), key=neg.__getitem__)
         tups = list(self.tups)
-        gets = [_getter(col) for col in zip(*(tups[i] for i in order))]
-        for t, w in zip(tups, self.neg):
-            heavier = bisect_left(neg, w)
-            if w > 0 or heavier and _gather_min(rows, gets, neg[:heavier], t) < w:
-                yield t
+        *head_cols, last_col = map(list, zip(*map(tups.__getitem__, order)))
+        sorted_neg = list(map(neg.__getitem__, order))
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for i, t in enumerate(tups):
+            groups.setdefault(t[:-1], []).append(i)
+        bad = []
+        for h, members in groups.items():
+            bound = max(map(neg.__getitem__, members))
+            head = islice(sorted_neg, bisect_left(sorted_neg, bound))
+            for col, p in zip(head_cols, h):
+                head = map(add, head, map(rows[p].__getitem__, col))
+            head = list(head)
+            kept = sorted(compress(range(len(head)), map(lt, head, repeat(bound))),
+                          key=head.__getitem__)
+            kept_head = list(map(head.__getitem__, kept))
+            kept_last = list(map(last_col.__getitem__, kept))
+            for i in members:
+                nv = neg[i]
+                below = bisect_left(kept_head, nv)
+                if nv > 0 or below and min(islice(
+                        map(add, kept_head, map(rows[tups[i][-1]].__getitem__, kept_last)),
+                        below)) < nv:
+                    bad.append(i)
+        return [tups[i] for i in sorted(bad)]
 
 
 class LimitOracle:
@@ -789,8 +822,8 @@ class LimitOracle:
         A slot's entries are its birth pins, then the extension's tuples
         without the new point x, then those with x.  Each entry (t, v) must
         lie in the window [lo, hi] of the entries (s, w) before it, lo =
-        max(0, max of w - d(s, t)) (``_envelope``) and hi = min of w + d(s, t)
-        (``_ceiling``): v >= 0 and |v - w| <= d(s, t), so each pair of entries
+        max(0, max of w - d(s, t)) and hi = min of w + d(s, t)
+        (``_katetov_window``): v >= 0 and |v - w| <= d(s, t), so each pair of entries
         is decided once, when its later entry is walked.  Write P for a
         realized slot's stored pins, E for their envelope, B for the base and
         e_b for the requested distance to b.  On a realized slot a tuple
@@ -882,8 +915,7 @@ class LimitOracle:
                 if base_tuple:
                     lo = hi = scaled(known[mt], den)
                 else:
-                    before = entries[:i]
-                    lo, hi = _envelope(before, mt, ld), _ceiling(before, mt, ld)
+                    lo, hi = _katetov_window(entries[:i], mt, ld)
                 if lo <= v <= hi:
                     if v > lo:
                         added[mt] = walk[i][1]
@@ -1019,11 +1051,13 @@ class LimitOracle:
         d(q, p) - w: the pin itself gives low(p) <= -v, so the second
         condition says low(p) = -v, no pin pushes E(p) above v, and
         E(p) = max(0, v) = v.  The rows are >= 0, so a pin with w <= v gives
-        d(q, p) - w >= -v and cannot decide low(p) + v >= 0: one row gather
-        per pin, over the strictly heavier pins only, decides it
-        (``_Pins.unreproduced``).  That is quadratic in the pins of a slot,
-        and it needs none of the exponential tuple tables a materialized
-        snapshot needs.
+        d(q, p) - w >= -v and cannot decide low(p) + v >= 0: the strictly
+        heavier pins alone decide it (``_Pins.unreproduced``).  The cost is
+        one head gather per group of pins that share their first n - 1
+        points, and one lazy pass per pin along the last column, over the
+        heavier pins its head leaves below its bound: quadratic in the pins
+        P of a slot at worst, with O(P) extra ints at a time, and none of
+        the exponential tuple tables a materialized snapshot needs.
 
         It is the one decision for predicates: once it reports nothing,
         neither can validate_k(snapshot()).  The rows are a metric, so the

@@ -278,10 +278,11 @@ def tuple_dist(m: FinMetric, a: tuple[str, ...], b: tuple[str, ...]) -> Fraction
 def _envelope(entries, tup, dist):
     """Katetov envelope max(0, max over pins (t, w) of w - d(t, tup)).
 
-    The one lower envelope of the package: the growth walk of
-    ``LimitOracle._rel_pins``, tables of ``FinMetric.table``, profiles (1-tuples
-    of dense indices over a presentation's ``_d``) and every clamp window's floor.
-    ``dist`` maps ordered pairs of distinct coordinates to exact distances.
+    The one lower envelope of the package, and the floor of every clamp
+    window (``_katetov_window``): the growth walk of
+    ``LimitOracle._rel_pins``, tables of ``FinMetric.table`` and profiles
+    (1-tuples of dense indices over a presentation's ``_d``).  ``dist``
+    maps ordered pairs of distinct coordinates to exact distances.
     Each caller gets the value its own loop gave before:
     - ``tuple_dist`` and ``d_idx`` count a coordinate with x = y as 0, and
       the kernel skips it;
@@ -310,22 +311,30 @@ def _envelope(entries, tup, dist):
     return env
 
 
-def _ceiling(entries, tup, dist):
-    """The dual envelope min over pins (t, w) of w + d(t, tup), inf for none;
-    a candidate is cut once its partial sum rises to the running minimum."""
-    cap = inf
+def _katetov_window(entries, tup, dist):
+    """Both ends of the Katetov window the pins leave at ``tup``, in one pass:
+    lo = ``_envelope(entries, tup, dist)`` and hi = min over pins (t, w) of
+    w + d(t, tup), inf for none.  A pin's distance is summed only while it
+    can still move an end: w - d falls and w + d rises as d grows, so a
+    candidate is cut once w - d <= lo and w + d >= hi.  Each end reads the
+    pairs the two one-ended scans read, so a missing pair raises where
+    either did."""
+    lo, hi = 0, inf
     for ptup, w in entries:
-        if w >= cap:
+        if w <= lo and w >= hi:
             continue
-        s = w
+        d = 0
         for x, y in zip(ptup, tup):
             if x != y:
-                s += dist[(x, y)]
-                if s >= cap:
+                d += dist[(x, y)]
+                if w - d <= lo and w + d >= hi:
                     break
         else:
-            cap = s
-    return cap
+            if w - d > lo:
+                lo = w - d
+            if w + d < hi:
+                hi = w + d
+    return lo, hi
 
 
 def path_amalgam_metric(

@@ -13,7 +13,7 @@ from operator import add
 from random import Random
 from typing import Sequence
 
-from .metric import FinMetric, _ceiling, _envelope, fin_metric
+from .metric import FinMetric, _katetov_window, fin_metric
 from .rationals import ZERO
 from .relational import IndexedStructure, tuples_over
 from .spaces import CompactPresentation, PolishPresentation, SuitableFn, suitable
@@ -79,8 +79,7 @@ def random_table(
     for tup in tuples_over(metric.points, arity):
         if tup in out:
             continue
-        lo = _envelope(out.items(), tup, metric.table)
-        cap = _ceiling(out.items(), tup, metric.table)
+        lo, cap = _katetov_window(out.items(), tup, metric.table)
         out[tup] = _clamp(rand_rat(rng, den, 0, hi), lo, cap)
     return out
 
@@ -113,7 +112,7 @@ def random_suitable(rng: Random, k: CompactPresentation, den: int = 8, hi: int =
     for i in range(1, k.size + 1):
         if rng.random() < 0.6:
             entries = [((j,), v) for j, v in pins.items()]
-            lo, cap = _envelope(entries, (i,), k._d), _ceiling(entries, (i,), k._d)
+            lo, cap = _katetov_window(entries, (i,), k._d)
             pins[i] = _clamp(rand_rat(rng, den, 0, hi), lo, cap)
     return suitable(pins)
 

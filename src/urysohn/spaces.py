@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
 
-from .metric import FinMetric, _ceiling, _envelope, validate_metric
+from .metric import FinMetric, _envelope, _katetov_window, validate_metric
 from .rationals import ZERO, pow2
 
 
@@ -147,7 +147,8 @@ def _window(v: Fraction, i: int, neighbours, k: CompactPresentation) -> Fraction
     1-tuple (j,) and the clamped point as None."""
     pins = [((j,), eval_suitable(f, i, k)) for j, (f, _) in enumerate(neighbours)]
     dist = {(j, None): d for j, (_, d) in enumerate(neighbours)}
-    return min(max(v, _envelope(pins, (None,), dist)), _ceiling(pins, (None,), dist))
+    lo, hi = _katetov_window(pins, (None,), dist)
+    return min(max(v, lo), hi)
 
 
 def validate_suitable(f: SuitableFn, k: CompactPresentation) -> list[str]:

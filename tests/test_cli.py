@@ -1,11 +1,14 @@
 from fractions import Fraction as F
 from pathlib import Path
+from random import Random
 
 import pytest
 
 from urysohn.cli import main
 from urysohn.certificates import verify_certificate
-from urysohn.files import parse_structure_file, replay_oracle
+from urysohn.files import parse_structure_file, replay_oracle, serialize_structure
+from urysohn.randgen import random_bark
+from urysohn.rationals import fmt_rat
 
 K_GOOD = """K
 point a
@@ -370,6 +373,39 @@ def test_validate_rejects_pin_on_unregistered_slot(tmp_path, capsys):
     assert "not registered" in out.err
 
 
+def test_validate_names_exactly_the_pin_lowered_below_a_heavier_one(tmp_path, capsys):
+    # a 148-point homog log; the first pin that another pin of its slot
+    # forces above 0 is set to 0, which leaves every other pin reproduced
+    x = random_bark(Random(1), ["x1", "x2"], bound=2)
+    bark = put(tmp_path, "x.bark", serialize_structure("BARK", x))
+    log = tmp_path / "x.log"
+    assert main(["homog", bark, "--wishes", "1", "--depth", "6", "--seed", "1",
+                 "--out", str(tmp_path / "x.cert"), "--out-log", str(log)]) == 0
+    text = log.read_text(encoding="utf-8")
+    o = replay_oracle(parse_structure_file(text).value)
+    assert len(o) == 148
+
+    def d(s, t):
+        return sum(map(o.distance, s, t))
+
+    pins = {}
+    for rec in o.log:
+        for slot, delta in rec.pins.items():
+            pins.setdefault(slot, {}).update(delta)
+    slot, tup, v = next(
+        (slot, t, v) for slot, vals in pins.items() for t, v in vals.items()
+        if any(w - d(s, t) > 0 for s, w in vals.items() if s != t)
+    )
+    line = f"gp {slot[0]} {slot[1]} {' '.join(tup)} {fmt_rat(v)}\n"
+    assert text.count(line) == 1
+    bad = put(tmp_path, "bad.log", text.replace(line, line.replace(fmt_rat(v), "0/1")))
+    assert main(["validate", bad]) == 1
+    out = capsys.readouterr()
+    assert out.out == (f"slot ({slot[0]},{slot[1]}): pin at {tup} not reproduced "
+                       f"by its envelope\n")
+    assert out.err == ""
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "validate_state checks pin reproduction only: the step-3 pin raises E(u2) "
     "from 0 to 1/2 and is itself reproduced, so validate prints valid, while "
@@ -723,6 +759,46 @@ def test_amalgamate_refuses_a_support_index_outside_the_space(tmp_path, capsys):
     assert main(["amalgamate", bad, good, "--over", common, "--space", space, "--out", out]) == 1
     assert capsys.readouterr().err == "error: support index 0 outside 1..2\n"
     assert not Path(out).exists()
+
+
+# a three-point presentation whose triangle q2, q3, q1 breaks: 1 > 1/8 + 1/8
+BAD_COMPACT = "COMPACT\npoint q1\npoint q2\npoint q3\nd q1 q2 1/8\nd q1 q3 1/8\nd q2 q3 1/1\n"
+BAD_POLISH = "POLISH\npoint q1\npoint q2\npoint q3\nd q1 q2 1/8\nd q1 q3 1/8\nd q2 q3 1/1\n"
+ONE_POINT_C = "C\npoint a\nsuit a 1=1/2\n"
+ONE_POINT_L = "L\npoint a\nL 1/1\npz a 1\n"
+
+
+@pytest.mark.parametrize("opt, kind, argv", [
+    ("--space", "COMPACT", ["validate", "{c}", "--space", "{bad}"]),
+    ("--space", "POLISH", ["validate", "{l}", "--space", "{bad}"]),
+    ("--space", "COMPACT", ["validate", "{prod}", "--space", "{bad}"]),
+    ("--zspace", "POLISH", ["validate", "{lip}", "--zspace", "{bad}"]),
+    ("--space", "POLISH", ["validate", "{lip}", "--space", "{bad}"]),
+    ("--space", "COMPACT", ["grow", "--mode", "prod", "--space", "{bad}", "--suit", "1=1/2",
+                            "--out-log", "{out}"]),
+    ("--zspace", "POLISH", ["grow", "--mode", "lip", "--zspace", "{bad}", "--lip", "1/1",
+                            "--pz", "1", "--out-log", "{out}"]),
+    ("--space", "COMPACT", ["eval", "{c}", "--space", "{bad}", "--point", "a", "--index", "2"]),
+    ("--space", "POLISH", ["eval", "{l}", "--space", "{bad}", "--point", "a"]),
+    ("--space", "COMPACT", ["amalgamate", "{c}", "{c2}", "--over", "{c}", "--space", "{bad}",
+                            "--out", "{out}"]),
+    ("--space", "COMPACT", ["joint-embed", "{c}", "{c2}", "--space", "{bad}", "--out", "{out}"]),
+])
+def test_an_invalid_presentation_is_refused_before_any_work(tmp_path, capsys, opt, kind, argv):
+    files = {
+        "bad": put(tmp_path, "bad.space", BAD_COMPACT if kind == "COMPACT" else BAD_POLISH),
+        "c": put(tmp_path, "a.c", ONE_POINT_C),
+        "c2": put(tmp_path, "b.c", ONE_POINT_C.replace(" a", " b")),
+        "l": put(tmp_path, "a.l", ONE_POINT_L),
+        "prod": put(tmp_path, "prod.log", "ORACLE\nmode prod\n"),
+        "lip": put(tmp_path, "lip.log", "ORACLE\nmode lip\nL 1/1\n"),
+        "out": str(tmp_path / "out"),
+    }
+    assert main([a.format_map(files) for a in argv]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {opt} {files['bad']}: triangle (q2,q3,q1): 1 > 1/8 + 1/8\n"
+    assert not Path(files["out"]).exists()
 
 
 @pytest.mark.parametrize("argv", [

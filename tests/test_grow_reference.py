@@ -149,16 +149,16 @@ def grow_and_compare(o, base_dists, rel):
     before = state_of(o)
     envs = []
 
-    def recording_envelope(entries, tup, dist):
+    def recording_window(entries, tup, dist):
         # predicate_value gathers rows, so these are the request's local
-        # envelopes only
-        value = real_envelope(entries, tup, dist)
-        envs.append((tup, value))
-        return value
+        # envelopes only: the low end of each window
+        lo, hi = real_window(entries, tup, dist)
+        envs.append((tup, lo))
+        return lo, hi
 
-    real_envelope = engine._envelope
+    real_window = engine._katetov_window
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "_envelope", recording_envelope)
+        mp.setattr(engine, "_katetov_window", recording_window)
         try:
             o.grow(base_dists, rel=rel)
         except OracleGrowthError as exc:

@@ -2,21 +2,24 @@
 replaced.
 
 Each reference below is the loop a caller ran before it called
-``metric._envelope``, ``metric._ceiling`` or ``IntRows.ceilings``: profile
-evaluation and building, the canonical extension, the clamp windows of the
-random generators and of the profile solver step, and the two row-gather
-scans of the validators.  Inputs are drawn small, with zero values, ties,
-empty pin sets and targets that are pins themselves.
+``metric._envelope``, ``metric._katetov_window`` or ``IntRows.ceilings``:
+profile evaluation and building, the canonical extension, the clamp windows
+of the random generators and of the profile solver step, and the two
+row-gather scans of the validators.  ``_Pins.unreproduced`` is checked
+against the pairwise rule and the old per-pin gather.  Inputs are drawn
+small, with zero values, ties, empty pin sets and targets that are pins
+themselves.
 """
 from fractions import Fraction
 from itertools import product
 from operator import add, itemgetter
 from random import Random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from urysohn.cauchy import _clamped
-from urysohn.metric import FinMetric, IntRows, _ceiling, _envelope, tuple_dist
+from urysohn.engine import _Pins
+from urysohn.metric import FinMetric, IntRows, _envelope, _katetov_window, tuple_dist
 from urysohn.randgen import (
     _clamp,
     compatible_profile,
@@ -255,17 +258,16 @@ def test_envelope_and_ceiling_equal_the_unpruned_scan(table, data):
     entries = list(values.items())
     lo, hi = _brute(entries, tup, metric.table)
     assert _envelope(entries, tup, metric.table) == lo
-    cap = _ceiling(entries, tup, metric.table)
-    assert cap == hi if entries else cap == float("inf")
+    assert _katetov_window(entries, tup, metric.table) == (lo, float("inf") if hi is None else hi)
 
 
 def test_envelope_of_no_pins_is_zero_and_a_pin_reads_its_own_value():
     table = {("a", "b"): F(1), ("b", "a"): F(1)}
     assert _envelope([], ("a",), table) == 0
-    assert _ceiling([], ("a",), table) == float("inf")
+    assert _katetov_window([], ("a",), table) == (0, float("inf"))
     pins = [(("a",), F(2)), (("b",), F(5, 2))]
     assert _envelope(pins, ("a",), table) == F(2)
-    assert _ceiling(pins, ("a",), table) == F(2)
+    assert _katetov_window(pins, ("a",), table) == (F(2), F(2))
     assert _envelope([(("a",), F(0))], ("b",), table) == 0
 
 
@@ -358,6 +360,95 @@ def test_pin_reproduction_matches_the_old_gather_and_the_envelope(table, data):
     assert new == old_pin_clear(ir, pins)
     rows = {(x, y): ir.rows[index[x]][index[y]] for x in PTS for y in PTS if x != y}
     assert new == [_envelope(pins.items(), t, rows) == v for t, v in pins.items()]
+
+
+def brute_unreproduced(ir, pins):
+    """The pins (t, v) that the pairwise rule refuses: v < 0, or some pin
+    (s, w) with w - d(s, t) > v in the sum metric."""
+    def d(s, t):
+        return sum(ir.rows[ir.index[x]][ir.index[y]] for x, y in zip(s, t))
+
+    return [t for t, v in pins.items() if v < 0 or any(w - d(s, t) > v for s, w in pins.items())]
+
+
+@st.composite
+def pin_slots(draw):
+    """Integer rows of a metric on PTS and the pins of one slot of arity 1
+    to 3, added one at a time, in column order.  They sit on few points, so
+    that pins share heads and tails; equal weights, a negative pin, a tuple
+    pinned twice and an empty slot come up."""
+    metric = random_metric(Random(draw(seeds)), PTS, den=4, hi=8)
+    arity = draw(st.integers(1, 3))
+    pts = PTS[: draw(st.integers(1, len(PTS)))]
+    tups = st.tuples(*[st.sampled_from(pts)] * arity)
+    drawn = draw(st.lists(st.tuples(tups, st.one_of(VALUES, st.just(F(-1, 4)))), max_size=10))
+    ir = IntRows.of(PTS, metric.table, [v for _, v in drawn])
+    adds = [(t, scaled(v, ir.den) - draw(st.sampled_from([0, 0, 1]))) for t, v in drawn]
+    return ir, adds
+
+
+# a, c, b of weights 4 > 3 > 1, on a metric where c alone forces b above 1:
+# the lightest of b's heavier pins decides it
+FORCED_BY_THE_LAST_HEAVIER = (
+    IntRows(PTS, [[0, 3, 2, 2], [3, 0, 1, 2], [2, 1, 0, 2], [2, 2, 2, 0]], 1),
+    [(("a",), 4), (("c",), 3), (("b",), 1)],
+)
+# the head group of a holds (a, c) and its lightest pin (a, f); of the heads
+# -4, -2, -2, -5, -3 of the pins heavier than (a, f), in column order, only
+# the -5 of (f, c) refuses (a, c), and it is found once they are sorted
+FORCED_PAST_A_LARGER_HEAD = (
+    IntRows(
+        ("a", "b", "c", "d", "e", "f"),
+        [[0, 7, 5, 8, 8, 1], [7, 0, 6, 4, 6, 6], [5, 6, 0, 6, 3, 4],
+         [8, 4, 6, 0, 6, 7], [8, 6, 3, 6, 0, 7], [1, 6, 4, 7, 7, 0]],
+        4,
+    ),
+    [(("a", "c"), 3), (("a", "f"), 1), (("f", "c"), 6), (("b", "e"), 9), (("c", "e"), 7),
+     (("b", "d"), 11)],
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pin_slots())
+@example(FORCED_BY_THE_LAST_HEAVIER)
+@example(FORCED_PAST_A_LARGER_HEAD)
+def test_unreproduced_pins_match_the_pairwise_rule_and_the_old_gather(slot):
+    ir, adds = slot
+    pins, want = _Pins(), {}
+    for t, w in adds:
+        pins.add(ir.index, {t: w})
+        want[t] = w
+    ids = list(ir.index)
+    got = [tuple(ids[h] for h in t) for t in pins.unreproduced(ir.rows)]
+    assert got == brute_unreproduced(ir, want)
+    assert got == [t for t, clear in zip(want, old_pin_clear(ir, want)) if not clear]
+    assert _Pins().unreproduced(ir.rows) == []
+
+
+@settings(max_examples=200, deadline=None)
+@given(seeds, st.integers(1, 3), st.data())
+def test_one_pin_lowered_in_a_consistent_slot_is_reported_alone(seed, arity, data):
+    # a 1-Lipschitz table is reproduced by its own pins, and lowering one of
+    # them leaves the others reproduced: only the lowered pin can be reported.
+    # Its whole head group is pinned, so that it is often not the group's
+    # lightest pin, and one heavier pin often decides it alone
+    rng = Random(seed)
+    metric = random_metric(rng, PTS, den=4, hi=8)
+    table = random_table(rng, metric, arity, den=4, hi=24)
+    head = data.draw(st.sampled_from(sorted({t[:-1] for t in table})))
+    group = [t for t in sorted(table) if t[:-1] == head]
+    others = data.draw(st.lists(st.sampled_from(sorted(table)), unique=True, max_size=12))
+    chosen = list(dict.fromkeys(group + others))
+    ir = IntRows.of(PTS, metric.table, [table[t] for t in chosen])
+    want = {t: scaled(table[t], ir.den) for t in chosen}
+    assert brute_unreproduced(ir, want) == []
+    low = data.draw(st.sampled_from(group))
+    want[low] -= data.draw(st.integers(1, ir.den))
+    pins = _Pins()
+    pins.add(ir.index, want)
+    got = [tuple(PTS[h] for h in t) for t in pins.unreproduced(ir.rows)]
+    assert got == brute_unreproduced(ir, want)
+    assert got in ([], [low])
 
 
 @settings(max_examples=100, deadline=None)
