@@ -246,12 +246,17 @@ def cmd_joint_embed(args) -> int:
     return 0
 
 
-def _load_oracle(args, compact=None, polish=None, modes=("rel",), lip=None) -> LimitOracle:
-    """Replay ``--oracle`` when that log exists, else start an empty oracle."""
+def _oracle_log(args):
+    """The log ``--oracle`` names, parsed, or None when there is none yet."""
     if args.oracle and Path(args.oracle).exists():
-        of = _load_kind(args.oracle, "ORACLE")
-        return replay_oracle(of, compact=compact, polish=polish)
-    return LimitOracle(modes, compact=compact, polish=polish, lip_const=lip)
+        return _load_kind(args.oracle, "ORACLE")
+    return None
+
+
+def _load_oracle(args) -> LimitOracle:
+    """Replay ``--oracle`` when that log exists, else start an empty oracle."""
+    log = _oracle_log(args)
+    return LimitOracle() if log is None else replay_oracle(log)
 
 
 def _save_oracle(o: LimitOracle, path: str | None):
@@ -267,16 +272,33 @@ def cmd_grow(args) -> int:
     if given:
         when = "with" if args.ext else "without"
         raise UsageError(f"{' and '.join(given)}: not read {when} an extension file")
-    compact = _load_space("--space", args.space, "COMPACT") if args.space else None
-    polish = _load_space("--zspace", args.zspace, "POLISH") if args.zspace else None
     lip = _option("--lip", parse_rat, args.lip) if args.lip else None
-    o = _load_oracle(args, compact, polish, tuple(args.mode or ("rel",)), lip)
     dists = {}
     for pair in args.dist or []:
         if "=" not in pair:
             raise UsageError(f"malformed distance entry {pair!r}")
         pt, val = pair.split("=", 1)
         dists[pt] = _option("--dist", parse_rat, val)
+    suit = _option("--suit", parse_profile_entries, args.suit) if args.suit else None
+    # an existing log brings its own modes and constant; --space, --zspace
+    # and --lip are read only by the modes that use them
+    log = _oracle_log(args)
+    fresh = log is None
+    modes = tuple(args.mode or ("rel",)) if fresh else log.modes
+    if len(set(modes)) < len(modes):
+        raise UsageError("--mode: each mode may be given once")
+    reads = {"--mode": fresh, "--space": "prod" in modes, "--zspace": "lip" in modes,
+             "--lip": fresh and "lip" in modes}
+    given = [opt for opt, read in reads.items() if getattr(args, opt[2:]) and not read]
+    if given:
+        what = f"{'a new' if fresh else 'an existing'} {'+'.join(modes)} oracle"
+        raise UsageError(f"{' and '.join(given)}: not read for {what}")
+    compact = _load_space("--space", args.space, "COMPACT") if args.space else None
+    polish = _load_space("--zspace", args.zspace, "POLISH") if args.zspace else None
+    if fresh:
+        o = LimitOracle(modes, compact=compact, polish=polish, lip_const=lip)
+    else:
+        o = replay_oracle(log, compact=compact, polish=polish)
     rel = None
     if args.ext:
         ext = _load_kind(args.ext, "K")
@@ -295,9 +317,7 @@ def cmd_grow(args) -> int:
             raise UsageError("the extension must leave exactly one point unmapped")
         dists = {base_map[p]: ext.metric.d(new_pts[0], p) for p in base_map}
         rel = RelExtension(ext, base_map, slots)
-    suit = _option("--suit", parse_profile_entries, args.suit) if args.suit else None
-    lip_index = args.pz
-    result = o.grow(dists, rel=rel, suitable=suit, lip_index=lip_index)
+    result = o.grow(dists, rel=rel, suitable=suit, lip_index=args.pz)
     print(result.point)
     for slot, g in sorted(result.slot_globals.items()):
         print(f"slot {slot[0]}:{slot[1]} -> {g}")
@@ -446,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", action="append", help="oracle point=rational, for plain growth")
     p.add_argument("--suit", help="profile entries i=num/den,...")
     p.add_argument("--pz", type=int, help="dense label index")
-    p.add_argument("--mode", action="append", help="oracle modes when starting fresh")
+    p.add_argument("--mode", action="append", choices=("rel", "prod", "lip"),
+                   help="oracle modes when starting fresh")
     p.add_argument("--space")
     p.add_argument("--zspace")
     p.add_argument("--lip")

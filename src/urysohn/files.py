@@ -338,9 +338,15 @@ def _parse_oracle(lines: Iterator[tuple[int, str]]) -> OracleFile:
             _fields(parts, 2, lineno, "one mode name")
             if cur is not None:
                 raise ParseError(lineno, "mode records must precede growth blocks")
+            if parts[1] in modes:
+                raise ParseError(lineno, f"duplicate mode record {parts[1]!r}")
             modes.append(parts[1])
         elif rec == "L":
             _fields(parts, 2, lineno, "one rational")
+            if cur is not None:
+                raise ParseError(lineno, "L records must precede growth blocks")
+            if lip is not None:
+                raise ParseError(lineno, "duplicate L record")
             lip = _rat(parts[1], lineno)
         elif rec == "grow":
             flush()

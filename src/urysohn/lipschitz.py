@@ -108,6 +108,29 @@ def check_label_modulus(
     return checks
 
 
+def _label_targets(
+    o: LimitOracle, target: int | Sequence[int], k: int, depth: int
+) -> tuple[list[int], list[Check]]:
+    """The label targets of a one-point step on a ``k``-point target, a
+    constant index or a sequence, as a list of at least ``depth`` dense
+    indices of the oracle's polish presentation, and the modulus checks of
+    its first ``depth``, every one of which holds; SolverError otherwise."""
+    z = o.polish
+    seq = [target] * depth if isinstance(target, int) else list(target)
+    if len(seq) < depth:
+        raise SolverError(f"label sequence of length {len(seq)} shorter than {depth}")
+    try:
+        for i in seq:
+            z.check_index(i)
+    except IndexError as exc:
+        raise SolverError(f"label target: {exc}") from None
+    checks = check_label_modulus(seq[:depth], k, z, o.lip_const)
+    for c in checks:
+        if not c.holds:
+            raise SolverError(f"label sequence breaks its modulus: {c.name}")
+    return seq, checks
+
+
 def extend_one_point_l(
     o: LimitOracle,
     anchors: Sequence[CauchyPoint],
@@ -120,23 +143,10 @@ def extend_one_point_l(
     A plain index means the constant sequence.  Every per-step Lipschitz
     inequality against the base is verified exactly before growth.
     """
-    z = o.polish
-    lip = o.lip_const
-    if z is None or lip is None:
+    if o.polish is None or o.lip_const is None:
         raise SolverError("oracle does not carry a polish presentation")
     k = len(target_metric)
-    seq = [target] * depth if isinstance(target, int) else list(target)
-    if len(seq) < depth:
-        raise SolverError(f"label sequence of length {len(seq)} shorter than {depth}")
-    try:
-        for i in seq:
-            z.check_index(i)
-    except IndexError as exc:
-        raise SolverError(f"label target: {exc}") from None
-    checks: list[Check] = list(check_label_modulus(seq[:depth], k, z, lip))
-    for c in checks:
-        if not c.holds:
-            raise SolverError(f"label sequence breaks its modulus: {c.name}")
+    seq, checks = _label_targets(o, target, k, depth)
     _check_anchors(anchors, k, depth)
 
     def step(level, avec, prev, base_dists):

@@ -102,17 +102,22 @@ class IntRows:
         self.den = den
 
     @classmethod
-    def of(cls, points: Sequence[str], table, values: Iterable = ()) -> IntRows | None:
+    def of(cls, points: Sequence[str], table, values: Iterable = ()) -> IntRows:
         """Rows of ``points`` read from a ``(str, str)`` table of ints and
         Fractions.
 
         ``values`` join the common denominator, so ``rationals.scaled``
-        takes them to ``den`` as well.  None when an entry is missing; the
-        caller then falls back to its rational loop, which names it.
+        takes them to ``den`` as well.  A missing entry raises
+        MetricTableError in ``FinMetric.d``'s words, at the first pair of
+        ``points`` in ``combinations`` order, d(x, y) before d(y, x).
         """
-        raw = [[0 if x == y else table.get((x, y)) for y in points] for x in points]
-        if any(None in row for row in raw):
-            return None
+        try:
+            raw = [[0 if x == y else table[(x, y)] for y in points] for x in points]
+        except KeyError:
+            x, y = next(
+                p for x, y in combinations(points, 2) for p in ((x, y), (y, x)) if p not in table
+            )
+            raise MetricTableError(f"no distance entry for ({x!r}, {y!r})") from None
         flat = [v for row in raw for v in row]
         flat += values
         den = lcm(*{v.denominator for v in flat})
@@ -231,11 +236,8 @@ def validate_metric(m: FinMetric) -> list[str]:
     their messages show the table's own values.
     """
     pts = m.points
-    if len(pts) < 3:
-        return _pair_report(m)
     ir = IntRows.of(pts, m.table)
-    # without rows some entry is missing, and _pair_report raises on it
-    report = [] if ir is not None and ir.symmetric_positive() else _pair_report(m)
+    report = [] if ir.symmetric_positive() else _pair_report(m)
     if next(ir.triangle_breaks(), None) is None:
         return report
     rows = ir.rows
@@ -275,50 +277,16 @@ def tuple_dist(m: FinMetric, a: tuple[str, ...], b: tuple[str, ...]) -> Fraction
     return sum((m.d(x, y) for x, y in zip(a, b)), start=ZERO)
 
 
-def _envelope(entries, tup, dist):
-    """Katetov envelope max(0, max over pins (t, w) of w - d(t, tup)).
-
-    The one lower envelope of the package, and the floor of every clamp
-    window (``_katetov_window``): the growth walk of
-    ``LimitOracle._rel_pins``, tables of ``FinMetric.table`` and profiles
-    (1-tuples of dense indices over a presentation's ``_d``).  ``dist``
-    maps ordered pairs of distinct coordinates to exact distances.
-    Each caller gets the value its own loop gave before:
-    - ``tuple_dist`` and ``d_idx`` count a coordinate with x = y as 0, and
-      the kernel skips it;
-    - a candidate is cut once its partial sum falls to the running maximum,
-      which is sound because distances are >= 0;
-    - ``cauchy._clamped``, ``build_suitable`` and the profile windows of
-      ``compatible_profile`` and ``extend_one_point_c`` had no floor at 0.
-      The floor changes nothing there, because the value the bound is
-      ``max``ed with is >= 0: ``validate_k`` refuses negative targets, and
-      profile values and ``gamma`` are >= 0;
-    - ``IntRows.ceilings`` forms the integer sums the validators' row
-      gathers formed, so their batch tests decide the same.
-    """
-    env = 0
-    for ptup, w in entries:
-        if w <= env:
-            continue
-        s = w
-        for x, y in zip(ptup, tup):
-            if x != y:
-                s -= dist[(x, y)]
-                if s <= env:
-                    break
-        else:
-            env = s
-    return env
-
-
 def _katetov_window(entries, tup, dist):
     """Both ends of the Katetov window the pins leave at ``tup``, in one pass:
-    lo = ``_envelope(entries, tup, dist)`` and hi = min over pins (t, w) of
-    w + d(t, tup), inf for none.  A pin's distance is summed only while it
-    can still move an end: w - d falls and w + d rises as d grows, so a
-    candidate is cut once w - d <= lo and w + d >= hi.  Each end reads the
-    pairs the two one-ended scans read, so a missing pair raises where
-    either did."""
+    the envelope lo = max(0, max over pins (t, w) of w - d(t, tup)), the int
+    0 when no pin lifts it, and hi = min over pins of w + d(t, tup), inf for
+    none.  d is the sum metric over ``dist``, which maps ordered pairs of
+    distinct coordinates to exact distances >= 0; a coordinate with x = y
+    counts as 0.  A pin's distance is summed only while it can still move
+    an end: w - d falls and w + d rises as d grows, so a candidate is cut
+    once w - d <= lo and w + d >= hi.  The kernel for tuples over a
+    distance dict; ``IntRows.ceilings`` is the one for integer rows."""
     lo, hi = 0, inf
     for ptup, w in entries:
         if w <= lo and w >= hi:

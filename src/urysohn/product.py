@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 from .cauchy import CauchyPoint, ExtensionOutcome, SolverError, _check_anchors, _sandwich_chain
 from .certificates import Check
 from .engine import LimitOracle
-from .lipschitz import _check_label
+from .lipschitz import _check_label, _label_targets
 from .metric import FinMetric, jep_gap, jep_gap_metric, path_amalgam_carry, validate_metric
 from .rationals import ZERO, pow2
 from .spaces import (
@@ -127,19 +127,19 @@ def extend_one_point_c(
     k_space = o.compact
     if k_space is None:
         raise SolverError("oracle does not carry a compact presentation")
+    k = len(target_metric)
     lip_seq: list[int] | None = None
     if lip_target is not None:
         if "lip" not in o.modes:
             raise SolverError("oracle does not carry labels")
-        lip_seq = [lip_target] * depth if isinstance(lip_target, int) else list(lip_target)
-        if len(lip_seq) < depth:
-            raise SolverError("label sequence shorter than the requested depth")
+        # the modulus checks are made, not certified: a product certificate
+        # keeps its own lines
+        lip_seq = _label_targets(o, lip_target, k, depth)[0]
     elif "lip" in o.modes:
         raise SolverError("this oracle also needs a label target per point")
     bad = validate_suitable(new_fn, k_space)
     if bad:
         raise SolverError(f"target profile invalid: {bad[0]}")
-    k = len(target_metric)
     need = _check_anchors(anchors, k, depth)
     pts = target_metric.points
     olds, new_pt = pts[:-1], pts[-1]

@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from operator import add
+from operator import add, itemgetter
 from typing import Iterable, Mapping
 
-from .metric import FinMetric, IntRows, WitnessError, _envelope, tuple_dist, validate_metric
+from .metric import FinMetric, IntRows, WitnessError, tuple_dist, validate_metric
 from .rationals import ZERO, scaled
 
 PredTable = dict[tuple[int, int, tuple[str, ...]], Fraction]
@@ -149,62 +149,38 @@ def find_lipschitz_violation(
 ):
     """First pair breaking p(a) <= p(b) + d(a, b) in the sum metric, or None.
 
-    Pairs are scanned in sorted order of (a, b).  When every point the
-    tuples use is known and every distance among them is present, rows are
-    cleared on integer rows over one common denominator: a row a is clear
-    when p(a) <= min over b of p(b) + d(a, b) (``IntRows.ceilings``), and
-    only the first row that is not clear is scanned for its first b.
-    Otherwise every row above the minimum is scanned in rationals, which
-    raises MetricTableError at the first missing entry it reaches.  Both
-    give the same answer.  Rows at the minimum, and constant tables, are
-    passed over only when no distance among the used points is negative.
-    A total table of arity n >= 2 is first decided along its coordinate
-    lines (``_lines_hold``): when every line holds, the law holds for every
-    pair and no scan could find one; otherwise the rows are cleared as above
-    to name the first pair.
+    A least value p(a) < 0 is reported as (a, a, p(a), 0).  Otherwise every
+    point the tuples use must be known with every distance among them, or
+    MetricTableError is raised before any scan (``FinMetric.d``,
+    ``IntRows.of``).  A total table of arity n >= 2 is first decided along
+    its coordinate lines (``_lines_hold``): when every line holds, the law
+    holds for every pair.  Otherwise, or when a line fails, the rows are
+    cleared in sorted order on integer rows over one common denominator: a
+    row a is clear when p(a) <= min over b of p(b) + d(a, b)
+    (``IntRows.ceilings``), and the first row that is not clear is scanned
+    for its first b in sorted order.
     """
     items = sorted(values.items())
-    lo = min((v for _, v in items), default=ZERO)
-    hi = max((v for _, v in items), default=ZERO)
-    if lo < 0:
-        ta = min(items, key=lambda kv: (kv[1], kv[0]))[0]
-        return ta, ta, values[ta], ZERO
+    ta, va = min(items, key=itemgetter(1, 0), default=((), ZERO))
+    if va < 0:
+        return ta, ta, va, ZERO
     used = sorted({p for t, _ in items for p in t})
-    # a tuple at the minimum obeys the law, p(a) = lo <= p(b) + d(a, b), when
-    # no distance among the used points is negative: only then may a
-    # constant table pass unscanned and a row at the minimum be skipped
-    on = set(used)
-    if lo == hi and _nonnegative(metric, on):
+    for p in used:
+        metric.d(p, p)  # raises on a point the metric does not list
+    ir = IntRows.of(used, metric.table, (v for _, v in items))
+    vals = [scaled(v, ir.den) for _, v in items]
+    n = len(items[0][0]) if items else 0
+    total = len(items) == len(used) ** n and all(len(t) == n for t, _ in items)
+    if n >= 2 and total and _lines_hold(ir.rows, vals, n):
         return None
-    known = on <= set(metric.points)
-    ir = IntRows.of(used, metric.table, (v for _, v in items)) if known else None
-    if ir is None:
-        floor = lo if _nonnegative(metric, on) else -1
-        suspects = (item for item in items if item[1] > floor)
-    else:
-        vals = [scaled(v, ir.den) for _, v in items]
-        n = len(items[0][0])
-        total = len(items) == len(used) ** n and all(len(t) == n for t, _ in items)
-        if n >= 2 and total and _lines_hold(ir.rows, vals, n):
-            return None
-        index = ir.index
-        tups = [tuple(index[p] for p in t) for t, _ in items]
-        # the values are >= 0 here, so a floor of -1 skips no row
-        floor = min(vals) if min(map(min, ir.rows)) >= 0 else -1
-        high = [(item, a, va) for item, a, va in zip(items, tups, vals) if va > floor]
-        caps = ir.ceilings([a for _, a, _ in high], tups, vals)
-        suspects = (item for (item, _, va), cap in zip(high, caps) if va > cap)
-    for ta, va in suspects:
-        for tb, vb in items:
-            rhs = vb + tuple_dist(metric, ta, tb)
-            if va > rhs:
-                return ta, tb, va, rhs
+    index, rows = ir.index, ir.rows
+    tups = [tuple(index[p] for p in t) for t, _ in items]
+    for (ta, va), a, vi, cap in zip(items, tups, vals, ir.ceilings(tups, tups, vals)):
+        if vi > cap:
+            for (tb, vb), b, vj in zip(items, tups, vals):
+                if vi > vj + sum(rows[x][y] for x, y in zip(a, b)):
+                    return ta, tb, va, vb + tuple_dist(metric, ta, tb)
     return None
-
-
-def _nonnegative(metric: FinMetric, pts: set[str]) -> bool:
-    """No distance entry among ``pts`` is negative."""
-    return all(v >= 0 for (x, y), v in metric.table.items() if x in pts and y in pts)
 
 
 def _lines_hold(rows: list[list[int]], vals: list[int], n: int) -> bool:
@@ -296,7 +272,9 @@ def canonical_extend(
 ) -> dict[tuple[str, ...], Fraction]:
     """Katetov extension of a partial table to every tuple of the given arity.
 
-    Undefined tuples get max(0, max over defined of value - sum-distance).
+    Undefined tuples get the Katetov envelope max(0, max over defined of
+    value - sum-distance), read on integer rows as max(0, -min over defined
+    of (sum-distance - value)) (``IntRows.ceilings``).
     The result does not depend on the processing order, re-application is
     the identity, and the 1-Lipschitz law is preserved.
     """
@@ -304,11 +282,17 @@ def canonical_extend(
     if bad is not None:
         ta, tb, lhs, rhs = bad
         raise ValueError(f"partial table already inconsistent: {ta} vs {tb} ({lhs} > {rhs})")
-    pins = list(values.items())
-    out: dict[tuple[str, ...], Fraction] = {}
-    for tup in tuples_over(metric.points, arity):
-        out[tup] = values[tup] if tup in values else _envelope(pins, tup, metric.table) or ZERO
-    return out
+    every = list(tuples_over(metric.points, arity))
+    if not values:
+        return dict.fromkeys(every, ZERO)
+    ir = IntRows.of(metric.points, metric.table, values.values())
+    index = ir.index
+    pins = [tuple(index[p] for p in t) for t in values]
+    neg = [-scaled(w, ir.den) for w in values.values()]
+    todo = [t for t in every if t not in values]
+    lows = ir.ceilings([tuple(index[p] for p in t) for t in todo], pins, neg)
+    env = {t: Fraction(max(0, -low), ir.den) for t, low in zip(todo, lows)}
+    return {t: values[t] if t in values else env[t] for t in every}
 
 
 def find_isomorphism(a: IndexedStructure, b: IndexedStructure) -> EmbeddingWitness | None:

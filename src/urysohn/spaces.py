@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping
 
-from .metric import FinMetric, _envelope, _katetov_window, validate_metric
+from .metric import FinMetric, _katetov_window, validate_metric
 from .rationals import ZERO, pow2
 
 
@@ -125,7 +125,14 @@ def suitable(values: Mapping[int, Fraction]) -> SuitableFn:
 def eval_suitable(f: SuitableFn, j: int, k: CompactPresentation) -> Fraction:
     """max(0, max_i (r_i - d(q_j, q_i))); agrees with the pins on the support."""
     k.check_index(j)
-    return _envelope((((i,), v) for i, v in f.pins), (j,), k._d) or ZERO
+    d = k._d
+    env = 0
+    for i, v in f.pins:
+        if v > env:
+            s = v if i == j else v - d[(i, j)]
+            if s > env:
+                env = s
+    return env or ZERO
 
 
 def _cross_breaks(f: SuitableFn, g: SuitableFn, d: Fraction, k: CompactPresentation):
@@ -189,7 +196,7 @@ def build_suitable(gamma: Mapping[int, Fraction], k: CompactPresentation) -> Sui
     out: dict[int, Fraction] = {}
     pins: list[tuple[tuple[int], Fraction]] = []
     for i in order:
-        eta = _envelope(pins, (i,), k._d)
+        eta = _katetov_window(pins, (i,), k._d)[0]
         out[i] = eta if eta > gamma[i] else gamma[i]
         pins.append(((i,), gamma[i]))
     return suitable(out)

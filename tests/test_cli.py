@@ -192,6 +192,46 @@ def test_a_malformed_grow_option_value_is_a_usage_error(tmp_path, capsys, extra,
     assert not log.exists()
 
 
+@pytest.mark.parametrize("existing, extra, error", [
+    (True, ["--mode", "prod", "--lip", "1/2"],
+     "--mode and --lip: not read for an existing rel oracle"),
+    (True, ["--mode", "rel"], "--mode: not read for an existing rel oracle"),
+    (True, ["--zspace", "z.polish", "--lip", "1/1"],
+     "--zspace and --lip: not read for an existing rel oracle"),
+    (True, ["--space", "k.compact"], "--space: not read for an existing rel oracle"),
+    (True, ["--zspace", "z.polish"], "--zspace: not read for an existing rel oracle"),
+    (False, ["--mode", "rel", "--space", "k.compact"], "--space: not read for a new rel oracle"),
+    (False, ["--space", "k.compact"], "--space: not read for a new rel oracle"),
+    (False, ["--mode", "prod", "--space", "k.compact", "--zspace", "z.polish", "--lip", "1/1"],
+     "--zspace and --lip: not read for a new prod oracle"),
+    (False, ["--mode", "prod", "--mode", "prod", "--space", "k.compact"],
+     "--mode: each mode may be given once"),
+])
+def test_grow_refuses_an_option_the_oracle_does_not_read(tmp_path, capsys, existing, extra, error):
+    put(tmp_path, "k.compact", COMPACT)
+    put(tmp_path, "z.polish", POLISH)
+    log = tmp_path / "o.log"
+    if existing:
+        assert main(["grow", "--out-log", str(log)]) == 0
+        before = log.read_bytes()
+    capsys.readouterr()
+    extra = [str(tmp_path / a) if a in ("k.compact", "z.polish") else a for a in extra]
+    request = ["--dist", "u1=1/2"] if existing else []
+    argv = ["grow", "--oracle", str(log), *request, *extra, "--out-log", str(log)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"usage error: {error}\n")
+    assert log.read_bytes() == before if existing else not log.exists()
+
+
+def test_grow_refuses_an_unknown_mode(tmp_path, capsys):
+    log = tmp_path / "o.log"
+    with pytest.raises(SystemExit) as exc:
+        main(["grow", "--mode", "foo", "--out-log", str(log)])
+    assert exc.value.code == 2
+    assert "argument --mode: invalid choice: 'foo'" in capsys.readouterr().err
+    assert not log.exists()
+
+
 @pytest.mark.parametrize("slot, error", [
     ([], "fresh slot (1,2) born inconsistent: value 2 at ('u2',) overshoots the ceiling 1/2"),
     (["--slot", "1:1=1"], "value 2 at ('u2',) overshoots the ceiling 1/2 of slot (1,1)"),

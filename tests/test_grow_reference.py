@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from urysohn import engine
 from urysohn.engine import LimitOracle, OracleGrowthError, RelExtension
-from urysohn.metric import FinMetric, MetricTableError, _envelope, fin_metric, validate_metric
+from urysohn.metric import FinMetric, MetricTableError, _katetov_window, fin_metric, validate_metric
 from urysohn.rationals import scaled
 from urysohn.relational import (
     IndexedStructure,
@@ -328,8 +328,9 @@ def grown_rel_oracle(rng, steps, max_arity=2):
 @given(st.integers(min_value=0, max_value=2**32))
 @settings(max_examples=60, deadline=None)
 def test_predicate_gather_matches_the_pruned_envelope(seed):
-    """predicate_value's row gather against metric._envelope over a
-    (str, str) table of the same integers, on pins and on random tuples."""
+    """predicate_value's row gather against the low end of
+    metric._katetov_window over a (str, str) table of the same integers, on
+    pins and on random tuples."""
     rng = Random(seed)
     o = grown_rel_oracle(rng, 10)
     table = int_table(o)
@@ -337,7 +338,7 @@ def test_predicate_gather_matches_the_pruned_envelope(seed):
     for (n, g), pins in int_pins(o).items():
         tups = list(pins) + [tuple(rng.choice(o.points) for _ in range(n)) for _ in range(6)]
         for tup in tups:
-            want = F(_envelope(pins.items(), tup, table), o.den)
+            want = F(_katetov_window(pins.items(), tup, table)[0], o.den)
             assert o.predicate_value(n, g, tup) == want
 
 

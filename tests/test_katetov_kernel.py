@@ -2,7 +2,7 @@
 replaced.
 
 Each reference below is the loop a caller ran before it called
-``metric._envelope``, ``metric._katetov_window`` or ``IntRows.ceilings``:
+the Katetov kernels, ``metric._katetov_window`` and ``IntRows.ceilings``:
 profile evaluation and building, the canonical extension, the clamp windows
 of the random generators and of the profile solver step, and the two
 row-gather scans of the validators.  ``_Pins.unreproduced`` is checked
@@ -15,11 +15,12 @@ from itertools import product
 from operator import add, itemgetter
 from random import Random
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from urysohn.cauchy import _clamped
 from urysohn.engine import _Pins
-from urysohn.metric import FinMetric, IntRows, _envelope, _katetov_window, tuple_dist
+from urysohn.metric import FinMetric, IntRows, MetricTableError, _katetov_window, tuple_dist
 from urysohn.randgen import (
     _clamp,
     compatible_profile,
@@ -257,18 +258,15 @@ def test_envelope_and_ceiling_equal_the_unpruned_scan(table, data):
     tup = data.draw(st.sampled_from(list(tuples_over(PTS, arity))))
     entries = list(values.items())
     lo, hi = _brute(entries, tup, metric.table)
-    assert _envelope(entries, tup, metric.table) == lo
     assert _katetov_window(entries, tup, metric.table) == (lo, float("inf") if hi is None else hi)
 
 
 def test_envelope_of_no_pins_is_zero_and_a_pin_reads_its_own_value():
     table = {("a", "b"): F(1), ("b", "a"): F(1)}
-    assert _envelope([], ("a",), table) == 0
     assert _katetov_window([], ("a",), table) == (0, float("inf"))
     pins = [(("a",), F(2)), (("b",), F(5, 2))]
-    assert _envelope(pins, ("a",), table) == F(2)
     assert _katetov_window(pins, ("a",), table) == (F(2), F(2))
-    assert _envelope([(("a",), F(0))], ("b",), table) == 0
+    assert _katetov_window([(("a",), F(0))], ("b",), table)[0] == 0
 
 
 # -- the callers against their old loops ----------------------------------------
@@ -334,15 +332,15 @@ def test_find_lipschitz_violation_matches_on_unknown_points_and_ties():
         {("a",): F(5), ("b",): F(0)},
     ]
     for values in cases:
-        try:
-            want = old_find_lipschitz_violation(metric, values)
-        except Exception as exc:  # a missing entry raises in both
-            want = type(exc)
-        try:
-            got = find_lipschitz_violation(metric, values)
-        except Exception as exc:
-            got = type(exc)
-        assert got == want
+        if ("z",) in values:
+            # a point the metric does not list raises before any scan, even
+            # where the old scan found a pair before it reached the entry
+            with pytest.raises(MetricTableError, match="unknown point 'z'"):
+                find_lipschitz_violation(metric, values)
+            continue
+        assert find_lipschitz_violation(metric, values) == old_find_lipschitz_violation(
+            metric, values
+        )
 
 
 @settings(max_examples=150, deadline=None)
@@ -359,7 +357,7 @@ def test_pin_reproduction_matches_the_old_gather_and_the_envelope(table, data):
     new = [v >= 0 and low + v >= 0 for v, low in zip(pins.values(), ir.ceilings(tups, tups, neg))]
     assert new == old_pin_clear(ir, pins)
     rows = {(x, y): ir.rows[index[x]][index[y]] for x in PTS for y in PTS if x != y}
-    assert new == [_envelope(pins.items(), t, rows) == v for t, v in pins.items()]
+    assert new == [_katetov_window(pins.items(), t, rows)[0] == v for t, v in pins.items()]
 
 
 def brute_unreproduced(ir, pins):

@@ -84,9 +84,15 @@ def reference_parse_oracle(text: str) -> OracleFile | None:
             _fields(parts, 2, lineno, "one mode name")
             if cur is not None:
                 raise ParseError(lineno, "mode records must precede growth blocks")
+            if parts[1] in modes:
+                raise ParseError(lineno, f"duplicate mode record {parts[1]!r}")
             modes.append(parts[1])
         elif rec == "L":
             _fields(parts, 2, lineno, "one rational")
+            if cur is not None:
+                raise ParseError(lineno, "L records must precede growth blocks")
+            if lip is not None:
+                raise ParseError(lineno, "duplicate L record")
             lip = _rat(parts[1], lineno)
         elif rec == "grow":
             flush()
@@ -481,6 +487,47 @@ def test_a_malformed_gb_block_is_a_parse_error(body, error):
         parse_structure_file(text)
     assert str(exc.value) == error
     assert parse_outcome(reference_parse_oracle, text) == parse_outcome(new_parse, text)
+
+
+# the header under L = 1/4 and a late L 1/1, under which step 2's label
+# (d_Z = 1/2 at distance 1) would keep the bound
+LATE_L = "ORACLE\nmode lip\nL 1/4\ngrow u1\ngpz 1\nL 1/1\ngrow u2\ngb u1 1/1\ngpz 2\n"
+
+
+@pytest.mark.parametrize("text, error", [
+    (LATE_L, "line 6: L records must precede growth blocks"),
+    ("ORACLE\nmode lip\nL 1/4\nL 1/1\ngrow u1\ngpz 1\n", "line 4: duplicate L record"),
+    ("ORACLE\nmode lip\nL 1/4\nmode lip\ngrow u1\ngpz 1\n",
+     "line 4: duplicate mode record 'lip'"),
+    ("ORACLE\nmode rel\nmode rel\n", "line 3: duplicate mode record 'rel'"),
+])
+def test_a_duplicate_or_late_header_record_is_a_parse_error(text, error):
+    with pytest.raises(ParseError) as exc:
+        parse_structure_file(text)
+    assert str(exc.value) == error
+    assert parse_outcome(reference_parse_oracle, text) == parse_outcome(new_parse, text)
+
+
+def test_a_combined_header_names_each_mode_once():
+    text = "ORACLE\nmode prod\nmode lip\nL 1/2\n"
+    of = parse_structure_file(text).value
+    assert (of.modes, of.lip) == (("prod", "lip"), F(1, 2))
+    assert serialize_structure("ORACLE", of) == text
+
+
+def test_grow_and_validate_refuse_a_late_l_and_keep_the_log(tmp_path, capsys):
+    z = tmp_path / "z.polish"
+    z.write_text("POLISH\npoint z1\npoint z2\nd z1 z2 1/2\n", encoding="utf-8")
+    log = tmp_path / "late.log"
+    log.write_text(LATE_L, encoding="utf-8")
+    err = "parse error: line 6: L records must precede growth blocks\n"
+    assert cli.main(["validate", str(log), "--zspace", str(z)]) == 1
+    assert capsys.readouterr() == ("", err)
+    argv = ["grow", "--oracle", str(log), "--zspace", str(z), "--dist", "u2=1/1", "--pz", "2",
+            "--out-log", str(log)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", err)
+    assert log.read_text(encoding="utf-8") == LATE_L
 
 
 @pytest.mark.parametrize("body, error", [
