@@ -13,17 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
-from math import lcm
+from itertools import combinations, zip_longest
 from typing import Iterable, Mapping, Sequence
 
 from .certificates import Check
-from .engine import LimitOracle, RelExtension
-from .metric import FinMetric, _katetov_window, fin_metric
+from .engine import LimitOracle
+from .metric import FinMetric, _katetov_window, _triangle_sandwich, fin_metric
 from .rationals import ZERO, pow2, scaled
 from .relational import (
     IndexedStructure,
-    PredTable,
     indexed_structure,
     restrict_k,
     tuples_over,
@@ -130,19 +128,11 @@ def solve_sandwich(
         spec_eta[prev] = link
         checks.append(Check("link", link, "=", pow2(-level)))
     entries = {(x, y): dist(x, y) for x, y in combinations(spec_eta, 2)}
-    for p, e in spec_eta.items():
-        if e == 0:
-            raise ValueError(f"eta({p}) = 0: the new point must be distinct")
-        if e < 0:
-            raise ValueError(f"eta({p}) < 0")
-    for (x, y), dxy in entries.items():
-        ex, ey = spec_eta[x], spec_eta[y]
-        gap = Check(f"triangle-gap-{x}-{y}", abs(ex - ey), "<=", dxy)
-        tri = Check(f"triangle-sum-{x}-{y}", dxy, "<=", ex + ey)
-        checks += gap, tri
-        if not (gap.holds and tri.holds):
-            why = (f"|eta({x}) - eta({y})| = {gap.lhs} > d = {dxy}" if not gap.holds
-                   else f"d({x},{y}) = {dxy} > eta({x}) + eta({y}) = {tri.rhs}")
+    sandwich = _triangle_sandwich(spec_eta, spec_eta, lambda x, y: entries[(x, y)])
+    for x, y, gap, dxy, total, why in sandwich:
+        checks += (Check(f"triangle-gap-{x}-{y}", gap, "<=", dxy),
+                   Check(f"triangle-sum-{x}-{y}", dxy, "<=", total))
+        if why:
             raise SandwichInfeasible(
                 f"no admissible point at level {level}: {why}; "
                 f"targets={list(map(str, targets))} eta={list(map(str, eta))} "
@@ -203,9 +193,9 @@ def extend_one_point(
     realized oracle slots, every other slot is freshly registered at step 1.
     Step l reads the anchors at level k+l+2, checks their pairwise drift
     against the target metric (within 2^-(l+k+1), widened by ``drift_slack``
-    powers of two), solves the sandwich system, clamps the requested
-    predicate values into their Katetov windows and grows the oracle.  Each
-    step's extension keeps the target's own slot indices.
+    powers of two), solves the sandwich system and grows the oracle through
+    ``LimitOracle.grow_clamped``, which clamps the requested predicate values
+    into their Katetov windows; the step keeps each value and its deviation check.
     """
     assigned = dict(known or {})
     report = validate_k(target)
@@ -223,83 +213,36 @@ def extend_one_point(
 
     all_checks: list[Check] = []
     values: list[StepValue] = []
-    # windows are clamped in integers over a scale that holds every target
-    # value, every oracle value and the step's own distances
-    pred_den = lcm(1, *{v.denominator for v in target.pred.values()})
+    temp = "g"  # the new point in the step's tuples
 
     def step(level, avec, prev, base_dists):
-        if target.bound == 0:
-            return o.grow(base_dists).point
-        base_pts = list(base_dists)
-        temp = "g"
-        assert temp not in base_pts
-        entries = {
-            (x, y): o.distance(x, y)
-            for i, x in enumerate(base_pts)
-            for y in base_pts[i + 1 :]
-        }
-        entries.update({(temp, p): v for p, v in base_dists.items()})
-        ext_metric = fin_metric(base_pts + [temp], entries)
-        scale = lcm(pred_den, o.den, *{v.denominator for v in base_dists.values()})
-        dist = {pair: scaled(v, scale) for pair, v in ext_metric.table.items()}
         to_target = {**dict(zip(avec, olds)), prev: new_pt, temp: new_pt}
-        slot_map = {s: assigned.get(s) for s in slots}
-        if None in slot_map.values():
-            # fresh slots are pinned along every anchor tail level this run
-            # will read, so the table gains the distances among the tails
-            tails = {a.at(required_depth(k, lev)) for lev in range(1, depth + 1) for a in anchors}
-            dist.update(((x, y), scaled(o.distance(x, y), scale))
-                        for x in tails for y in tails if x != y)
-        pred: PredTable = {}
-        birth_pins: dict[Slot, dict[tuple[str, ...], Fraction]] = {}
-
-        def clamp(n, m, tup, eps, defined_i):
-            val, val_i = _clamped(eps, defined_i, dist, tup, scale)
-            sv = StepValue(level, (n, m), tup, eps, val)
-            values.append(sv)
-            if sv.deviation > deviation_bound(n, level):
-                raise SandwichInfeasible(
-                    f"clamp at level {level}, slot ({n},{m}), tuple {tup} "
-                    f"deviates by {sv.deviation} > {deviation_bound(n, level)}"
-                )
-            return val, val_i
-
-        for (n, m), g in slot_map.items():
-            tups = sorted(
-                tuples_over(tuple(base_pts + [temp]), n),
-                key=lambda t: (temp in t, t),
-            )
-            if g is not None:
-                # the realized slot's base tuples, read in one batch
-                base_tups = [t for t in tups if temp not in t]
-                defined = dict(zip(base_tups, o.predicate_values(n, g, base_tups)))
-                defined_i = {t: scaled(v, scale) for t, v in defined.items()}
-            else:
+        pts = (*base_dists, temp)
+        request = []
+        for n, m in slots:
+            g = assigned.get((n, m))
+            born: dict[tuple[str, ...], Fraction] = {}
+            if g is None:
                 # birth of a fresh slot: pin it along the anchor tails, so
                 # later steps see target-accurate values, not a sagging envelope
-                defined, defined_i = {}, {}
-                acc: dict[tuple[str, ...], int] = {}
                 for lev in range(1, depth + 1):
                     pts_j = tuple(a.at(required_depth(k, lev)) for a in anchors)
                     proj = dict(zip(pts_j, olds))
                     for tup in tuples_over(pts_j, n):
-                        if tup in acc:
-                            continue
-                        eps = target.pred[(n, m, tuple(proj[p] for p in tup))]
-                        val, acc[tup] = clamp(n, m, tup, eps, acc)
-                        if lev == 1:
-                            defined[tup], defined_i[tup] = val, acc[tup]
-                        else:
-                            birth_pins.setdefault((n, m), {})[tup] = val
-            for tup in tups:
-                if tup not in defined:
-                    eps = target.pred[(n, m, tuple(to_target[p] for p in tup))]
-                    defined[tup], defined_i[tup] = clamp(n, m, tup, eps, defined_i)
-            pred.update(((n, m, tup), val) for tup, val in defined.items())
-        ext = IndexedStructure(ext_metric, target.bound, target.indices, pred)
-        result = o.grow(base_dists, rel=RelExtension(
-            ext, {p: p for p in base_pts}, slot_map, birth_pins
-        ))
+                        born.setdefault(tup, target.pred[(n, m, tuple(map(proj.get, tup)))])
+            want = {t: target.pred[(n, m, tuple(map(to_target.get, t)))]
+                    for t in tuples_over(pts, n) if temp in t}
+            request.append(((n, m), g, born, want))
+
+        def accept(slot, tup, eps, val):
+            sv = StepValue(level, slot, tup, eps, val)
+            values.append(sv)
+            bound = deviation_bound(slot[0], level)
+            if sv.deviation > bound:
+                raise SandwichInfeasible(f"clamp at level {level}, slot ({slot[0]},{slot[1]}), "
+                                         f"tuple {tup} deviates by {sv.deviation} > {bound}")
+
+        result = o.grow_clamped(base_dists, temp, request, accept)
         if level == 1:
             assigned.update(result.slot_globals)
         return result.point
@@ -381,12 +324,8 @@ def _sandwich_chain(
 
 
 def _clamped(eps, defined, dist, tup, scale) -> tuple[Fraction, int]:
-    """Clamp a target into the window the already-defined values admit.
-
-    ``defined`` holds values and ``dist`` the distances between distinct
-    points as integers at ``scale``; the clamped value comes back both as a
-    rational and at that scale.
-    """
+    """A target clamped into the window of the values ``defined``, as a solver
+    step's walk clamps it; values, ``dist`` and the second result at ``scale``."""
     val = scaled(eps, scale)
     lo, hi = _katetov_window(defined.items(), tup, dist)
     v = min(max(val, lo), hi)
@@ -403,17 +342,11 @@ def extend_singleton(
     With a rational target the constant value is admissible at every step, so
     the realized values match it exactly.
     """
-    if value is None:
-        target = indexed_structure(FinMetric(("b1",), {}), bound=0)
-        known = {}
-    else:
-        if value < 0:
-            raise SolverError("predicate values must be nonnegative")
-        target = indexed_structure(
-            FinMetric(("b1",), {}), bound=1, pred={(1, 1, ("b1",)): value}
-        )
-        known = None
-    return extend_one_point(o, [], target, known or {}, depth)
+    if value is not None and value < 0:
+        raise SolverError("predicate values must be nonnegative")
+    pred = None if value is None else {(1, 1, ("b1",)): value}
+    target = indexed_structure(FinMetric(("b1",), {}), bound=0 if value is None else 1, pred=pred)
+    return extend_one_point(o, [], target, {}, depth)
 
 
 @dataclass(frozen=True)
@@ -603,14 +536,9 @@ def extend_partial_iso(
     slot registrations, so the witness stays within tolerance 2^-(depth-1)
     at evaluation level ``depth``.
     """
-    rounds = [("dom", w) for w in wish_dom]
-    rounds_rng = [("rng", w) for w in wish_rng]
-    interleaved = []
-    for i in range(max(len(rounds), len(rounds_rng))):
-        if i < len(rounds):
-            interleaved.append(rounds[i])
-        if i < len(rounds_rng):
-            interleaved.append(rounds_rng[i])
+    # one domain wish, then one range wish, while either side has one left
+    interleaved = [r for pair in zip_longest([("dom", w) for w in wish_dom],
+                                             [("rng", w) for w in wish_rng]) for r in pair if r]
 
     k0 = len(iso.dom)
     n_rounds = len(interleaved)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from itertools import compress, islice, repeat
+from itertools import chain, compress, islice, repeat
 from math import lcm
 from operator import add, itemgetter, lt, mul
 from typing import Iterable, Iterator, Mapping
@@ -196,16 +196,15 @@ class OracleGrowthError(Exception):
 
 @dataclass(frozen=True)
 class RelExtension:
-    """One-point predicate extension request against the oracle.
+    """One-point predicate extension request against the oracle, for
+    ``urysohn grow EXT.k`` and the library; the solvers grow through
+    ``LimitOracle.grow_clamped``.
 
     ``ext`` is a valid structure whose points map into the oracle via
     ``base_map`` except for exactly one new point.  ``slot_map`` sends every
     slot of ext either to a realized global index or to None for a fresh one.
-
-    ``birth_pins`` may pin a freshly registered slot on further existing
-    points beyond the extension's own base, which is how a new predicate is
-    given accurate values along anchor tails it will be read at later; the
-    whole pin set of a fresh slot must be mutually 1-Lipschitz.
+    ``birth_pins`` may pin a fresh slot on further existing points beyond the
+    base; the whole pin set of a fresh slot must be mutually 1-Lipschitz.
     """
 
     ext: IndexedStructure
@@ -409,9 +408,11 @@ class LimitOracle:
         lip_const: Fraction | None = None,
     ):
         self.modes = tuple(modes)
-        for mode in self.modes:
+        for i, mode in enumerate(self.modes):
             if mode not in ("rel", "prod", "lip"):
                 raise ValueError(f"unknown mode {mode!r}")
+            if mode in self.modes[:i]:
+                raise ValueError(f"mode {mode!r} named twice")
         if "prod" in self.modes and compact is None:
             raise ValueError("prod mode needs a compact presentation")
         if "lip" in self.modes and (polish is None or lip_const is None or lip_const <= 0):
@@ -438,9 +439,9 @@ class LimitOracle:
         self._pins: dict[tuple[int, int], _Pins] = {}
         # realized values never change once their points exist, so envelope
         # values are memoized for the lifetime of the oracle: predicate_values
-        # stores each value it computes, and grow, after its commit, stores
-        # the value its walk gave each entry of the request (_rel_pins), which
-        # equals the envelope there.  Replay and a refused request store none.
+        # stores each value it computes, and a growth step, after its commit,
+        # the value its walk gave each entry (_walk_slot), which equals the
+        # envelope there.  Replay and a refused step store none.
         self._value_cache: dict[tuple[int, int, tuple[str, ...]], Fraction] = {}
 
     # -- scaled representation ----------------------------------------------
@@ -621,24 +622,13 @@ class LimitOracle:
         self._check_base(request)
         self._check_payload(rel is not None, suitable, lip_index)
 
-        slot_assign: dict[tuple[int, int], int] = {}
-        fresh: list[tuple[int, int]] = []
+        slot_assign, fresh, values, births = {}, [], [], []
         if rel is not None:
             slot_assign, fresh = self._check_rel(rel, base, base_dists)
-
-        # every path-rule distance is a base distance plus a stored one, so
-        # the request's own values fix the scale of the whole new row
-        dens = {request.den}
-        if rel is not None:
-            dens.update(v.denominator for v in rel.ext.pred.values())
-            for pins in rel.birth_pins.values():
-                dens.update(v.denominator for v in pins.values())
-        gap = None
-        if not base and self._points:
-            gap = self._gap(rel, suitable, lip_index)
-            dens.add(gap.denominator)
-        den = self._den_with(dens)
-        row = self._extended_row(request, gap, den)
+            values = list(rel.ext.pred.values())
+            births = [v for pins in rel.birth_pins.values() for v in pins.values()]
+        dens = {request.den, *(v.denominator for v in chain(values, births))}
+        row, den = self._new_row(request, dens, values, suitable, lip_index)
 
         if suitable is not None:
             self._check_suitable(suitable, row, den)
@@ -648,12 +638,104 @@ class LimitOracle:
         new_id = f"u{len(self._points) + 1}"
         pins, walked = {}, {}
         if rel is not None:
-            pins, walked = self._rel_pins(rel, slot_assign, new_id, row, den)
-        rec = GrowthRecord(new_id, {}, pins, tuple(fresh), suitable, lip_index,
-                           tuple(sorted(base)) if base else None)
-        self._commit(rec, row, den)
-        self._value_cache.update(walked)
+            ext, bm = rel.ext, rel.base_map
+            x = next(p for p in ext.points if p not in bm)
+            trans = {**bm, x: new_id}
+            # birth pins, then the tuples without x, then those with x, sorted
+            walks = {(n, slot_assign[(n, m)]): sorted(rel.birth_pins.get((n, m), {}).items()) + [
+                (tuple(map(trans.get, t)), ext.pred[(n, m, t)])
+                for t in sorted(tuples_over(ext.points, n), key=lambda t: (x in t, t))]
+                for n, m in sorted(ext.slots())}
+            pins, walked = self._rel_pins(walks, new_id, row, den)
+        self._commit(GrowthRecord(new_id, {}, pins, tuple(fresh), suitable, lip_index,
+                                  tuple(sorted(base)) if base else None), row, den, walked)
         return GrowthResult(new_id, slot_assign)
+
+    def grow_clamped(self, base_dists: Mapping[str, Fraction], new: str,
+                     slots: list[tuple], accept) -> GrowthResult:
+        """Adjoin the point of one rel solver step, each target clamped into
+        its Katetov window by the walk that decides the pins (``_walk_slot``,
+        with its proofs); returns what grow returns.
+
+        ``slots`` lists, for each slot (n, m) of the solver's target, sorted:
+        its oracle index or None for a fresh slot, its births {tuple: target}
+        in clamp order (on a fresh slot they hold the base tuples), and
+        {tuple: target} on the tuples through ``new``, the new point's name
+        there.  ``accept(slot, tuple, target, value)`` sees each clamped
+        value and may raise, before the first write as every check does.
+        The births are clamped first; then the tuples over the base and the
+        new point are walked as grow walks an extension's, one without the
+        new point at its envelope or, on a fresh slot, at its birth value.
+
+        This is grow on the RelExtension the solver built before, births
+        beyond the base as birth pins.  (1) That extension needed no check:
+        its points were the base and one new point, its metric the rows and
+        the request, which the walk reads itself, and its tables every tuple
+        over them, which the walk lists itself; so validate_pattern and the
+        base-map checks of _check_rel had nothing to refuse.  (2) On a
+        realized slot grow walks the same entries in the same order, so each
+        clamped value passes grow's window check, and grow's pins are the
+        ones found here.  (3) On a fresh slot grow walks the deeper births
+        first, but the solver clamps the tuples through the new point against
+        the base tuples and the earlier ones only.  So a second walk, in
+        grow's order and refuse mode, decides the pins and refusals as grow
+        does.  Slots are born only at level 1 of a solve.
+        """
+        request = ScaledDists.of(base_dists)
+        self._check_base(request)
+        self._check_payload(True, None, None)
+        if new in request.ints:
+            raise OracleGrowthError(f"the new point {new!r} is a base point")
+        births = {slot: born for slot, _, born, _ in slots if born}
+        slot_assign, fresh = self._assign_slots({s: g for s, g, _, _ in slots}, births)
+        base = list(request.ints)
+        olds = dict.fromkeys(chain(base, (p for born in births.values() for t in born for p in t)))
+        # one scale holds every target, every oracle value and the request
+        scale = lcm(self._den, request.den, *{v.denominator for _, _, born, want in slots
+                                              for v in chain(born.values(), want.values())})
+        ld = self._local_dists(olds, scale // self._den, new,
+                               {p: e * (scale // request.den) for p, e in request.ints.items()})
+        walked, values, walks = {}, [], []
+        for slot, g, born, want in slots:
+            born, _ = self._walk_slot(slot, born.items(), {}, ld, scale, accept)
+            known = dict(born)
+            tups = sorted(tuples_over((*base, new), slot[0]), key=lambda t: (new in t, t))
+            if g is not None:  # read in one batch, cached only after the commit
+                old = [t for t in tups if new not in t]
+                known = dict(zip(old, self._envelopes(slot[0], g, old)[0]))
+            out, pins = self._walk_slot(slot, [(t, want[t] if new in t else None) for t in tups],
+                                        known, ld, scale, accept)
+            walks.append((slot, born, out, pins))
+            values += (v for _, v in chain(born, out))
+        row, den = self._new_row(request, {request.den, *(v.denominator for v in values)},
+                                 values, None, None)
+        new_id = f"u{len(self._points) + 1}"
+        delta = {}
+        for slot, born, out, pins in walks:
+            n, g = slot[0], slot_assign[slot]
+            walk = [(tuple(new_id if p == new else p for p in t), v) for t, v in out]
+            if (n, g) in fresh:
+                # decided as grow decides, in its order: the deeper births first
+                ext = {t for t, _ in out}
+                walk = sorted(e for e in born if e[0] not in ext) + walk
+                delta.update(self._rel_pins({(n, g): walk}, new_id, row, den)[0])
+            elif pins:
+                delta[(n, g)] = dict(map(walk.__getitem__, pins))
+            walked.update(((n, g, t), v) for t, v in walk)
+        self._commit(GrowthRecord(new_id, {}, delta, tuple(fresh), None, None,
+                                  tuple(sorted(base)) if base else None), row, den, walked)
+        return GrowthResult(new_id, slot_assign)
+
+    def _new_row(self, request: ScaledDists, dens: set[int], values, suitable, lip_index):
+        """The new point's row and its denominator, which holds ``dens``: every
+        path-rule distance is a base distance plus a stored one.  An empty base
+        puts the new point at the joint-embedding gap (``_gap``) of ``values``."""
+        gap = None
+        if not request.ints and self._points:
+            gap = self._gap(values, suitable, lip_index)
+            dens.add(gap.denominator)
+        den = self._den_with(dens)
+        return self._extended_row(request, gap, den), den
 
     def _check_base(self, request: ScaledDists):
         """Refuse a base whose points are not in the oracle, or whose
@@ -680,10 +762,11 @@ class LimitOracle:
                         f"metric infeasible at the base pair ({p!r}, {q!r})"
                     )
 
-    def _commit(self, rec: GrowthRecord, row: list[int], den: int):
+    def _commit(self, rec: GrowthRecord, row: list[int], den: int, walked=()):
         """Write the step ``rec``, its point at the integer distances ``row``
-        over ``den``.  grow and replay_record call it only once every check
-        has passed, so a refused step writes nothing.  The logged record
+        over ``den``, then cache ``walked``, the values a growth step's walk
+        decided.  The growth steps and replay_record call it only once every
+        check has passed, so a refused step writes nothing.  The logged record
         reads its distances from ``row`` through a RowDists, whatever
         ``rec.dists`` held, so the oracle keeps each distance once."""
         self._rescale(den)
@@ -702,6 +785,7 @@ class LimitOracle:
         rec = replace(rec, dists=RowDists(self._points, self._pos, self._rows, step - 1,
                                           self._scale))
         self.log.append(rec)
+        self._value_cache.update(walked)
         return rec
 
     def _extended_row(self, base_dists: Mapping[str, Fraction], gap, den) -> list[int]:
@@ -730,13 +814,12 @@ class LimitOracle:
             return list(shifted[0]) if shifted else []
         return list(map(min, *shifted))
 
-    def _gap(self, rel, suitable, lip_index) -> Fraction:
-        """Joint-embedding gap over every value anywhere, the request's too."""
+    def _gap(self, values: Iterable[Fraction], suitable, lip_index) -> Fraction:
+        """Joint-embedding gap over every value anywhere, the request's
+        predicate ``values``, profile and label too."""
         den = self._den
-        values = [Fraction(max(map(max, self._rows), default=0), den)]
+        values = [Fraction(max(map(max, self._rows), default=0), den), *values]
         values += (Fraction(-min(p.neg, default=0), den) for p in self._pins.values())
-        if rel is not None:
-            values += rel.ext.pred.values()
         values += (f.max_value() for f in self._suit.values())
         if suitable is not None:
             values.append(suitable.max_value())
@@ -779,21 +862,23 @@ class LimitOracle:
                     )
         if set(rel.slot_map.keys()) != set(ext.slots()):
             raise OracleGrowthError("slot map must cover exactly the extension slots")
-        for slot, pins in rel.birth_pins.items():
-            if rel.slot_map.get(slot, 0) is not None:
-                raise OracleGrowthError(
-                    f"birth pins are only allowed on fresh slots, got {slot}"
-                )
+        return self._assign_slots(rel.slot_map, rel.birth_pins)
+
+    def _assign_slots(self, slot_map, births):
+        """The oracle slot of each request slot, sorted, and the fresh ones,
+        each the next free index of its arity (``_fresh_slot``); a realized
+        index is taken once at most, and birth pins only on a fresh slot, at
+        its arity and on points of the oracle."""
+        for slot, pins in births.items():
+            if slot_map.get(slot, 0) is not None:
+                raise OracleGrowthError(f"birth pins are only allowed on fresh slots, got {slot}")
             for tup in pins:
                 if len(tup) != slot[0]:
                     raise OracleGrowthError(f"birth pin arity mismatch at {tup}")
                 if any(p not in self._pos for p in tup):
                     raise OracleGrowthError(f"birth pin on unknown points {tup}")
-        slot_assign: dict[tuple[int, int], int] = {}
-        fresh: list[tuple[int, int]] = []
-        taken = dict(self._counts)
-        used: dict[int, set[int]] = {}
-        for (n, m), g in sorted(rel.slot_map.items()):
+        slot_assign, fresh, taken, used = {}, [], dict(self._counts), {}
+        for (n, m), g in sorted(slot_map.items()):
             if g is None:
                 g_new = self._fresh_slot(n, taken)
                 slot_assign[(n, m)] = g_new
@@ -807,132 +892,111 @@ class LimitOracle:
                 slot_assign[(n, m)] = g
         return slot_assign, fresh
 
-    def _rel_pins(self, rel, slot_assign, new_id, row, den) -> dict:
-        """Walk each slot's entries once; keep the pins the envelope does not force.
-
-        Returns the pins to store, by slot, and the value the walk gave each
-        entry, by cache key (n, g, tuple): grow caches those after its commit,
-        by (d) below, and stores nothing for a refused request.
-
-        Integers at ``den`` up to the pins it keeps, which come back as the
-        log's rationals, and no read of the oracle beyond the points the
-        request touches: the new point's own row, the distances among the
-        request's points, and envelope values on base tuples.
-
-        A slot's entries are its birth pins, then the extension's tuples
-        without the new point x, then those with x.  Each entry (t, v) must
-        lie in the window [lo, hi] of the entries (s, w) before it, lo =
-        max(0, max of w - d(s, t)) and hi = min of w + d(s, t)
-        (``_katetov_window``): v >= 0 and |v - w| <= d(s, t), so each pair of entries
-        is decided once, when its later entry is walked.  Write P for a
-        realized slot's stored pins, E for their envelope, B for the base and
-        e_b for the requested distance to b.  On a realized slot a tuple
-        without x gets the window [E(t), E(t)], inside [lo, hi] as E is
-        1-Lipschitz.  As _check_rel has matched the request's distances to
-        the extension's, the walk decides validate_k's 1-Lipschitz law on the
-        extension and base agreement on B^n.  The entries above lo are the
-        pins.  One at lo leaves the envelope of the entries before it
-        unchanged: lo - d(t, u) <= max(0, max of w - d(s, u)) for every u, as
-        d(s, u) <= d(s, t) + d(t, u) (the new row is Katetov, by (a)).  So the
-        envelope over every earlier entry is the one over the base entries
-        plus the pins added, and it decides each refusal and pin.
-
-        (a) Path row.  For every old point q, d(x, q) = min over b of
-            e_b + d(b, q): off the base the row is built that way, and on the
-            base it holds because grow has checked |e_b - e_q| <= d(b, q).
-            Summing over the coordinates of t, every old tuple p has
-            d(p, t) = min over s in S(t) of d(p, s) + d(s, t), where S(t) are
-            the base tuples that put a base point at each place of x in t.
-            So E(t) = max(0, max over s in S(t) of E(s) - d(s, t)), and s may
-            range over all of B^n, because E is 1-Lipschitz.
-        (b) Base agreement.  The walk has v(s) = E(s) for every base tuple s,
-            so (a) is the envelope of the request's base entries.  Pins added
-            earlier in the request join both envelopes alike, so the local
-            envelope is the one over P plus those pins.
-        (c) Lipschitz law against every stored pin (p, w).  The walk gives
-            v(t) >= v(s) - d(s, t) for every s in B^n and v(t) >= 0, so
-            v(t) >= E(t) >= w - d(p, t) by (a) and (b).  Conversely, take
-            s in S(t) attaining d(p, t) in (a); then
-            v(t) <= v(s) + d(s, t) = E(s) + d(s, t) <= w + d(p, s) + d(s, t)
-            = w + d(p, t), since E(p) = w: every stored pin is reproduced by
-            its envelope, which grow keeps and validate_state checks.
-        With an empty base, d(x, q) is the gap, at least twice every stored
-        and requested value; then E(t) = 0, the envelope of no entries, and
-        d(p, t) >= gap covers both directions of (c).  So the scan of every
-        stored pin that (c) replaces could never refuse a request that the
-        walk accepts; the tests keep it as a reference.
-        (d) Cached values.  Once the step is committed, the slot's envelope
-            E' over P and the pins added equals v(t) at every walked entry
-            (t, v).  E'(t) >= v(t), along the walk: an entry kept as a pin
-            has E'(t) >= v - d(t, t) = v; a base tuple of a realized slot
-            has E'(t) >= E(t) = v, as added pins only raise the envelope; and
-            an entry at lo has E'(s) >= w at every earlier entry (s, w), so
-            E'(t) >= max(0, max of E'(s) - d(s, t)) >= lo = v, since E' is
-            1-Lipschitz.  E'(t) <= v(t): v >= 0; each added pin is an entry,
-            and every pair of entries (s, w), (t, v) has |v - w| <= d(s, t),
-            by the window of the later one or, for two base tuples of a
-            realized slot, as both sit at the 1-Lipschitz E; and each stored
-            pin (p, w) has w - d(p, t) <= v(t), by (c) for a tuple with x and
-            by v = E(t) for a base tuple.
-        """
-        ext, bm = rel.ext, rel.base_map
-        trans = dict(bm)
-        new_pt = next(p for p in ext.points if p not in bm)
-        trans[new_pt] = new_id
-
-        touched = dict.fromkeys(trans.values())
-        for pins in rel.birth_pins.values():
-            for tup in pins:
-                touched.update(dict.fromkeys(tup))
-        factor = den // self._den
+    def _local_dists(self, olds, factor: int, new: str, new_d: Mapping[str, int]) -> dict:
+        """d(x, y) in integers for distinct x, y of ``olds``, their rows times
+        ``factor``, and between ``new`` and each point of ``new_d``, its value."""
         rows, pos = self._rows, self._pos
-        ld: dict[tuple[str, str], int] = {}
-        for x in touched:
-            for y in touched:
-                if x != y:
-                    ld[(x, y)] = (
-                        row[pos[y]] if x == new_id else row[pos[x]] if y == new_id
-                        else rows[pos[x]][pos[y]] * factor
-                    )
+        ld = {(x, y): rows[pos[x]][pos[y]] * factor for x in olds for y in olds if x != y}
+        ld.update(((new, p), e) for p, e in new_d.items())
+        ld.update(((p, new), e) for p, e in new_d.items())
+        return ld
 
-        delta: dict[tuple[int, int], dict[tuple[str, ...], Fraction]] = {}
-        walked: dict[tuple[int, int, tuple[str, ...]], Fraction] = {}
-        for (n, m) in sorted(ext.slots()):
-            g = slot_assign[(n, m)]
-            fresh_slot = (n, g) not in self._pins
-            births = sorted(rel.birth_pins.get((n, m), {}).items())
-            tups = sorted(tuples_over(ext.points, n), key=lambda t: (new_pt in t, t))
-            walk = births + [(tuple(map(trans.get, t)), ext.pred[(n, m, t)]) for t in tups]
-            entries = [(mt, scaled(v, den)) for mt, v in walk]
+    def _rel_pins(self, walks, new_id, row, den) -> tuple[dict, dict]:
+        """Walk the entries ``walks[(n, g)]`` of each slot in refuse mode
+        (``_walk_slot``), a realized slot's tuples without ``new_id`` at
+        their envelope, read in one batch.  Returns the pins, by slot, and
+        the walked values, by cache key (n, g, tuple)."""
+        olds = {p for walk in walks.values() for t, _ in walk for p in t if p != new_id}
+        ld = self._local_dists(olds, den // self._den, new_id,
+                               {p: row[self._pos[p]] for p in olds})
+        delta, walked = {}, {}
+        for (n, g), walk in walks.items():
             known = {}
-            if not fresh_slot:
-                # read in one batch, and cached by grow only after its commit
-                base = [mt for mt, _ in entries if new_id not in mt]
-                known = dict(zip(base, self._envelopes(n, g, base)[0]))
-            added: dict[tuple[str, ...], Fraction] = {}
-            for i, (mt, v) in enumerate(entries):
-                base_tuple = not fresh_slot and new_id not in mt
-                if base_tuple:
-                    lo = hi = scaled(known[mt], den)
-                else:
-                    lo, hi = _katetov_window(entries[:i], mt, ld)
-                if lo <= v <= hi:
-                    if v > lo:
-                        added[mt] = walk[i][1]
-                    continue
-                val = Fraction(v, den)
-                if base_tuple:
-                    raise OracleGrowthError(f"slot ({n},{g}) disagrees on base tuple {mt}: "
-                                            f"{val} != {Fraction(lo, den)}")
-                side = (f"undershoots the envelope {Fraction(lo, den)}" if v < lo
-                        else f"overshoots the ceiling {Fraction(hi, den)}")
-                fault = f"value {val} at {mt} {side}"
-                raise OracleGrowthError(f"fresh slot ({n},{g}) born inconsistent: {fault}"
-                                        if fresh_slot else f"{fault} of slot ({n},{g})")
-            if added:
-                delta[(n, g)] = added
+            if (n, g) in self._pins:
+                old = [mt for mt, _ in walk if new_id not in mt]
+                known = dict(zip(old, self._envelopes(n, g, old)[0]))
+            walk, pins = self._walk_slot((n, g), walk, known, ld, den)
+            if pins:
+                delta[(n, g)] = dict(map(walk.__getitem__, pins))
             walked.update(((n, g, mt), v) for mt, v in walk)
         return delta, walked
+
+    def _walk_slot(self, slot, walk, known, ld, den, accept=None):
+        """One slot's window walk in a growth step, in integers at ``den``:
+        the one kernel of grow's refuse mode and grow_clamped's clamp mode.
+        Returns the walked (tuple, value) and the indices of the pins.
+
+        A tuple of ``known`` sits at its value there.  Any other entry (t, v)
+        takes the window [lo, hi] of the entries (s, w) before it, lo =
+        max(0, max of w - d(s, t)) and hi = min of w + d(s, t) over ``ld``
+        (``_katetov_window``), so each pair of entries is decided once, when
+        the later one is walked.  Refuse mode refuses a v outside [lo, hi],
+        or a known tuple at another value, with OracleGrowthError.  Clamp
+        mode, with ``accept``, moves the target v to min(max(v, lo), hi),
+        which later windows read, and ``accept(slot, tuple, target, value)``
+        sees it.  The entries above lo are the pins.  One at lo leaves the
+        envelope of the entries before it unchanged: lo - d(t, u) <= max(0,
+        max of w - d(s, u)) for every u, as d(s, u) <= d(s, t) + d(t, u).
+
+        A step walks its births, then its tuples over the base B and the new
+        point x.  Write P and E for a realized slot's stored pins and their
+        envelope, at which its tuples in B^n are known, and e_b for the
+        requested distance to b.  (a)-(d) read only values the walk leaves in
+        their windows, so they hold in both modes.
+        (a) Path row.  For every old q, d(x, q) = min over b of e_b + d(b, q):
+            the row is built so, and on B _check_base has checked
+            |e_b - e_q| <= d(b, q).  Summing over coordinates, every old tuple
+            p has d(p, t) = min over s in S(t) of d(p, s) + d(s, t), S(t) the
+            tuples of B^n that put a base point at each place of x in t.  So
+            E(t) = max(0, max over s in B^n of E(s) - d(s, t)), E 1-Lipschitz.
+        (b) Base agreement.  v(s) = E(s) on B^n, so (a) is the envelope of
+            the base entries, and pins added earlier join both envelopes: the
+            window before t is the one over P and those pins.
+        (c) Lipschitz law against every stored pin (p, w).  v(t) >= v(s) -
+            d(s, t) on B^n and v(t) >= 0, so v(t) >= E(t) >= w - d(p, t).
+            With s in S(t) attaining d(p, t) in (a), v(t) <= E(s) + d(s, t)
+            <= w + d(p, t), as E(p) = w: stored pins stay reproduced.  With
+            an empty base d(x, q) is the gap, at least twice every value, so
+            E(t) = 0 and d(p, t) covers both directions.  So the scan of
+            every stored pin that (c) replaces could never refuse a step the
+            walk accepts.
+        (d) Cached values.  After the commit the slot's envelope E' over P
+            and the added pins equals v(t) at every walked (t, v).  E'(t) >=
+            v(t) along the walk: a pin has E'(t) >= v; a base tuple has
+            E'(t) >= E(t) = v; an entry at lo has E'(s) >= w at each earlier
+            (s, w), so E'(t) >= lo = v by 1-Lipschitz.  E'(t) <= v(t): every
+            two entries have |v - w| <= d(s, t), by the later one's window or,
+            for two base tuples, as both sit at E; and each stored pin (p, w)
+            has w - d(p, t) <= v(t) by (c), or by v = E(t) on B^n.
+        """
+        entries, out, pins, where = [], [], [], "({},{})".format(*slot)
+        for t, v in walk:
+            if t in known:
+                val = known[t]
+                if v is not None and v != val:
+                    raise OracleGrowthError(f"slot {where} disagrees on base tuple {t}: "
+                                            f"{v} != {val}")
+                lo = w = scaled(val, den)
+            else:
+                lo, hi = _katetov_window(entries, t, ld)
+                val, w = v, scaled(v, den)
+                if not lo <= w <= hi:
+                    if accept is None:
+                        side = (f"undershoots the envelope {Fraction(lo, den)}" if w < lo
+                                else f"overshoots the ceiling {Fraction(hi, den)}")
+                        fault = f"value {v} at {t} {side}"
+                        raise OracleGrowthError(
+                            f"{fault} of slot {where}" if slot in self._pins
+                            else f"fresh slot {where} born inconsistent: {fault}")
+                    w = lo if w < lo else hi
+                    val = Fraction(w, den)
+                if accept is not None:
+                    accept(slot, t, v, val)
+            if w > lo:
+                pins.append(len(out))
+            entries.append((t, w))
+            out.append((t, val))
+        return out, pins
 
     def _fresh_slot(self, n, taken, claimed=None) -> int:
         """Take the next free arity-``n`` index g after ``taken``, within the

@@ -433,18 +433,25 @@ def one_point_feasible(m: FinMetric, spec: OnePointSpec) -> tuple[bool, str | No
     Returns (True, None) or (False, first violated inequality).  The check
     is exactly the triangle sandwich |eta_i - eta_j| <= d(i,j) <= eta_i + eta_j.
     """
-    for p in spec.base:
-        if p not in m.points:
+    why = next((w for *_, w in _triangle_sandwich(spec.base, spec.eta, m.d, m.points) if w),
+               None)
+    return why is None, why
+
+
+def _triangle_sandwich(base, eta, dist, space=None):
+    """The sandwich |eta_x - eta_y| <= d(x, y) <= eta_x + eta_y of a new point
+    at the distances ``eta`` to ``base``, pair by pair: x, y, |eta_x - eta_y|,
+    d(x, y), eta_x + eta_y and the first inequality that fails, in words, or
+    None.  A point outside ``space``, when given, or an eta <= 0 raises first."""
+    for p in base:
+        if space is not None and p not in space:
             raise MetricTableError(f"base point {p!r} not in the space")
-        if spec.eta[p] == 0:
-            raise ValueError(f"eta({p}) = 0: the new point must be distinct")
-        if spec.eta[p] < 0:
-            raise ValueError(f"eta({p}) < 0")
-    for x, y in combinations(spec.base, 2):
-        lo, hi = spec.eta[x], spec.eta[y]
-        dxy = m.d(x, y)
-        if abs(lo - hi) > dxy:
-            return False, f"|eta({x}) - eta({y})| = {abs(lo - hi)} > d = {dxy}"
-        if dxy > lo + hi:
-            return False, f"d({x},{y}) = {dxy} > eta({x}) + eta({y}) = {lo + hi}"
-    return True, None
+        if eta[p] <= 0:
+            raise ValueError(f"eta({p}) = 0: the new point must be distinct" if eta[p] == 0
+                             else f"eta({p}) < 0")
+    for x, y in combinations(base, 2):
+        ex, ey, dxy = eta[x], eta[y], dist(x, y)
+        gap, total = abs(ex - ey), ex + ey
+        yield x, y, gap, dxy, total, (
+            f"|eta({x}) - eta({y})| = {gap} > d = {dxy}" if gap > dxy
+            else f"d({x},{y}) = {dxy} > eta({x}) + eta({y}) = {total}" if dxy > total else None)

@@ -577,3 +577,18 @@ def test_validate_state_checks_profiles_only_on_a_prod_oracle():
     o.grow({})
     o.grow({"u1": F(1)})
     assert o.validate_state() == []
+
+
+def test_a_mode_named_twice_is_refused_as_an_unknown_mode_is():
+    # the log of an oracle with a repeated mode would repeat its mode
+    # record, which parse_structure_file refuses
+    from urysohn.spaces import CompactPresentation, PolishPresentation
+
+    with pytest.raises(ValueError, match="mode 'rel' named twice"):
+        LimitOracle(("rel", "rel"))
+    with pytest.raises(ValueError, match="unknown mode 'foo'"):
+        LimitOracle(("rel", "foo"))
+    two = fin_metric(["a", "b"], {("a", "b"): F(1)})
+    o = LimitOracle(("prod", "lip"), compact=CompactPresentation(two),
+                    polish=PolishPresentation(two), lip_const=F(1))
+    assert o.modes == ("prod", "lip")

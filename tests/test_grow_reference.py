@@ -62,7 +62,7 @@ def reference_growth(o, base_dists, rel):
         for q in others:
             full[q] = min(base_dists[p] + o.distance(p, q) for p in base)
     elif others:
-        full.update({q: o._gap(rel, None, None) for q in others})
+        full.update({q: o._gap(rel.ext.pred.values(), None, None) for q in others})
     incoming = list(full.values()) + list(rel.ext.pred.values())
     for pins in rel.birth_pins.values():
         incoming += pins.values()
@@ -369,7 +369,7 @@ def test_extended_row_matches_the_per_point_scan(seed):
             c, r = rng.choice(o.points), F(rng.randint(1, 8), rng.choice([1, 2, 3, 4]))
             for b in rng.sample(o.points, rng.randint(1, min(3, len(o)))):
                 base[b] = o.distance(c, b) + r
-        gap = o._gap(None, None, None) if not base and o.points else None
+        gap = o._gap((), None, None) if not base and o.points else None
         incoming = list(base.values()) + [gap or F(0), F(1, rng.choice([1, 3, 5]))]
         den = o._den_with({v.denominator for v in incoming})
         assert o._extended_row(base, gap, den) == reference_row(o, base, gap, den)
@@ -381,7 +381,7 @@ def test_extended_row_of_an_empty_base():
     assert o._extended_row({}, None, 1) == []
     o.grow({})
     o.grow({"u1": F(1, 2)})
-    gap = o._gap(None, None, None)
+    gap = o._gap((), None, None)
     assert gap == 1
     assert o._extended_row({}, gap, 2) == reference_row(o, {}, gap, 2) == [2, 2]
 

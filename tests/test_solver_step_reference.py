@@ -1,0 +1,218 @@
+"""Differential tests of the rel solver step against the step before it.
+
+``LimitOracle.grow_clamped`` clamps each target into its Katetov window in
+the walk that decides the step's pins, and the solver keeps only its
+deviation accounting.  The reference (``solver_step_reference``) clamps in
+the solver, builds a RelExtension and grows the oracle with
+``grow(rel=...)``.  Both must give the same point ids, slot registrations,
+StepValues, checks, ORACLE log bytes and value-cache keys, on realized and
+fresh slots with birth pins at depth >= 2, sparse index sets, arity bounds
+0 to 2 and targets on grids from 1/8 to 1/1024, and refuse the same input
+with the same exception and message.  A step the deviation bound refuses
+must leave the oracle as it was.
+"""
+from dataclasses import fields
+from fractions import Fraction
+from random import Random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from urysohn import cauchy
+from urysohn.cauchy import SandwichInfeasible, embed_structure, extend_one_point, required_depth
+from urysohn.engine import LimitOracle, RelExtension
+from urysohn.files import oracle_file, serialize_structure
+from urysohn.metric import fin_metric
+from urysohn.randgen import _random_row, random_metric, random_table
+from urysohn.relational import IndexedStructure, indexed_structure, tuples_over
+
+from solver_step_reference import reference_extend_one_point
+
+F = Fraction
+GRIDS = (8, 16, 64, 256, 1024)
+
+
+def sparse_bark(rng, n_points, pden):
+    """Random structure of bound 0..2, index sets drawn from 1..9, metric
+    on the 1/8 grid and predicate values on the 1/pden grid."""
+    ids = [f"x{i}" for i in range(1, n_points + 1)]
+    metric = random_metric(rng, ids)
+    bound = rng.randint(0, min(2, n_points))
+    indices = {n: tuple(sorted(rng.sample(range(1, 10), bound + 1 - n)))
+               for n in range(1, bound + 1)}
+    pred = {}
+    for n, ms in indices.items():
+        for m in ms:
+            table = random_table(rng, metric, n, den=pden, hi=2 * pden)
+            pred.update(((n, m, t), v) for t, v in table.items())
+    return IndexedStructure(metric, bound, indices, pred)
+
+
+def extension(rng, x, pden):
+    """x plus one point; a raised bound brings one new slot per arity, at a
+    sparse index above the old ones."""
+    pts = list(x.points)
+    entries = {(a, b): x.metric.d(a, b) for a, b in x.metric.pairs()}
+    entries.update({(a, "xn"): v for a, v in _random_row(rng, pts, x.metric.d).items()})
+    metric = fin_metric(pts + ["xn"], entries)
+    bound = min(x.bound + 1, 2) if rng.random() < 0.5 else x.bound
+    indices = {}
+    for n in range(1, bound + 1):
+        ms = list(x.indices.get(n, ()))
+        while len(ms) < bound + 1 - n:
+            ms.append(max(ms, default=0) + rng.randint(1, 3))
+        indices[n] = tuple(ms)
+    pred = {}
+    for n, ms in indices.items():
+        for m in ms:
+            base = ({t: x.pred[(n, m, t)] for t in tuples_over(x.points, n)}
+                    if m in x.indices.get(n, ()) else {})
+            table = random_table(rng, metric, n, base, den=pden, hi=2 * pden)
+            pred.update(((n, m, t), v) for t, v in table.items())
+    return IndexedStructure(metric, bound, indices, pred)
+
+
+def case(seed, pden, depth):
+    """An embedded x, a one-point extension of it and a random part of x's
+    registrations as known: a function that makes fresh oracles and
+    anchors, the target, the known slots and the depth."""
+    rng = Random(seed)
+    x = sparse_bark(rng, rng.randint(1, 2), pden)
+    target = extension(rng, x, pden)
+    anchor_depth = required_depth(len(target), depth)
+
+    def build():
+        o = LimitOracle()
+        return o, list(embed_structure(o, x, anchor_depth).points)
+
+    registered = embed_structure(LimitOracle(), x, anchor_depth).slot_globals
+    known = {s: g for s, g in registered.items() if s in target.slots() and rng.random() < 0.7}
+    return build, target, known, depth
+
+
+def log_bytes(o):
+    return serialize_structure("ORACLE", oracle_file(o))
+
+
+def run(solver, build, *args):
+    """What ``solver`` does on a fresh oracle: the outcome's fields (point,
+    checks, slot registrations and StepValues), the log bytes, the registry
+    and the value-cache keys; or, when it refuses, the exception, the log
+    and the registry."""
+    o, anchors = build()
+    try:
+        out = solver(o, anchors, *args)
+    except Exception as exc:  # noqa: BLE001 - every refusal is compared
+        return (type(exc), str(exc), log_bytes(o), dict(o.registry))
+    return ({f.name: getattr(out, f.name) for f in fields(out)}, list(out.slot_globals.items()),
+            log_bytes(o), dict(o.registry), sorted(o._value_cache))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), pden=st.sampled_from(GRIDS), depth=st.integers(2, 3))
+def test_the_clamped_step_matches_the_reference(seed, pden, depth):
+    build, target, known, depth = case(seed, pden, depth)
+    new = run(extend_one_point, build, target, known, depth)
+    assert new == run(reference_extend_one_point, build, target, known, depth)
+
+
+def test_the_cases_cover_births_slot_mixes_and_sparse_index_sets():
+    shapes = set()
+    for seed in range(40):
+        build, target, known, depth = case(seed, GRIDS[seed % len(GRIDS)], 2)
+        slots = target.slots()
+        sparse = any(ms != tuple(range(1, len(ms) + 1)) for ms in target.indices.values())
+        births = len(target) > 1 and len(known) < len(slots)
+        shapes.add((target.bound, sparse, births, bool(known)))
+        new = run(extend_one_point, build, target, known, depth)
+        assert new == run(reference_extend_one_point, build, target, known, depth)
+    assert {b for b, *_ in shapes} == {0, 1, 2}
+    assert any(sparse for _, sparse, _, _ in shapes)
+    # a fresh slot born along the anchors beside a realized one
+    assert any(births and realized for _, _, births, realized in shapes)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_embed_structure_matches_with_the_reference_step(seed, monkeypatch):
+    rng = Random(200 + seed)
+    x = sparse_bark(rng, 3, GRIDS[seed])
+
+    def embed(o, anchors):
+        return embed_structure(o, x, 2)
+
+    def build():
+        return LimitOracle(), []
+
+    new = run(embed, build)
+    monkeypatch.setattr(cauchy, "extend_one_point", reference_extend_one_point)
+    assert new == run(embed, build)
+    assert not isinstance(new[0], type), new
+
+
+def state(o):
+    return len(o), o.den, list(o.log), dict(o.registry), list(o._value_cache.items())
+
+
+def test_a_step_the_deviation_bound_refuses_writes_nothing(monkeypatch):
+    """x1 is realized with value 0 on a slot the target reads as 1 at both
+    of its points, 1/8 apart.  Level 1 clamps the new value to its ceiling
+    1/4, within the bound 3/2; level 2 reaches only 3/16, beyond the bound
+    3/4, and is refused in the same words by both steps.  The cache is
+    emptied after each commit, so the refused step's envelope reads miss:
+    the reference's step caches them before it refuses, and grow_clamped
+    leaves the oracle as the committed level-1 step left it."""
+    x = indexed_structure(fin_metric(["x1"], {}), 1, {(1, 1, ("x1",)): F(0)})
+    target = indexed_structure(fin_metric(["x1", "x2"], {("x1", "x2"): F(1, 8)}), 1,
+                               {(1, 1, ("x1",)): F(1), (1, 1, ("x2",)): F(1)})
+    outcomes = []
+    for solver, method in ((extend_one_point, "grow_clamped"),
+                           (reference_extend_one_point, "grow")):
+        o = LimitOracle()
+        realized = embed_structure(o, x, required_depth(2, 2))
+        calls, after = [], []
+        real = getattr(LimitOracle, method)
+
+        def spy(self, *args, real=real, calls=calls, after=after, **kwargs):
+            calls.append(state(self))
+            result = real(self, *args, **kwargs)
+            self._value_cache.clear()
+            after.append(state(self))
+            return result
+
+        monkeypatch.setattr(LimitOracle, method, spy)
+        with pytest.raises(SandwichInfeasible, match=r"clamp at level 2, slot \(1,1\)") as exc:
+            solver(o, list(realized.points), target, dict(realized.slot_globals), 2)
+        monkeypatch.undo()
+        assert len(after) == 1 and after[0][4] == []
+        outcomes.append((str(exc.value), len(calls), state(o) == after[0]))
+    assert outcomes[0][0] == outcomes[1][0]
+    assert outcomes[0][1:] == (2, True)
+    assert outcomes[1][1:] == (1, False)
+
+
+def test_a_fresh_slot_decides_its_pins_in_grows_order():
+    """In the solver's order (u3,) forces (u2,) to the low end 1/2 of its
+    window, so (u2,) would be no pin; grow walks the deeper births sorted,
+    (u2,) first, and pins it.  grow_clamped clamps in the one order and
+    pins in the other, as the step before it did."""
+    def oracle():
+        o = LimitOracle()
+        o.grow({})
+        o.grow({"u1": F(1)})
+        o.grow({"u2": F(1, 2), "u1": F(1)})
+        return o
+
+    seen = []
+    o = oracle()
+    born = {("u1",): F(1), ("u3",): F(1), ("u2",): F(1, 4)}
+    o.grow_clamped({"u1": F(1, 2)}, "g", [((1, 1), None, born, {("g",): F(1)})],
+                   lambda slot, *clamped: seen.append(clamped))
+    assert seen == [(("u1",), F(1), F(1)), (("u3",), F(1), F(1)),
+                    (("u2",), F(1, 4), F(1, 2)), (("g",), F(1), F(1))]
+    ref = oracle()
+    ext = indexed_structure(fin_metric(["u1", "g"], {("u1", "g"): F(1, 2)}), 1,
+                            {(1, 1, ("u1",)): F(1), (1, 1, ("g",)): F(1)})
+    ref.grow({"u1": F(1, 2)}, rel=RelExtension(ext, {"u1": "u1"}, {(1, 1): None},
+                                                {(1, 1): {("u3",): F(1), ("u2",): F(1, 2)}}))
+    assert log_bytes(o) == log_bytes(ref)
+    assert ("u2",) in o.log[-1].pins[(1, 1)]
