@@ -18,8 +18,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .certificates import Check
 from .engine import LimitOracle
-from .metric import FinMetric, _katetov_window, _triangle_sandwich, fin_metric
-from .rationals import ZERO, pow2, scaled
+from .metric import FinMetric, _triangle_sandwich, fin_metric
+from .rationals import ZERO, pow2
 from .relational import (
     IndexedStructure,
     indexed_structure,
@@ -323,15 +323,6 @@ def _sandwich_chain(
     return CauchyPoint(tuple(ids), tuple(certs))
 
 
-def _clamped(eps, defined, dist, tup, scale) -> tuple[Fraction, int]:
-    """A target clamped into the window of the values ``defined``, as a solver
-    step's walk clamps it; values, ``dist`` and the second result at ``scale``."""
-    val = scaled(eps, scale)
-    lo, hi = _katetov_window(defined.items(), tup, dist)
-    v = min(max(val, lo), hi)
-    return (eps if v == val else Fraction(v, scale)), v
-
-
 def extend_singleton(
     o: LimitOracle,
     value: Fraction | None,
@@ -358,13 +349,9 @@ class EmbeddingOutcome:
 
 
 def stage_depths(n_points: int, depth: int) -> list[int]:
-    """Build depth for each stage so later stages find deep enough anchors."""
-    depths = [0] * n_points
-    if n_points:
-        depths[-1] = depth
-        for j in range(n_points - 2, -1, -1):
-            depths[j] = depths[j + 1] + (j + 2) + 2
-    return depths
+    """Build depth for each stage so later stages find deep enough anchors:
+    the absorption build depths with no points before the first stage."""
+    return absorption_build_depths(0, n_points, depth)
 
 
 def embed_structure(o: LimitOracle, x: IndexedStructure, depth: int) -> EmbeddingOutcome:
@@ -478,11 +465,9 @@ def _slot_family_shape(slots: Iterable[Slot]) -> tuple[int, dict[int, tuple[int,
 
 def absorption_build_depths(k0: int, n_rounds: int, depth: int) -> list[int]:
     """Build depth per absorption round; round r anchors every later round."""
-    build = [0] * n_rounds
-    for r in range(n_rounds - 1, -1, -1):
-        build[r] = depth if r == n_rounds - 1 else max(
-            depth, build[r + 1] + (k0 + r + 2) + 2
-        )
+    build = [depth] * n_rounds
+    for r in range(n_rounds - 2, -1, -1):
+        build[r] = build[r + 1] + (k0 + r + 2) + 2
     return build
 
 

@@ -203,8 +203,9 @@ class RelExtension:
     ``ext`` is a valid structure whose points map into the oracle via
     ``base_map`` except for exactly one new point.  ``slot_map`` sends every
     slot of ext either to a realized global index or to None for a fresh one.
-    ``birth_pins`` may pin a fresh slot on further existing points beyond the
-    base; the whole pin set of a fresh slot must be mutually 1-Lipschitz.
+    ``birth_pins`` may pin a fresh slot on existing points; grow walks them
+    before the extension's tuples (``_step``), so the whole pin set of a
+    fresh slot must be mutually 1-Lipschitz, equal on a tuple of both.
     """
 
     ext: IndexedStructure
@@ -616,46 +617,29 @@ class LimitOracle:
         an empty base against a nonempty oracle, a joint-embedding gap twice
         the largest value anywhere is used instead.  Every check runs before
         the first write, so a refused request leaves the oracle unchanged.
+        An extension's slots are walked in refuse mode (``_step``): birth
+        pins, then tuples without the new point, then with it, each sorted.
         """
-        base = list(base_dists.keys())
         request = ScaledDists.of(base_dists)
         self._check_base(request)
         self._check_payload(rel is not None, suitable, lip_index)
-
-        slot_assign, fresh, values, births = {}, [], [], []
+        new, slots = f"u{len(self._points) + 1}", []
         if rel is not None:
-            slot_assign, fresh = self._check_rel(rel, base, base_dists)
-            values = list(rel.ext.pred.values())
-            births = [v for pins in rel.birth_pins.values() for v in pins.values()]
-        dens = {request.den, *(v.denominator for v in chain(values, births))}
-        row, den = self._new_row(request, dens, values, suitable, lip_index)
-
-        if suitable is not None:
-            self._check_suitable(suitable, row, den)
-        if lip_index is not None:
-            self._check_lip(lip_index, row, den)
-
-        new_id = f"u{len(self._points) + 1}"
-        pins, walked = {}, {}
-        if rel is not None:
+            self._check_rel(rel, list(base_dists), base_dists)
             ext, bm = rel.ext, rel.base_map
             x = next(p for p in ext.points if p not in bm)
-            trans = {**bm, x: new_id}
-            # birth pins, then the tuples without x, then those with x, sorted
-            walks = {(n, slot_assign[(n, m)]): sorted(rel.birth_pins.get((n, m), {}).items()) + [
+            trans = {**bm, x: new}
+            slots = [((n, m), rel.slot_map[(n, m)], rel.birth_pins.get((n, m), {}), [
                 (tuple(map(trans.get, t)), ext.pred[(n, m, t)])
-                for t in sorted(tuples_over(ext.points, n), key=lambda t: (x in t, t))]
-                for n, m in sorted(ext.slots())}
-            pins, walked = self._rel_pins(walks, new_id, row, den)
-        self._commit(GrowthRecord(new_id, {}, pins, tuple(fresh), suitable, lip_index,
-                                  tuple(sorted(base)) if base else None), row, den, walked)
-        return GrowthResult(new_id, slot_assign)
+                for t in sorted(tuples_over(ext.points, n), key=lambda t: (x in t, t))])
+                for n, m in sorted(ext.slots())]
+        return self._step(request, new, slots, suitable, lip_index)
 
     def grow_clamped(self, base_dists: Mapping[str, Fraction], new: str,
                      slots: list[tuple], accept) -> GrowthResult:
         """Adjoin the point of one rel solver step, each target clamped into
-        its Katetov window by the walk that decides the pins (``_walk_slot``,
-        with its proofs); returns what grow returns.
+        its Katetov window by the walk that decides the pins (``_step``,
+        ``_walk_slot``, with its proofs); returns what grow returns.
 
         ``slots`` lists, for each slot (n, m) of the solver's target, sorted:
         its oracle index or None for a fresh slot, its births {tuple: target}
@@ -663,9 +647,8 @@ class LimitOracle:
         {tuple: target} on the tuples through ``new``, the new point's name
         there.  ``accept(slot, tuple, target, value)`` sees each clamped
         value and may raise, before the first write as every check does.
-        The births are clamped first; then the tuples over the base and the
-        new point are walked as grow walks an extension's, one without the
-        new point at its envelope or, on a fresh slot, at its birth value.
+        The tuples over the base and the new point are walked in grow's
+        order, after the births (``_step``).
 
         This is grow on the RelExtension the solver built before, births
         beyond the base as birth pins.  (1) That extension needed no check:
@@ -686,56 +669,87 @@ class LimitOracle:
         self._check_payload(True, None, None)
         if new in request.ints:
             raise OracleGrowthError(f"the new point {new!r} is a base point")
+        pts = (*request.ints, new)
+        return self._step(request, new, [(slot, g, born, [
+            (t, want[t] if new in t else None)
+            for t in sorted(tuples_over(pts, slot[0]), key=lambda t: (new in t, t))])
+            for slot, g, born, want in slots], accept=accept)
+
+    def _step(self, request: ScaledDists, new: str, slots: list[tuple], suitable=None,
+              lip_index=None, accept=None) -> GrowthResult:
+        """Commit one growth step over the checked ``request``, the one body
+        of grow and grow_clamped.  ``slots`` lists, for each slot (n, m),
+        sorted: its oracle index or None for a fresh one, its births
+        {tuple: value} and its walk [(tuple, value)] in order, ``new`` for
+        the new point.  Refuse mode, without ``accept``, walks every slot
+        after the row and the profile and label checks: births sorted, then
+        the walk (``_walk_slot``).  Clamp mode first clamps each slot's
+        births, then its walk, a tuple without ``new`` at its envelope or,
+        on a fresh slot, its birth value; a fresh slot is then walked in
+        refuse mode, its births off the walk sorted first (grow_clamped's
+        (3)).  With an empty base the row sits at the gap of the walked
+        values (``_gap``).  The record and the commit come last.
+        """
         births = {slot: born for slot, _, born, _ in slots if born}
         slot_assign, fresh = self._assign_slots({s: g for s, g, _, _ in slots}, births)
         base = list(request.ints)
-        olds = dict.fromkeys(chain(base, (p for born in births.values() for t in born for p in t)))
-        # one scale holds every target, every oracle value and the request
-        scale = lcm(self._den, request.den, *{v.denominator for _, _, born, want in slots
-                                              for v in chain(born.values(), want.values())})
-        ld = self._local_dists(olds, scale // self._den, new,
-                               {p: e * (scale // request.den) for p, e in request.ints.items()})
-        walked, values, walks = {}, [], []
-        for slot, g, born, want in slots:
-            born, _ = self._walk_slot(slot, born.items(), {}, ld, scale, accept)
-            known = dict(born)
-            tups = sorted(tuples_over((*base, new), slot[0]), key=lambda t: (new in t, t))
-            if g is not None:  # read in one batch, cached only after the commit
-                old = [t for t in tups if new not in t]
-                known = dict(zip(old, self._envelopes(slot[0], g, old)[0]))
-            out, pins = self._walk_slot(slot, [(t, want[t] if new in t else None) for t in tups],
-                                        known, ld, scale, accept)
-            walks.append((slot, born, out, pins))
-            values += (v for _, v in chain(born, out))
-        row, den = self._new_row(request, {request.den, *(v.denominator for v in values)},
-                                 values, None, None)
         new_id = f"u{len(self._points) + 1}"
-        delta = {}
-        for slot, born, out, pins in walks:
-            n, g = slot[0], slot_assign[slot]
-            walk = [(tuple(new_id if p == new else p for p in t), v) for t, v in out]
-            if (n, g) in fresh:
-                # decided as grow decides, in its order: the deeper births first
-                ext = {t for t, _ in out}
-                walk = sorted(e for e in born if e[0] not in ext) + walk
-                delta.update(self._rel_pins({(n, g): walk}, new_id, row, den)[0])
-            elif pins:
-                delta[(n, g)] = dict(map(walk.__getitem__, pins))
-            walked.update(((n, g, t), v) for t, v in walk)
-        self._commit(GrowthRecord(new_id, {}, delta, tuple(fresh), None, None,
-                                  tuple(sorted(base)) if base else None), row, den, walked)
-        return GrowthResult(new_id, slot_assign)
-
-    def _new_row(self, request: ScaledDists, dens: set[int], values, suitable, lip_index):
-        """The new point's row and its denominator, which holds ``dens``: every
-        path-rule distance is a base distance plus a stored one.  An empty base
-        puts the new point at the joint-embedding gap (``_gap``) of ``values``."""
+        # per slot: its oracle slot, its refuse walk's births and walk, and
+        # its clamp walk's pins, None where the refuse walk decides them
+        walks = []
+        if accept is None:
+            walks = [((slot[0], slot_assign[slot]), sorted(born.items()), walk, None)
+                     for slot, _, born, walk in slots]
+        else:
+            olds = dict.fromkeys(chain(base, (p for b in births.values() for t in b for p in t)))
+            # one scale holds every target, every oracle value and the request
+            scale = lcm(self._den, request.den, *{
+                v.denominator for _, _, born, walk in slots
+                for v in chain(born.values(), (v for _, v in walk)) if v is not None})
+            ld = self._local_dists(olds, scale // self._den, new,
+                                   {p: e * (scale // request.den) for p, e in request.ints.items()})
+            for slot, g, born, walk in slots:
+                born, _ = self._walk_slot(slot, born.items(), {}, ld, scale, accept)
+                known = dict(born)
+                if g is not None:  # read in one batch, cached only after the commit
+                    old = [t for t, _ in walk if new not in t]
+                    known = dict(zip(old, self._envelopes(slot[0], g, old)[0]))
+                out, pins = self._walk_slot(slot, walk, known, ld, scale, accept)
+                walk = [(tuple(new_id if p == new else p for p in t), v) for t, v in out]
+                if g is None:  # walked again in grow's order: the births off out first
+                    listed = {t for t, _ in out}
+                    walk = sorted(e for e in born if e[0] not in listed) + walk
+                walks.append(((slot[0], slot_assign[slot]), [], walk, None if g is None else pins))
+        dens = {request.den, *(v.denominator for _, born, walk, _ in walks
+                               for _, v in chain(born, walk))}
         gap = None
-        if not request.ints and self._points:
-            gap = self._gap(values, suitable, lip_index)
+        if not base and self._points:
+            gap = self._gap([v for *_, walk, _ in walks for _, v in walk], suitable, lip_index)
             dens.add(gap.denominator)
         den = self._den_with(dens)
-        return self._extended_row(request, gap, den), den
+        row = self._extended_row(request, gap, den)
+        if suitable is not None:
+            self._check_suitable(suitable, row, den)
+        if lip_index is not None:
+            self._check_lip(lip_index, row, den)
+        olds = {p for _, born, walk, pins in walks if pins is None
+                for t, _ in chain(born, walk) for p in t if p != new_id}
+        ld = self._local_dists(olds, den // self._den, new_id,
+                               {p: row[self._pos[p]] for p in olds})
+        delta, walked = {}, {}
+        for (n, g), born, walk, pins in walks:
+            if pins is None:
+                walk, known = born + walk, {}
+                if (n, g) in self._pins:  # read in one batch, cached only after the commit
+                    old = [t for t, _ in walk if new_id not in t]
+                    known = dict(zip(old, self._envelopes(n, g, old)[0]))
+                walk, pins = self._walk_slot((n, g), walk, known, ld, den)
+            if pins:
+                delta[(n, g)] = dict(map(walk.__getitem__, pins))
+            walked.update(((n, g, t), v) for t, v in walk)
+        self._commit(GrowthRecord(new_id, {}, delta, tuple(fresh), suitable, lip_index,
+                                  tuple(sorted(base)) if base else None), row, den, walked)
+        return GrowthResult(new_id, slot_assign)
 
     def _check_base(self, request: ScaledDists):
         """Refuse a base whose points are not in the oracle, or whose
@@ -831,12 +845,14 @@ class LimitOracle:
 
     def _check_rel(self, rel: RelExtension, base, base_dists):
         """Every check of an extension but the 1-Lipschitz law and base
-        agreement, which are _rel_pins's walk.  Its metric needs none of its
-        own: _check_base has made the request e positive and Katetov on the
-        base, and below, the points but one new x are distinct and mapped
-        injectively onto the base, with d(x, p) = d(p, x) = e there and
-        d(p, q) = d(q, p) = the oracle's distance.  So the extension is the
-        base plus one Katetov row: a metric."""
+        agreement, which are its refuse-mode walk in ``_step``.  Its metric
+        needs none of its own: _check_base has made the request e positive
+        and Katetov on the base, and below, the points but one new x are
+        distinct and mapped injectively onto the base, with d(x, p) =
+        d(p, x) = e there and d(p, q) = d(q, p) = the oracle's distance.  So
+        the extension is the base plus one Katetov row: a metric.  Birth pins
+        on slots outside the extension, which _step never sees, meet
+        _assign_slots here."""
         ext, bm = rel.ext, rel.base_map
         report = validate_pattern(ext)
         if report:
@@ -900,26 +916,6 @@ class LimitOracle:
         ld.update(((new, p), e) for p, e in new_d.items())
         ld.update(((p, new), e) for p, e in new_d.items())
         return ld
-
-    def _rel_pins(self, walks, new_id, row, den) -> tuple[dict, dict]:
-        """Walk the entries ``walks[(n, g)]`` of each slot in refuse mode
-        (``_walk_slot``), a realized slot's tuples without ``new_id`` at
-        their envelope, read in one batch.  Returns the pins, by slot, and
-        the walked values, by cache key (n, g, tuple)."""
-        olds = {p for walk in walks.values() for t, _ in walk for p in t if p != new_id}
-        ld = self._local_dists(olds, den // self._den, new_id,
-                               {p: row[self._pos[p]] for p in olds})
-        delta, walked = {}, {}
-        for (n, g), walk in walks.items():
-            known = {}
-            if (n, g) in self._pins:
-                old = [mt for mt, _ in walk if new_id not in mt]
-                known = dict(zip(old, self._envelopes(n, g, old)[0]))
-            walk, pins = self._walk_slot((n, g), walk, known, ld, den)
-            if pins:
-                delta[(n, g)] = dict(map(walk.__getitem__, pins))
-            walked.update(((n, g, mt), v) for mt, v in walk)
-        return delta, walked
 
     def _walk_slot(self, slot, walk, known, ld, den, accept=None):
         """One slot's window walk in a growth step, in integers at ``den``:
@@ -988,7 +984,7 @@ class LimitOracle:
                         raise OracleGrowthError(
                             f"{fault} of slot {where}" if slot in self._pins
                             else f"fresh slot {where} born inconsistent: {fault}")
-                    w = lo if w < lo else hi
+                    w = min(max(w, lo), hi)
                     val = Fraction(w, den)
                 if accept is not None:
                     accept(slot, t, v, val)
@@ -1173,9 +1169,9 @@ class LimitOracle:
         """The new point's row, as integers at the denominator returned,
         once ``rec`` has passed every check; OracleGrowthError otherwise.
 
-        The record must have the shape grow writes: a new point id,
-        distances to exactly the earlier points or to a base, fresh slots
-        that take the next free index of their arity within the budget
+        The record must have the shape grow writes: the id grow gives step
+        N, u<N>, distances to exactly the earlier points or to a base, fresh
+        slots that take the next free index of their arity within the budget
         len + 2 - n, and pins on slots registered at or before the record
         and on points that exist at that step.  Its values go through
         grow's own checks, with grow's messages: the base (``_check_base``),
@@ -1204,6 +1200,8 @@ class LimitOracle:
         """
         if rec.point in self._pos:
             raise OracleGrowthError(f"point {rec.point!r} already exists")
+        if rec.point != (want := f"u{len(self._points) + 1}"):
+            raise OracleGrowthError(f"point {rec.point!r} is not {want!r}, the id grow gives it")
         if rec.base is None:
             dists = ScaledDists.of(rec.dists)
             ints = dists.ints

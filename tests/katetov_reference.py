@@ -10,11 +10,14 @@ with ``_envelope``.  The differential tests hold the library to these
 wherever the metric lists every used point with all distances among them.
 The copies read ``IntRows.of``, which now raises on a missing entry where
 it returned None, so only there do they differ from the code they copy.
+``_clamped`` is the clamp of a rel solver step as it ran in ``cauchy``
+before the oracle's walk clamped (``LimitOracle._walk_slot``), for the two
+solver references.
 """
 from fractions import Fraction
 from typing import Mapping
 
-from urysohn.metric import FinMetric, IntRows, tuple_dist
+from urysohn.metric import FinMetric, IntRows, _katetov_window, tuple_dist
 from urysohn.rationals import ZERO, scaled
 from urysohn.relational import _lines_hold, tuples_over
 
@@ -24,7 +27,7 @@ def _envelope(entries, tup, dist):
 
     The one lower envelope of the package, and the floor of every clamp
     window (``_katetov_window``): the growth walk of
-    ``LimitOracle._rel_pins``, tables of ``FinMetric.table`` and profiles
+    ``LimitOracle._walk_slot``, tables of ``FinMetric.table`` and profiles
     (1-tuples of dense indices over a presentation's ``_d``).  ``dist``
     maps ordered pairs of distinct coordinates to exact distances.
     Each caller gets the value its own loop gave before:
@@ -138,3 +141,12 @@ def canonical_extend(
     for tup in tuples_over(metric.points, arity):
         out[tup] = values[tup] if tup in values else _envelope(pins, tup, metric.table) or ZERO
     return out
+
+
+def _clamped(eps, defined, dist, tup, scale) -> tuple[Fraction, int]:
+    """A target clamped into the window of the values ``defined``, as a solver
+    step's walk clamps it; values, ``dist`` and the second result at ``scale``."""
+    val = scaled(eps, scale)
+    lo, hi = _katetov_window(defined.items(), tup, dist)
+    v = min(max(val, lo), hi)
+    return (eps if v == val else Fraction(v, scale)), v

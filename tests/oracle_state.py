@@ -4,10 +4,13 @@ Distances live in integer rows indexed by handle and pins in per-slot
 columns; these helpers give tests one way in, at the oracle's scale
 ``o.den``.  Damage drops the envelope cache, so predicate_value and
 snapshot read the damaged state, as they would on a replay of it.
+``walk_clamp`` runs the oracle's clamp walk on one target of its own.
 """
 from fractions import Fraction
 
+from urysohn.engine import LimitOracle
 from urysohn.metric import _gather_min, _getter
+from urysohn.rationals import scaled
 
 
 def int_dist(o, x, y):
@@ -60,6 +63,28 @@ def full_scan_value(o, n, g, tup):
 def stale_cache_entries(o):
     """The cache entries a full scan of the current state does not give."""
     return {key: v for key, v in o._value_cache.items() if full_scan_value(o, *key) != v}
+
+
+def walk_clamp(eps, defined, dist, tup, scale):
+    """The target ``eps`` at ``tup`` clamped into the window of the integer
+    values ``defined`` over the integer distances ``dist``, all at
+    ``scale``, by the clamp a rel solver step runs: ``LimitOracle._walk_slot``
+    in clamp mode, the ``defined`` tuples walked as known, then the target.
+    Returns the value and its integer at ``scale``.
+
+    The target is walked on twins of its points, at distance 0 from them and
+    at their distances from every other point, so a target at a defined
+    tuple is clamped against that tuple's value too, not read back."""
+    twin = tuple(f"{p}'" for p in tup)
+    ld = dict(dist)
+    for p, q in zip(tup, twin):
+        ld.update(((s, q), w) for (s, r), w in dist.items() if r == p)
+        ld[(p, q)] = 0
+    known = {t: Fraction(w, scale) for t, w in defined.items()}
+    walk = [*((t, None) for t in known), (twin, eps)]
+    out, _ = LimitOracle()._walk_slot((len(tup), 1), walk, known, ld, scale,
+                                      accept=lambda *_: None)
+    return out[-1][1], scaled(out[-1][1], scale)
 
 
 def walked_keys(rel, result):

@@ -1,8 +1,8 @@
 """The rel solver step as it ran before the oracle clamped: each step
-clamps every target into its Katetov window itself (``cauchy._clamped``),
+clamps every target into its Katetov window itself (``_clamped``),
 packs the values into a FinMetric, an IndexedStructure and a RelExtension,
 and grows the oracle with ``grow(rel=...)``, which checks the extension
-(``_check_rel``) and walks the same entries again (``_rel_pins``).  The
+(``_check_rel``) and walks the same entries again in refuse mode.  The
 body of ``extend_one_point`` is copied verbatim; the differential tests
 hold ``LimitOracle.grow_clamped`` to it.
 """
@@ -20,7 +20,6 @@ from urysohn.cauchy import (
     Slot,
     StepValue,
     _check_anchors,
-    _clamped,
     _sandwich_chain,
     deviation_bound,
     required_depth,
@@ -30,6 +29,8 @@ from urysohn.engine import LimitOracle, RelExtension
 from urysohn.metric import fin_metric
 from urysohn.rationals import scaled
 from urysohn.relational import IndexedStructure, PredTable, tuples_over, validate_k
+
+from katetov_reference import _clamped
 
 
 def reference_extend_one_point(

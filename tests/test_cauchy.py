@@ -509,7 +509,7 @@ def test_integer_clamp_matches_rational():
     from math import lcm
     from random import Random
 
-    from urysohn.cauchy import _clamped
+    from oracle_state import walk_clamp
     from urysohn.rationals import scaled
 
     rng = Random(5)
@@ -533,7 +533,7 @@ def test_integer_clamp_matches_rational():
 
         want = _rational_clamped(eps, defined, rdist, tup)
         scale = lcm(eps.denominator, *(v.denominator for v in list(d.values()) + list(defined.values())))
-        got, got_i = _clamped(
+        got, got_i = walk_clamp(
             eps,
             {t: scaled(v, scale) for t, v in defined.items()},
             {k: scaled(v, scale) for k, v in d.items()},

@@ -547,6 +547,11 @@ def _shape_case(name, records, error):
             "step 2: point 'u1' already exists",
         ),
         _shape_case(
+            "point-id-grow-does-not-give",
+            ["grow u1", "grow u3", "gd u1 1/1"],
+            "step 2: point 'u3' is not 'u2', the id grow gives it",
+        ),
+        _shape_case(
             "slot-registered-again",
             ["grow u1", "greg 1 1", "gp 1 1 u1 1/2", "grow u2", "gd u1 1/1", "greg 1 1"],
             "step 2: fresh slot (1, 1) is not the next free arity-1 index 2",
@@ -574,6 +579,19 @@ def test_validate_refuses_records_grow_cannot_write(tmp_path, capsys, log, error
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"error: {error}\n"
+
+
+def test_a_log_whose_point_grow_could_not_have_named_is_refused(tmp_path, capsys):
+    # grow names step N u<N>: a first step named u2 would be taken again by
+    # the u2 that grow mints next, and the log it wrote would not validate
+    log = put(tmp_path, "a.log", "ORACLE\nmode rel\ngrow u2\n")
+    out = tmp_path / "b.log"
+    error = "error: step 1: point 'u2' is not 'u1', the id grow gives it\n"
+    assert main(["validate", log]) == 1
+    assert capsys.readouterr() == ("", error)
+    assert main(["grow", "--oracle", log, "--dist", "u2=1/2", "--out-log", str(out)]) == 1
+    assert capsys.readouterr() == ("", error)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

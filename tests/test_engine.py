@@ -592,3 +592,47 @@ def test_a_mode_named_twice_is_refused_as_an_unknown_mode_is():
     o = LimitOracle(("prod", "lip"), compact=CompactPresentation(two),
                     polish=PolishPresentation(two), lip_const=F(1))
     assert o.modes == ("prod", "lip")
+
+
+def _state(o):
+    return len(o), o.den, list(o.log), dict(o.registry), dict(o._value_cache)
+
+
+def test_a_birth_pin_on_a_base_tuple_must_equal_the_extension_there():
+    # grow walks the birth pin at (u1,) before the extension's own (u1,), so
+    # the window there is the pin's value alone, and 0 falls below it
+    o = LimitOracle()
+    o.grow({})
+    before = _state(o)
+    ext = indexed_structure(fin_metric(["b", "x"], {("b", "x"): F(1)}), bound=1,
+                            pred={(1, 1, ("b",)): F(0), (1, 1, ("x",)): F(0)})
+    rel = RelExtension(ext, {"b": "u1"}, {(1, 1): None}, {(1, 1): {("u1",): F(1, 2)}})
+    with pytest.raises(OracleGrowthError) as exc:
+        o.grow({"u1": F(1)}, rel=rel)
+    assert str(exc.value) == (
+        "fresh slot (1,1) born inconsistent: value 0 at ('u1',) undershoots the envelope 1/2"
+    )
+    assert _state(o) == before
+
+
+def test_a_profile_fault_is_reported_before_a_predicate_window_fault():
+    # u2 sits 1/4 from u1: its profile value 2 is 1 away from u1's, and its
+    # value 3 on the realized slot (1,1) overshoots the ceiling 0 + 1/4.
+    # The profile is checked on the row, before any slot is walked.
+    from urysohn.spaces import CompactPresentation, suitable
+
+    k = CompactPresentation(fin_metric(["q1", "q2"], {("q1", "q2"): F(1)}))
+    o = LimitOracle(("rel", "prod"), compact=k)
+    o.grow({}, rel=RelExtension(unary_point("x", 0), {}, {(1, 1): None}),
+           suitable=suitable({1: F(1)}))
+    before = _state(o)
+    ext = indexed_structure(fin_metric(["b", "x"], {("b", "x"): F(1, 4)}), bound=1,
+                            pred={(1, 1, ("b",)): F(0), (1, 1, ("x",)): F(3)})
+    with pytest.raises(OracleGrowthError) as exc:
+        o.grow({"u1": F(1, 4)}, rel=RelExtension(ext, {"b": "u1"}, {(1, 1): 1}),
+               suitable=suitable({1: F(2)}))
+    assert str(exc.value) == "profile value 2 at 1 too far from point 'u1'"
+    assert _state(o) == before
+    with pytest.raises(OracleGrowthError, match=r"value 3 at \('u2',\) overshoots the ceiling 1/4"):
+        o.grow({"u1": F(1, 4)}, rel=RelExtension(ext, {"b": "u1"}, {(1, 1): 1}),
+               suitable=suitable({1: F(1)}))

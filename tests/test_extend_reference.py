@@ -23,7 +23,6 @@ from urysohn.cauchy import (
     SolverError,
     StepValue,
     _check_anchors,
-    _clamped,
     _sandwich_chain,
     deviation_bound,
     embed_structure,
@@ -43,6 +42,7 @@ from urysohn.relational import (
     validate_k,
 )
 
+from katetov_reference import _clamped
 from random_structures import random_extension_bark
 
 

