@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, zip_longest
 from typing import Iterable, Mapping, Sequence
 
@@ -143,7 +144,9 @@ def solve_sandwich(
 
 @dataclass(frozen=True)
 class StepValue:
-    """One clamped predicate value with its target, for deviation accounting."""
+    """One clamped predicate value with its target, for deviation accounting.
+    A value the clamp did not move has deviation 0; the solver step records
+    it and does not re-check it against the bound."""
 
     level: int
     slot: Slot
@@ -174,8 +177,10 @@ def required_depth(k: int, depth: int) -> int:
     return k + depth + 2
 
 
+@cache
 def deviation_bound(arity: int, level: int) -> Fraction:
-    """Committed per-step bound on |realized - target| for arity-n tuples."""
+    """Committed per-step bound on |realized - target| for arity-n tuples;
+    built once per arity and level."""
     return (2 * arity + 1) * pow2(-level)
 
 
@@ -196,6 +201,9 @@ def extend_one_point(
     powers of two), solves the sandwich system and grows the oracle through
     ``LimitOracle.grow_clamped``, which clamps the requested predicate values
     into their Katetov windows; the step keeps each value and its deviation check.
+    A value that lands on its target has deviation 0 and is not re-checked;
+    a moved one is refused (``SandwichInfeasible``, before anything is
+    written) when it deviates beyond ``deviation_bound``.
     """
     assigned = dict(known or {})
     report = validate_k(target)
@@ -235,12 +243,13 @@ def extend_one_point(
             request.append(((n, m), g, born, want))
 
         def accept(slot, tup, eps, val):
-            sv = StepValue(level, slot, tup, eps, val)
-            values.append(sv)
-            bound = deviation_bound(slot[0], level)
-            if sv.deviation > bound:
+            values.append(StepValue(level, slot, tup, eps, val))
+            if val == eps:  # deviation 0, within every bound
+                return
+            bound, deviation = deviation_bound(slot[0], level), abs(val - eps)
+            if deviation > bound:
                 raise SandwichInfeasible(f"clamp at level {level}, slot ({slot[0]},{slot[1]}), "
-                                         f"tuple {tup} deviates by {sv.deviation} > {bound}")
+                                         f"tuple {tup} deviates by {deviation} > {bound}")
 
         result = o.grow_clamped(base_dists, temp, request, accept)
         if level == 1:

@@ -57,6 +57,11 @@ def _read(path: str | None, text: bool = True) -> str | bytes:
         raise UsageError(f"no such file: {path}") from None
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        # read_text decodes the whole file at once, so the offset is the file's
+        data, at = exc.object, exc.start
+        raise ParseError(data.count(b"\n", 0, at) + 1,
+                         f"{path} is not UTF-8: byte {data[at]:#04x} at offset {at}") from None
 
 
 def _load(path: str | None):

@@ -17,6 +17,7 @@ change afterwards.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import chain, compress, islice, repeat
@@ -484,8 +485,7 @@ class LimitOracle:
     def _append(self, point: str, row: list[int]):
         """Adjoin ``point`` at the distances ``row`` to every earlier point,
         by handle."""
-        for r, v in zip(self._rows, row):
-            r.append(v)
+        deque(map(list.append, self._rows, row), 0)
         row.append(0)
         self._pos[point] = len(self._points)
         self._points.append(point)
@@ -688,7 +688,8 @@ class LimitOracle:
         on a fresh slot, its birth value; a fresh slot is then walked in
         refuse mode, its births off the walk sorted first (grow_clamped's
         (3)).  With an empty base the row sits at the gap of the walked
-        values (``_gap``).  The record and the commit come last.
+        values and the births, in both modes (``_gap``).  The record and the
+        commit come last.
         """
         births = {slot: born for slot, _, born, _ in slots if born}
         slot_assign, fresh = self._assign_slots({s: g for s, g, _, _ in slots}, births)
@@ -708,6 +709,7 @@ class LimitOracle:
                 for v in chain(born.values(), (v for _, v in walk)) if v is not None})
             ld = self._local_dists(olds, scale // self._den, new,
                                    {p: e * (scale // request.den) for p, e in request.ints.items()})
+            ren = {new: new_id}
             for slot, g, born, walk in slots:
                 born, _ = self._walk_slot(slot, born.items(), {}, ld, scale, accept)
                 known = dict(born)
@@ -715,16 +717,16 @@ class LimitOracle:
                     old = [t for t, _ in walk if new not in t]
                     known = dict(zip(old, self._envelopes(slot[0], g, old)[0]))
                 out, pins = self._walk_slot(slot, walk, known, ld, scale, accept)
-                walk = [(tuple(new_id if p == new else p for p in t), v) for t, v in out]
+                walk = [(tuple(map(ren.get, t, t)), v) for t, v in out]
                 if g is None:  # walked again in grow's order: the births off out first
                     listed = {t for t, _ in out}
                     walk = sorted(e for e in born if e[0] not in listed) + walk
                 walks.append(((slot[0], slot_assign[slot]), [], walk, None if g is None else pins))
-        dens = {request.den, *(v.denominator for _, born, walk, _ in walks
-                               for _, v in chain(born, walk))}
+        values = [v for _, born, walk, _ in walks for _, v in chain(born, walk)]
+        dens = {request.den, *(v.denominator for v in values)}
         gap = None
         if not base and self._points:
-            gap = self._gap([v for *_, walk, _ in walks for _, v in walk], suitable, lip_index)
+            gap = self._gap(values, suitable, lip_index)
             dens.add(gap.denominator)
         den = self._den_with(dens)
         row = self._extended_row(request, gap, den)

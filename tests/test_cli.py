@@ -869,6 +869,21 @@ def test_reading_a_directory_is_a_usage_error(tmp_path, capsys, argv):
     assert capsys.readouterr().err == f"usage error: cannot read {tmp_path}: Is a directory\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "{bad}"],
+    ["embed", "{bad}"],
+    ["homog", "{bad}"],
+    ["eval", "{bad}"],
+    ["grow", "--oracle", "{bad}", "--dist", "u1=1/1"],
+])
+def test_a_file_that_is_not_utf8_is_a_parse_error_naming_it(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\x00\xff\xfe")
+    assert main([a.format(bad=bad) for a in argv]) == 1
+    assert capsys.readouterr() == (
+        "", f"parse error: line 1: {bad} is not UTF-8: byte 0xff at offset 1\n")
+
+
 def test_writing_to_a_directory_is_a_usage_error(tmp_path, capsys):
     bark = put(tmp_path, "x.bark", BARK)
     assert main(["embed", bark, "--depth", "2", "--out", str(tmp_path)]) == 2

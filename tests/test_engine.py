@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from urysohn.cli import main
 from urysohn.engine import (
     EMPTY_STRUCTURE,
     LimitOracle,
@@ -10,6 +11,7 @@ from urysohn.engine import (
     amalgamate_k,
     joint_embed_k,
 )
+from urysohn.files import oracle_file, serialize_structure
 from urysohn.metric import fin_metric, single_point
 from urysohn.relational import (
     EmbeddingWitness,
@@ -311,6 +313,22 @@ def test_birth_pins_only_on_fresh_slots():
     )
     with pytest.raises(OracleGrowthError, match="fresh"):
         o.grow({"u1": F(1)}, rel=rel)
+
+
+def test_an_empty_base_counts_birth_pins_in_the_gap(tmp_path):
+    """The birth pin (u1,) at 10 puts the gap at 20, where the other values,
+    all 0, give 1: so (u2,) at 0 is 20 from (u1,), within its window."""
+    o = LimitOracle()
+    o.grow({})
+    x = indexed_structure(single_point("x"), pred={(1, 1, ("x",)): F(0)}, bound=1)
+    o.grow({}, rel=RelExtension(x, {}, {(1, 1): None}, {(1, 1): {("u1",): F(10)}}))
+    assert o.distance("u1", "u2") == 20
+    assert o.predicate_value(1, 1, ("u1",)) == 10
+    assert o.predicate_value(1, 1, ("u2",)) == 0
+    assert o.validate_state() == []
+    log = tmp_path / "o.log"
+    log.write_text(serialize_structure("ORACLE", oracle_file(o)))
+    assert main(["validate", str(log)]) == 0
 
 
 def test_randomized_growth_snapshots_stay_valid_and_monotone():

@@ -58,14 +58,13 @@ def reference_growth(o, base_dists, rel):
 
     full = dict(base_dists)
     others = [q for q in o.points if q not in base_dists]
+    births = [v for pins in rel.birth_pins.values() for v in pins.values()]
     if base:
         for q in others:
             full[q] = min(base_dists[p] + o.distance(p, q) for p in base)
     elif others:
-        full.update({q: o._gap(rel.ext.pred.values(), None, None) for q in others})
-    incoming = list(full.values()) + list(rel.ext.pred.values())
-    for pins in rel.birth_pins.values():
-        incoming += pins.values()
+        full.update({q: o._gap([*rel.ext.pred.values(), *births], None, None) for q in others})
+    incoming = list(full.values()) + list(rel.ext.pred.values()) + births
     den = lcm(o.den, *(v.denominator for v in incoming))
     if den != o.den:
         den *= 2**12

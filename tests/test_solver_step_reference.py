@@ -75,18 +75,26 @@ def extension(rng, x, pden):
 def case(seed, pden, depth):
     """An embedded x, a one-point extension of it and a random part of x's
     registrations as known: a function that makes fresh oracles and
-    anchors, the target, the known slots and the depth."""
+    anchors, the target, the known slots and the depth.  In 30% of the
+    cases with predicates the oracle holds x's values raised by a constant,
+    still 1-Lipschitz, so the target disagrees with the realized base
+    tuples: clamps move values and may break the deviation bound."""
     rng = Random(seed)
     x = sparse_bark(rng, rng.randint(1, 2), pden)
     target = extension(rng, x, pden)
     anchor_depth = required_depth(len(target), depth)
+    registered = embed_structure(LimitOracle(), x, anchor_depth).slot_globals
+    known = {s: g for s, g in registered.items() if s in target.slots() and rng.random() < 0.7}
+    realized = x
+    if x.bound and rng.random() < 0.3:
+        c = F(rng.choice([1, 8, 16]), 4)
+        realized = IndexedStructure(x.metric, x.bound, x.indices,
+                                    {key: v + c for key, v in x.pred.items()})
 
     def build():
         o = LimitOracle()
-        return o, list(embed_structure(o, x, anchor_depth).points)
+        return o, list(embed_structure(o, realized, anchor_depth).points)
 
-    registered = embed_structure(LimitOracle(), x, anchor_depth).slot_globals
-    known = {s: g for s, g in registered.items() if s in target.slots() and rng.random() < 0.7}
     return build, target, known, depth
 
 
@@ -130,6 +138,22 @@ def test_the_cases_cover_births_slot_mixes_and_sparse_index_sets():
     assert any(sparse for _, sparse, _, _ in shapes)
     # a fresh slot born along the anchors beside a realized one
     assert any(births and realized for _, _, births, realized in shapes)
+
+
+def test_the_cases_cover_moved_values_and_deviation_refusals():
+    """The clamped step's draws reach the deviation accounting's other
+    branch: values the clamp moves off their targets, within the bound, and
+    steps the bound refuses, both as the reference decides them."""
+    moved = refused = 0
+    for seed in range(40):
+        build, target, known, depth = case(seed, GRIDS[seed % len(GRIDS)], 2 + seed % 2)
+        new = run(extend_one_point, build, target, known, depth)
+        assert new == run(reference_extend_one_point, build, target, known, depth)
+        if new[0] is SandwichInfeasible and "deviates by" in new[1]:
+            refused += 1
+        elif not isinstance(new[0], type):
+            moved += sum(sv.value != sv.target for sv in new[0]["values"])
+    assert moved >= 10 and refused >= 1, (moved, refused)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -188,6 +212,37 @@ def test_a_step_the_deviation_bound_refuses_writes_nothing(monkeypatch):
     assert outcomes[0][0] == outcomes[1][0]
     assert outcomes[0][1:] == (2, True)
     assert outcomes[1][1:] == (1, False)
+
+
+def test_a_value_clamped_to_its_bound_passes_and_one_unit_beyond_is_refused():
+    """x1 is realized at 0; the target reads T at both of its points, 1/8
+    apart.  Level 1 places the new point at 1/4 from x1, so the clamp takes
+    T to 1/4: at T = 1/4 + 3/2 the deviation is the bound 3/2 and the step
+    commits, and one unit of the oracle's scale more is refused in the
+    bound's words, before anything is written."""
+    x = indexed_structure(fin_metric(["x1"], {}), 1, {(1, 1, ("x1",)): F(0)})
+
+    def attempt(value):
+        target = indexed_structure(fin_metric(["x1", "x2"], {("x1", "x2"): F(1, 8)}), 1,
+                                   {(1, 1, ("x1",)): value, (1, 1, ("x2",)): value})
+        o = LimitOracle()
+        realized = embed_structure(o, x, required_depth(2, 1))
+        before = state(o)
+        args = (o, list(realized.points), target, dict(realized.slot_globals), 1)
+        return o, before, args
+
+    bound = cauchy.deviation_bound(1, 1)
+    o, before, args = attempt(F(1, 4) + bound)
+    out = extend_one_point(*args)
+    assert [sv.target - sv.value for sv in out.values] == [bound]
+    assert len(o) == before[0] + 1
+    unit = F(1, before[1])
+    o, before, args = attempt(F(1, 4) + bound + unit)
+    with pytest.raises(SandwichInfeasible) as exc:
+        extend_one_point(*args)
+    assert str(exc.value) == ("clamp at level 1, slot (1,1), tuple ('g',) "
+                              f"deviates by {bound + unit} > {bound}")
+    assert state(o) == before
 
 
 def test_a_fresh_slot_decides_its_pins_in_grows_order():
