@@ -75,15 +75,41 @@ def _load_kind(path: str, *kinds: str):
     return parsed.value
 
 
-def _load_space(opt: str, path: str | None, kind: str):
-    """The COMPACT or POLISH presentation that option ``opt`` names, refused
-    before any work, in the words of its first violation, unless
+def _spaces(args, kind: str, modes: tuple[str, ...] = (), what: str = "", mode=False,
+            lip=False) -> dict:
+    """The presentations a C or L file, or an ORACLE of ``modes``, reads, by
+    kind: --space is a C file's or a prod oracle's COMPACT and an L file's
+    POLISH, and a lip oracle's POLISH is --zspace, or --space when the
+    oracle has no prod mode and only --space is given.  validate and grow
+    read by this one rule.  Before any file is read, an option given that
+    is not read is refused, with grow's --mode and --lip unless ``mode``
+    and ``lip`` are set, and a missing one is named; then each presentation
+    is refused before any work, in the words of its first violation, unless
     ``validate_compact`` or ``validate_polish`` passes it."""
-    space = _load_kind(path, kind)
-    report = (validate_compact if kind == "COMPACT" else validate_polish)(space)
-    if report:
-        raise ValueError(f"{opt} {path}: {report[0]}")
-    return space
+    reads = {}
+    if kind in ("C", "L"):
+        reads["--space"] = ("COMPACT", "a C file") if kind == "C" else ("POLISH", "an L file")
+    if "prod" in modes:
+        reads["--space"] = ("COMPACT", "a prod-mode oracle")
+    if "lip" in modes:
+        alone = args.space and not args.zspace and "prod" not in modes
+        reads["--space" if alone else "--zspace"] = ("POLISH", "a lip-mode oracle")
+    read = {"--mode": mode, "--space": "--space" in reads, "--zspace": "--zspace" in reads,
+            "--lip": lip}
+    given = [opt for opt, ok in read.items() if getattr(args, opt[2:], None) and not ok]
+    if given:
+        raise UsageError(f"{' and '.join(given)}: not read for {what}")
+    paths = {opt: getattr(args, opt[2:]) for opt in reads}
+    for opt, (pk, who) in reads.items():
+        if not paths[opt]:
+            raise UsageError(f"{who} needs {opt} {pk}_FILE")
+    spaces = {}
+    for opt, (pk, _) in reads.items():
+        space = spaces[pk] = _load_kind(paths[opt], pk)
+        report = (validate_compact if pk == "COMPACT" else validate_polish)(space)
+        if report:
+            raise ValueError(f"{opt} {paths[opt]}: {report[0]}")
+    return spaces
 
 
 def _option(opt: str, parse, text: str):
@@ -161,19 +187,10 @@ def _in_space(s: StructureC | StructureL, space):
 
 def cmd_validate(args) -> int:
     parsed = _load(args.file)
-    # --space is read by C and L files and by a prod oracle, or by a lip one
-    # as its polish presentation when --zspace is not given; --zspace only by
-    # a lip oracle.  A presentation that is not read is refused, not dropped.
+    # a presentation that is not read is refused, not dropped
     modes = parsed.value.modes if parsed.kind == "ORACLE" else ()
-    reads = {
-        "--space": parsed.kind in ("C", "L") or "prod" in modes
-        or ("lip" in modes and not args.zspace),
-        "--zspace": "lip" in modes,
-    }
-    given = [opt for opt, read in reads.items() if getattr(args, opt[2:]) and not read]
-    if given:
-        what = f"a {'+'.join(modes)} oracle" if modes else f"a {parsed.kind} file"
-        raise UsageError(f"{' and '.join(given)}: not read for {what}")
+    what = f"a {'+'.join(modes)} oracle" if modes else f"a {parsed.kind} file"
+    spaces = _spaces(args, parsed.kind, modes, what)
     report: list[str] = []
     if parsed.kind in ("K", "BARK"):
         report = validate_k(parsed.value)
@@ -181,26 +198,11 @@ def cmd_validate(args) -> int:
         report = validate_compact(parsed.value)
     elif parsed.kind == "POLISH":
         report = validate_polish(parsed.value)
-    elif parsed.kind == "C":
-        if not args.space:
-            raise UsageError("validating a C file needs --space COMPACT_FILE")
-        report = validate_c(parsed.value, _load_space("--space", args.space, "COMPACT"))
-    elif parsed.kind == "L":
-        if not args.space:
-            raise UsageError("validating an L file needs --space POLISH_FILE")
-        report = validate_l(parsed.value, _load_space("--space", args.space, "POLISH"))
+    elif parsed.kind in ("C", "L"):
+        report = (validate_c if parsed.kind == "C" else validate_l)(parsed.value, *spaces.values())
     elif parsed.kind == "ORACLE":
-        compact = polish = None
-        if "prod" in parsed.value.modes:
-            if not args.space:
-                raise UsageError("a prod-mode oracle needs --space COMPACT_FILE")
-            compact = _load_space("--space", args.space, "COMPACT")
-        if "lip" in parsed.value.modes:
-            zopt, zpath = ("--zspace", args.zspace) if args.zspace else ("--space", args.space)
-            if not zpath:
-                raise UsageError("a lip-mode oracle needs --zspace POLISH_FILE")
-            polish = _load_space(zopt, zpath, "POLISH")
-        o = replay_oracle(parsed.value, compact=compact, polish=polish)
+        o = replay_oracle(parsed.value, compact=spaces.get("COMPACT"),
+                          polish=spaces.get("POLISH"))
         report += o.validate_state()
     for msg in report:
         print(msg)
@@ -223,7 +225,7 @@ def cmd_amalgamate(args) -> int:
         wac = EmbeddingWitness(map_c, pi)
         out = amalgamate_k(b, c, a, wab, wac).result
     elif kind in ("C", "L"):
-        space = _load_space("--space", args.space, "COMPACT" if kind == "C" else "POLISH")
+        space, = _spaces(args, kind).values()
         for s in (b, c, a):
             _in_space(s, space)
         out = (amalgamate_c if kind == "C" else amalgamate_l)(b, c, a, map_b, map_c, space)
@@ -241,7 +243,7 @@ def cmd_joint_embed(args) -> int:
     if kind == "K":
         out = joint_embed_k(a, b).result
     elif kind in ("C", "L"):
-        space = _load_space("--space", args.space, "COMPACT" if kind == "C" else "POLISH")
+        space, = _spaces(args, kind).values()
         for s in (a, b):
             _in_space(s, space)
         out = (joint_embed_c if kind == "C" else joint_embed_l)(a, b, space)
@@ -285,21 +287,19 @@ def cmd_grow(args) -> int:
         pt, val = pair.split("=", 1)
         dists[pt] = _option("--dist", parse_rat, val)
     suit = _option("--suit", parse_profile_entries, args.suit) if args.suit else None
-    # an existing log brings its own modes and constant; --space, --zspace
-    # and --lip are read only by the modes that use them
+    # an existing log brings its own modes and constant, so only a new
+    # oracle reads --mode and --lip
     log = _oracle_log(args)
     fresh = log is None
     modes = tuple(args.mode or ("rel",)) if fresh else log.modes
     if len(set(modes)) < len(modes):
         raise UsageError("--mode: each mode may be given once")
-    reads = {"--mode": fresh, "--space": "prod" in modes, "--zspace": "lip" in modes,
-             "--lip": fresh and "lip" in modes}
-    given = [opt for opt, read in reads.items() if getattr(args, opt[2:]) and not read]
-    if given:
-        what = f"{'a new' if fresh else 'an existing'} {'+'.join(modes)} oracle"
-        raise UsageError(f"{' and '.join(given)}: not read for {what}")
-    compact = _load_space("--space", args.space, "COMPACT") if args.space else None
-    polish = _load_space("--zspace", args.zspace, "POLISH") if args.zspace else None
+    if fresh and "lip" in modes and lip is None:
+        raise UsageError("a new lip-mode oracle needs --lip RATIONAL")
+    spaces = _spaces(args, "ORACLE", modes,
+                     f"{'a new' if fresh else 'an existing'} {'+'.join(modes)} oracle",
+                     mode=fresh, lip=fresh and "lip" in modes)
+    compact, polish = spaces.get("COMPACT"), spaces.get("POLISH")
     if fresh:
         o = LimitOracle(modes, compact=compact, polish=polish, lip_const=lip)
     else:
@@ -407,7 +407,7 @@ def cmd_certify(args) -> int:
 def cmd_eval(args) -> int:
     parsed = _load(args.file)
     if parsed.kind == "C":
-        k = _load_space("--space", args.space, "COMPACT")
+        k, = _spaces(args, "C").values()
         s: StructureC = parsed.value
         if args.point is None or args.index is None:
             raise UsageError("eval on a C file wants --point and --index")
@@ -427,7 +427,7 @@ def cmd_eval(args) -> int:
         if args.point not in s.labels:
             raise UsageError(f"{args.file} has no point {args.point!r}")
         if args.space:
-            _in_space(s, _load_space("--space", args.space, "POLISH"))
+            _in_space(s, *_spaces(args, "L").values())
         print(s.labels[args.point])
         return 0
     raise UsageError(f"cannot eval a {parsed.kind} file")

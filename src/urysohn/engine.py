@@ -30,6 +30,7 @@ from .metric import (
     MetricTableError,
     WitnessError,
     _getter,
+    _katetov_gather,
     _katetov_window,
     jep_gap,
     jep_gap_metric,
@@ -417,8 +418,11 @@ class LimitOracle:
                 raise ValueError(f"mode {mode!r} named twice")
         if "prod" in self.modes and compact is None:
             raise ValueError("prod mode needs a compact presentation")
+        if lip_const is not None and "lip" not in self.modes:
+            raise ValueError(f"constant L = {lip_const} given without lip mode")
         if "lip" in self.modes and (polish is None or lip_const is None or lip_const <= 0):
-            raise ValueError("lip mode needs a polish presentation and a positive constant")
+            raise ValueError("lip mode needs " + ("a polish presentation" if polish is None
+                             else "a positive constant L, a log's L record"))
         self.compact = compact
         self.polish = polish
         self.lip_const = lip_const
@@ -539,12 +543,8 @@ class LimitOracle:
         cache entries of the misses.
 
         E(t) = max(0, -low(t)), with low(t) the min over pins (p, w) of
-        d(p, t) - w in the sum metric.  Split t into its first n - 1 points h
-        and its last point z: d(p, t) - w = (d(p', h) - w) + d(p_n, z), p'
-        the first n - 1 points of p.  So the misses take one summed gather of
-        the pin columns per distinct prefix h, one gather of the last column
-        per distinct last point z, and then one ``map(add)`` and one ``min``
-        per tuple.
+        d(p, t) - w in the sum metric, read for the misses in one batch
+        (``metric._katetov_gather``).
         """
         if not 1 <= g <= self._counts.get(n, 0):
             raise KeyError(f"global slot ({n}, {g}) not realized")
@@ -567,21 +567,9 @@ class LimitOracle:
         if not pins.neg:
             missed = dict.fromkeys(handles, ZERO)
         else:
-            rows, gets, den = self._rows, pins.gets(), self._den
-            heads: dict[tuple[int, ...], list[int]] = {(): pins.neg}
-            tails: dict[int, tuple[int, ...]] = {}
-            missed = {}
-            for key, t in handles.items():
-                head = heads.get(t[:-1])
-                if head is None:
-                    head = pins.neg
-                    for get, i in zip(gets, t[:-1]):
-                        head = map(add, head, get(rows[i]))
-                    head = heads[t[:-1]] = list(head)
-                tail = tails.get(t[-1])
-                if tail is None:
-                    tail = tails[t[-1]] = gets[-1](rows[t[-1]])
-                missed[key] = Fraction(max(0, -min(map(add, head, tail))), den)
+            den = self._den
+            lows = _katetov_gather(self._rows, pins.gets(), pins.neg, handles.values())
+            missed = {key: Fraction(max(0, -low), den) for key, low in zip(handles, lows)}
         return [missed[key] if v is None else v for key, v in zip(keys, vals)], missed
 
     def suitable_at(self, point: str) -> SuitableFn:

@@ -126,17 +126,6 @@ class IntRows:
         rows = [[v.numerator * (den // v.denominator) for v in row] for row in raw]
         return cls(points, rows, den)
 
-    def ceilings(
-        self, targets: Iterable[tuple[int, ...]], tups: Sequence[tuple[int, ...]], vals
-    ) -> Iterator[int]:
-        """For each index tuple a of ``targets``, the least vals[b] +
-        d(a, tups[b]) in the sum metric: one getter per coordinate, summed
-        with ``map(add, ...)``, and one C-level ``min`` per target."""
-        rows = self.rows
-        gets = [_getter(col) for col in zip(*tups)]
-        for a in targets:
-            yield _gather_min(rows, gets, vals, a)
-
     def symmetric_positive(self) -> bool:
         """Every pair of points at one positive distance both ways."""
         rows = self.rows
@@ -216,15 +205,30 @@ def _getter(idx: Sequence[int]):
     return itemgetter(*idx)
 
 
-def _gather_min(rows: list[list[int]], gets: list, vals, a: tuple[int, ...]) -> int:
-    """min over b of vals[b] + d(a, t_b) in the sum metric, where gets[c]
-    is the getter of the c-th coordinates of the tuples t_b: one gather per
-    coordinate of a, summed with ``map(add, ...)``, and one C-level ``min``.
+def _katetov_gather(rows: list[list[int]], gets: list, vals: list[int],
+                    targets: Iterable[tuple[int, ...]]) -> Iterator[int]:
+    """For each index tuple a of ``targets``, in order, the least vals[b] +
+    d(a, t_b) in the sum metric, gets[c] the getter of the c-th coordinates
+    of the tuples t_b.  Split a = (h, z) and t_b = (t_b', y) at the last
+    coordinate: vals[b] + d(a, t_b) = (vals[b] + d(h, t_b')) + d(z, y).  So
+    a batch takes one summed gather per distinct h, one gather per distinct
+    z, and one ``map(add)`` and one C-level ``min`` per tuple.  The kernel
+    for integer rows; ``_katetov_window`` is the one over a distance dict.
     """
-    out = map(add, vals, gets[0](rows[a[0]]))
-    for get, i in zip(gets[1:], a[1:]):
-        out = map(add, out, get(rows[i]))
-    return min(out)
+    heads: dict[tuple[int, ...], list[int]] = {(): vals}
+    tails: dict[int, tuple[int, ...]] = {}
+    for a in targets:
+        h, z = a[:-1], a[-1]
+        head = heads.get(h)
+        if head is None:
+            head = vals
+            for get, i in zip(gets, h):
+                head = map(add, head, get(rows[i]))
+            head = heads[h] = list(head)
+        tail = tails.get(z)
+        if tail is None:
+            tail = tails[z] = gets[-1](rows[z])
+        yield min(map(add, head, tail))
 
 
 def validate_metric(m: FinMetric) -> list[str]:
@@ -286,7 +290,7 @@ def _katetov_window(entries, tup, dist):
     counts as 0.  A pin's distance is summed only while it can still move
     an end: w - d falls and w + d rises as d grows, so a candidate is cut
     once w - d <= lo and w + d >= hi.  The kernel for tuples over a
-    distance dict; ``IntRows.ceilings`` is the one for integer rows."""
+    distance dict; ``_katetov_gather`` is the one for integer rows."""
     lo, hi = 0, inf
     for ptup, w in entries:
         if w <= lo and w >= hi:

@@ -18,7 +18,9 @@ from itertools import permutations, product
 from operator import add, itemgetter
 from typing import Iterable, Mapping
 
-from .metric import FinMetric, IntRows, WitnessError, tuple_dist, validate_metric
+from .metric import (
+    FinMetric, IntRows, WitnessError, _getter, _katetov_gather, tuple_dist, validate_metric,
+)
 from .rationals import ZERO, scaled
 
 PredTable = dict[tuple[int, int, tuple[str, ...]], Fraction]
@@ -157,7 +159,7 @@ def find_lipschitz_violation(
     holds for every pair.  Otherwise, or when a line fails, the rows are
     cleared in sorted order on integer rows over one common denominator: a
     row a is clear when p(a) <= min over b of p(b) + d(a, b)
-    (``IntRows.ceilings``), and the first row that is not clear is scanned
+    (``_katetov_gather``), and the first row that is not clear is scanned
     for its first b in sorted order.
     """
     items = sorted(values.items())
@@ -175,7 +177,8 @@ def find_lipschitz_violation(
         return None
     index, rows = ir.index, ir.rows
     tups = [tuple(index[p] for p in t) for t, _ in items]
-    for (ta, va), a, vi, cap in zip(items, tups, vals, ir.ceilings(tups, tups, vals)):
+    caps = _katetov_gather(rows, [_getter(col) for col in zip(*tups)], vals, tups)
+    for (ta, va), a, vi, cap in zip(items, tups, vals, caps):
         if vi > cap:
             for (tb, vb), b, vj in zip(items, tups, vals):
                 if vi > vj + sum(rows[x][y] for x, y in zip(a, b)):
@@ -274,7 +277,7 @@ def canonical_extend(
 
     Undefined tuples get the Katetov envelope max(0, max over defined of
     value - sum-distance), read on integer rows as max(0, -min over defined
-    of (sum-distance - value)) (``IntRows.ceilings``).
+    of (sum-distance - value)) (``_katetov_gather``).
     The result does not depend on the processing order, re-application is
     the identity, and the 1-Lipschitz law is preserved.
     """
@@ -290,7 +293,8 @@ def canonical_extend(
     pins = [tuple(index[p] for p in t) for t in values]
     neg = [-scaled(w, ir.den) for w in values.values()]
     todo = [t for t in every if t not in values]
-    lows = ir.ceilings([tuple(index[p] for p in t) for t in todo], pins, neg)
+    lows = _katetov_gather(ir.rows, [_getter(col) for col in zip(*pins)], neg,
+                           [tuple(index[p] for p in t) for t in todo])
     env = {t: Fraction(max(0, -low), ir.den) for t, low in zip(todo, lows)}
     return {t: values[t] if t in values else env[t] for t in every}
 

@@ -12,12 +12,16 @@ The copies read ``IntRows.of``, which now raises on a missing entry where
 it returned None, so only there do they differ from the code they copy.
 ``_clamped`` is the clamp of a rel solver step as it ran in ``cauchy``
 before the oracle's walk clamped (``LimitOracle._walk_slot``), for the two
-solver references.
+solver references.  ``_gather_min`` and ``_ceilings`` are the per-target
+row gather of ``metric`` and the ``IntRows.ceilings`` method that read it,
+as they were before the integer rows kept one batch kernel
+(``metric._katetov_gather``).
 """
 from fractions import Fraction
-from typing import Mapping
+from operator import add
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from urysohn.metric import FinMetric, IntRows, _katetov_window, tuple_dist
+from urysohn.metric import FinMetric, IntRows, _getter, _katetov_window, tuple_dist
 from urysohn.rationals import ZERO, scaled
 from urysohn.relational import _lines_hold, tuples_over
 
@@ -40,7 +44,7 @@ def _envelope(entries, tup, dist):
       The floor changes nothing there, because the value the bound is
       ``max``ed with is >= 0: ``validate_k`` refuses negative targets, and
       profile values and ``gamma`` are >= 0;
-    - ``IntRows.ceilings`` forms the integer sums the validators' row
+    - ``_ceilings`` forms the integer sums the validators' row
       gathers formed, so their batch tests decide the same.
     """
     env = 0
@@ -66,7 +70,7 @@ def find_lipschitz_violation(
     Pairs are scanned in sorted order of (a, b).  When every point the
     tuples use is known and every distance among them is present, rows are
     cleared on integer rows over one common denominator: a row a is clear
-    when p(a) <= min over b of p(b) + d(a, b) (``IntRows.ceilings``), and
+    when p(a) <= min over b of p(b) + d(a, b) (``_ceilings``), and
     only the first row that is not clear is scanned for its first b.
     Otherwise every row above the minimum is scanned in rationals, which
     raises MetricTableError at the first missing entry it reaches.  Both
@@ -106,7 +110,7 @@ def find_lipschitz_violation(
         # the values are >= 0 here, so a floor of -1 skips no row
         floor = min(vals) if min(map(min, ir.rows)) >= 0 else -1
         high = [(item, a, va) for item, a, va in zip(items, tups, vals) if va > floor]
-        caps = ir.ceilings([a for _, a, _ in high], tups, vals)
+        caps = _ceilings(ir, [a for _, a, _ in high], tups, vals)
         suspects = (item for (item, _, va), cap in zip(high, caps) if va > cap)
     for ta, va in suspects:
         for tb, vb in items:
@@ -114,6 +118,29 @@ def find_lipschitz_violation(
             if va > rhs:
                 return ta, tb, va, rhs
     return None
+
+
+def _ceilings(
+    ir: IntRows, targets: Iterable[tuple[int, ...]], tups: Sequence[tuple[int, ...]], vals
+) -> Iterator[int]:
+    """For each index tuple a of ``targets``, the least vals[b] +
+    d(a, tups[b]) in the sum metric: one getter per coordinate, summed
+    with ``map(add, ...)``, and one C-level ``min`` per target."""
+    rows = ir.rows
+    gets = [_getter(col) for col in zip(*tups)]
+    for a in targets:
+        yield _gather_min(rows, gets, vals, a)
+
+
+def _gather_min(rows: list[list[int]], gets: list, vals, a: tuple[int, ...]) -> int:
+    """min over b of vals[b] + d(a, t_b) in the sum metric, where gets[c]
+    is the getter of the c-th coordinates of the tuples t_b: one gather per
+    coordinate of a, summed with ``map(add, ...)``, and one C-level ``min``.
+    """
+    out = map(add, vals, gets[0](rows[a[0]]))
+    for get, i in zip(gets[1:], a[1:]):
+        out = map(add, out, get(rows[i]))
+    return min(out)
 
 
 def _nonnegative(metric: FinMetric, pts: set[str]) -> bool:

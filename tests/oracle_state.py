@@ -9,8 +9,10 @@ snapshot read the damaged state, as they would on a replay of it.
 from fractions import Fraction
 
 from urysohn.engine import LimitOracle
-from urysohn.metric import _gather_min, _getter
+from urysohn.metric import _getter
 from urysohn.rationals import scaled
+
+from katetov_reference import _gather_min
 
 
 def int_dist(o, x, y):
@@ -51,7 +53,8 @@ def full_scan_value(o, n, g, tup):
     """The envelope of slot (n, g) at ``tup`` by one row gather of every
     pin column at each coordinate of the tuple, summed, and one ``min``:
     the scan ``_Pins.low`` made for each cache miss before misses were read
-    in batches.  It reads the current state and never the cache."""
+    in batches, by the reference copy of its gather.  It reads the current
+    state and never the cache."""
     pins = o._pins[(n, g)]
     if not pins.neg:
         return Fraction(0)

@@ -859,6 +859,76 @@ def test_an_invalid_presentation_is_refused_before_any_work(tmp_path, capsys, op
     assert not Path(files["out"]).exists()
 
 
+@pytest.mark.parametrize("lines, error", [
+    (["mode rel", "L 1/1", "grow u1"], "constant L = 1 given without lip mode"),
+    (["mode lip", "grow u1", "gpz 1"], "lip mode needs a positive constant L, a log's L record"),
+])
+def test_a_header_l_record_and_lip_mode_must_agree(tmp_path, capsys, lines, error):
+    # validate and grow --oracle refuse the header alike, and grow leaves
+    # the log as it was
+    z = put(tmp_path, "z.polish", POLISH)
+    log = put(tmp_path, "o.log", "\n".join(["ORACLE", *lines]) + "\n")
+    before = Path(log).read_bytes()
+    spaces = ["--zspace", z] if "mode lip" in lines else []
+    for argv in (["validate", log, *spaces],
+                 ["grow", "--oracle", log, "--dist", "u1=1/1", *spaces, "--out-log", log]):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert Path(log).read_bytes() == before
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["grow", "--mode", "prod", "--suit", "1=1/1"], "a prod-mode oracle needs --space COMPACT_FILE"),
+    (["grow", "--mode", "lip", "--pz", "1", "--lip", "1/1"],
+     "a lip-mode oracle needs --zspace POLISH_FILE"),
+    (["grow", "--mode", "lip", "--zspace", "{z}", "--pz", "1"],
+     "a new lip-mode oracle needs --lip RATIONAL"),
+    (["grow", "--mode", "prod", "--mode", "lip", "--space", "{k}", "--suit", "1=1/1",
+      "--lip", "1/1", "--pz", "1"], "a lip-mode oracle needs --zspace POLISH_FILE"),
+    (["grow", "--oracle", "{prod}", "--dist", "u1=1/1", "--suit", "1=1/1"],
+     "a prod-mode oracle needs --space COMPACT_FILE"),
+    (["validate", "{prod}"], "a prod-mode oracle needs --space COMPACT_FILE"),
+    (["grow", "--oracle", "{lip}", "--dist", "u1=1/1", "--pz", "1"],
+     "a lip-mode oracle needs --zspace POLISH_FILE"),
+    (["validate", "{lip}"], "a lip-mode oracle needs --zspace POLISH_FILE"),
+    (["amalgamate", "{c}", "{c}", "--over", "{c}"], "a C file needs --space COMPACT_FILE"),
+    (["amalgamate", "{l}", "{l}", "--over", "{l}"], "an L file needs --space POLISH_FILE"),
+    (["joint-embed", "{c}", "{c}"], "a C file needs --space COMPACT_FILE"),
+    (["joint-embed", "{l}", "{l}"], "an L file needs --space POLISH_FILE"),
+    (["eval", "{c}", "--point", "a", "--index", "1"], "a C file needs --space COMPACT_FILE"),
+    (["validate", "{c}"], "a C file needs --space COMPACT_FILE"),
+    (["validate", "{l}"], "an L file needs --space POLISH_FILE"),
+])
+def test_a_missing_presentation_or_constant_is_a_usage_error_naming_it(tmp_path, capsys, argv,
+                                                                        error):
+    files = {
+        "k": put(tmp_path, "k.compact", TWO_POINT_COMPACT),
+        "z": put(tmp_path, "z.polish", POLISH),
+        "c": put(tmp_path, "a.c", ONE_POINT_C),
+        "l": put(tmp_path, "a.l", ONE_POINT_L),
+        "prod": put(tmp_path, "prod.log", "ORACLE\nmode prod\ngrow u1\ngsuit 1=1/1\n"),
+        "lip": put(tmp_path, "lip.log", "ORACLE\nmode lip\nL 1/1\ngrow u1\ngpz 1\n"),
+    }
+    out = tmp_path / "out.log"
+    argv = [a.format_map(files) for a in argv]
+    if argv[0] == "grow":
+        argv += ["--out-log", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"usage error: {error}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--space", "--zspace"])
+def test_grow_reads_a_lip_log_with_the_presentations_validate_reads(tmp_path, capsys, flag):
+    z = put(tmp_path, "z.polish", POLISH)
+    log = put(tmp_path, "lip.log", "ORACLE\nmode lip\nL 1/1\ngrow u1\ngpz 1\n")
+    assert main(["validate", log, flag, z]) == 0
+    assert main(["grow", "--oracle", log, "--dist", "u1=1/1", "--pz", "2", flag, z,
+                 "--out-log", log]) == 0
+    assert main(["validate", log, flag, z]) == 0
+    assert capsys.readouterr() == ("valid\nu2\nvalid\n", "")
+
+
 @pytest.mark.parametrize("argv", [
     ["validate", "{dir}"],
     ["certify", "--verify", "{dir}"],

@@ -612,6 +612,22 @@ def test_a_mode_named_twice_is_refused_as_an_unknown_mode_is():
     assert o.modes == ("prod", "lip")
 
 
+def test_a_constant_without_lip_mode_is_refused_and_lip_mode_names_its_constant():
+    # oracle_file writes the constant back as an L record, so an oracle that
+    # holds one it never reads would log a header that says otherwise
+    from urysohn.spaces import CompactPresentation, PolishPresentation
+
+    two = fin_metric(["a", "b"], {("a", "b"): F(1)})
+    with pytest.raises(ValueError, match="constant L = 1 given without lip mode"):
+        LimitOracle(("rel",), lip_const=F(1))
+    with pytest.raises(ValueError, match="constant L = 1/2 given without lip mode"):
+        LimitOracle(("prod",), compact=CompactPresentation(two), lip_const=F(1, 2))
+    with pytest.raises(ValueError, match="needs a positive constant L, a log's L record"):
+        LimitOracle(("lip",), polish=PolishPresentation(two))
+    with pytest.raises(ValueError, match="needs a polish presentation$"):
+        LimitOracle(("lip",), lip_const=F(1))
+
+
 def _state(o):
     return len(o), o.den, list(o.log), dict(o.registry), dict(o._value_cache)
 

@@ -2,7 +2,7 @@
 replaced.
 
 Each reference below is the loop a caller ran before it called
-the Katetov kernels, ``metric._katetov_window`` and ``IntRows.ceilings``:
+the Katetov kernels, ``metric._katetov_window`` and ``metric._katetov_gather``:
 profile evaluation and building, the canonical extension, the clamp windows
 of the random generators and of the profile solver step, and the two
 row-gather scans of the validators.  ``_Pins.unreproduced`` is checked
@@ -19,7 +19,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from urysohn.engine import _Pins
-from urysohn.metric import FinMetric, IntRows, MetricTableError, _katetov_window, tuple_dist
+from urysohn.metric import (
+    FinMetric,
+    IntRows,
+    MetricTableError,
+    _getter,
+    _katetov_gather,
+    _katetov_window,
+    tuple_dist,
+)
 from urysohn.randgen import (
     _clamp,
     compatible_profile,
@@ -40,6 +48,7 @@ from urysohn.spaces import (
     suitable_from_values,
 )
 
+from katetov_reference import _gather_min
 from oracle_state import walk_clamp
 
 F = Fraction
@@ -355,10 +364,57 @@ def test_pin_reproduction_matches_the_old_gather_and_the_envelope(table, data):
     index = ir.index
     tups = [tuple(index[p] for p in t) for t in pins]
     neg = [-w for w in pins.values()]
-    new = [v >= 0 and low + v >= 0 for v, low in zip(pins.values(), ir.ceilings(tups, tups, neg))]
+    lows = _katetov_gather(ir.rows, [_getter(col) for col in zip(*tups)], neg, tups)
+    new = [v >= 0 and low + v >= 0 for v, low in zip(pins.values(), lows)]
     assert new == old_pin_clear(ir, pins)
     rows = {(x, y): ir.rows[index[x]][index[y]] for x in PTS for y in PTS if x != y}
     assert new == [_katetov_window(pins.items(), t, rows)[0] == v for t, v in pins.items()]
+
+
+@st.composite
+def gather_batches(draw):
+    """Integer rows, pins and values, and a batch of index tuples at arity
+    1-3.  The batch is drawn from a few prefixes and a few last points, so
+    both repeat, with some pins among it, in drawn order.  The kernel reads
+    sums alone, so the rows need not be a metric and may be negative."""
+    size, n = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    ints, idx = st.integers(-4, 9), st.integers(0, size - 1)
+    rows = [[draw(ints) for _ in range(size)] for _ in range(size)]
+    pins = draw(st.lists(st.tuples(*[idx] * n), min_size=1, max_size=8))
+    vals = [draw(ints) for _ in pins]
+    heads = draw(st.lists(st.tuples(*[idx] * (n - 1)), min_size=1, max_size=3))
+    lasts = draw(st.lists(idx, min_size=1, max_size=3))
+    batch = draw(st.lists(st.builds(lambda h, z: (*h, z), st.sampled_from(heads),
+                                    st.sampled_from(lasts)), max_size=12))
+    batch += draw(st.lists(st.sampled_from(pins), max_size=2))
+    return rows, pins, vals, draw(st.permutations(batch))
+
+
+# arity 2, both prefixes and both last points repeated, out of sorted order
+REPEATS_UNSORTED = (
+    [[0, 3, 1], [3, 0, 2], [1, 2, 0]],
+    [(0, 1), (2, 2), (1, 0)],
+    [-2, 1, -5],
+    [(2, 1), (0, 0), (2, 0), (0, 1), (2, 1), (1, 1)],
+)
+# arity 3, two prefixes that share their first point
+SHARED_FIRST_POINT = (
+    [[0, 3, 1], [3, 0, 2], [1, 2, 0]],
+    [(0, 1, 2), (1, 2, 0)],
+    [0, -4],
+    [(0, 2, 2), (0, 1, 2), (0, 2, 1), (0, 1, 1)],
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gather_batches())
+@example(REPEATS_UNSORTED)
+@example(SHARED_FIRST_POINT)
+def test_the_batch_gather_matches_the_per_target_gather(batch):
+    rows, pins, vals, targets = batch
+    gets = [_getter(col) for col in zip(*pins)]
+    want = [_gather_min(rows, gets, vals, a) for a in targets]
+    assert list(_katetov_gather(rows, gets, vals, targets)) == want
 
 
 def brute_unreproduced(ir, pins):

@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 from urysohn import relational
 from urysohn.engine import LimitOracle, OracleGrowthError
 from urysohn.files import oracle_file, parse_structure_file, replay_oracle, serialize_structure
-from urysohn.metric import FinMetric, IntRows, fin_metric, katetov_break
+from urysohn.metric import FinMetric, IntRows, _getter, _katetov_gather, fin_metric, katetov_break
 from urysohn.randgen import random_metric
 from urysohn.rationals import fmt_rat, scaled
 from urysohn.relational import find_lipschitz_violation, tuples_over
@@ -244,7 +244,8 @@ def all_pairs_hold(metric, values):
     items = sorted(values.items())
     tups = [tuple(ir.index[p] for p in t) for t, _ in items]
     vals = [scaled(v, ir.den) for _, v in items]
-    return all(v <= cap for v, cap in zip(vals, ir.ceilings(tups, tups, vals)))
+    caps = _katetov_gather(ir.rows, [_getter(col) for col in zip(*tups)], vals, tups)
+    return all(v <= cap for v, cap in zip(vals, caps))
 
 
 def lines_hold(metric, n, values):
