@@ -219,18 +219,19 @@ def cmd_amalgamate(args) -> int:
     a = _load_kind(args.over, kind)
     map_b = _point_map(args.map_b) or {p: p for p in a.metric.points}
     map_c = _point_map(args.map_c) or {p: p for p in a.metric.points}
+    if kind not in ("K", "C", "L"):
+        raise UsageError(f"cannot amalgamate {kind} files")
+    spaces = _spaces(args, kind, what=f"{kind} files")
     if kind == "K":
         pi = identity_witness(a).pi
         wab = EmbeddingWitness(map_b, pi)
         wac = EmbeddingWitness(map_c, pi)
         out = amalgamate_k(b, c, a, wab, wac).result
-    elif kind in ("C", "L"):
-        space, = _spaces(args, kind).values()
+    else:
+        space, = spaces.values()
         for s in (b, c, a):
             _in_space(s, space)
         out = (amalgamate_c if kind == "C" else amalgamate_l)(b, c, a, map_b, map_c, space)
-    else:
-        raise UsageError(f"cannot amalgamate {kind} files")
     _write(args.out, serialize_structure(kind, out))
     return 0
 
@@ -240,15 +241,16 @@ def cmd_joint_embed(args) -> int:
     kind = parsed_a.kind
     a = parsed_a.value
     b = _load_kind(args.b, kind)
+    if kind not in ("K", "C", "L"):
+        raise UsageError(f"cannot joint-embed {kind} files")
+    spaces = _spaces(args, kind, what=f"{kind} files")
     if kind == "K":
         out = joint_embed_k(a, b).result
-    elif kind in ("C", "L"):
-        space, = _spaces(args, kind).values()
+    else:
+        space, = spaces.values()
         for s in (a, b):
             _in_space(s, space)
         out = (joint_embed_c if kind == "C" else joint_embed_l)(a, b, space)
-    else:
-        raise UsageError(f"cannot joint-embed {kind} files")
     _write(args.out, serialize_structure(kind, out))
     return 0
 

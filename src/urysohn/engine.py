@@ -20,6 +20,7 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from itertools import chain, compress, islice, repeat
 from math import lcm
 from operator import add, itemgetter, lt, mul
@@ -206,8 +207,8 @@ class RelExtension:
     ``base_map`` except for exactly one new point.  ``slot_map`` sends every
     slot of ext either to a realized global index or to None for a fresh one.
     ``birth_pins`` may pin a fresh slot on existing points; grow walks them
-    before the extension's tuples (``_step``), so the whole pin set of a
-    fresh slot must be mutually 1-Lipschitz, equal on a tuple of both.
+    sorted, then the extension's tuples without the new point (``_step``),
+    so these must be mutually 1-Lipschitz, equal on a tuple of both.
     """
 
     ext: IndexedStructure
@@ -605,8 +606,9 @@ class LimitOracle:
         an empty base against a nonempty oracle, a joint-embedding gap twice
         the largest value anywhere is used instead.  Every check runs before
         the first write, so a refused request leaves the oracle unchanged.
-        An extension's slots are walked in refuse mode (``_step``): birth
-        pins, then tuples without the new point, then with it, each sorted.
+        An extension's slots are walked in refuse mode (``_step``): a fresh
+        slot's birth pins, then its tuples without the new point; then the
+        tuples without the new point, then with it, each sorted.
         """
         request = ScaledDists.of(base_dists)
         self._check_base(request)
@@ -617,10 +619,13 @@ class LimitOracle:
             ext, bm = rel.ext, rel.base_map
             x = next(p for p in ext.points if p not in bm)
             trans = {**bm, x: new}
-            slots = [((n, m), rel.slot_map[(n, m)], rel.birth_pins.get((n, m), {}), [
-                (tuple(map(trans.get, t)), ext.pred[(n, m, t)])
-                for t in sorted(tuples_over(ext.points, n), key=lambda t: (x in t, t))])
-                for n, m in sorted(ext.slots())]
+            for n, m in sorted(ext.slots()):
+                walk = [(tuple(map(trans.get, t)), ext.pred[(n, m, t)])
+                        for t in sorted(tuples_over(ext.points, n), key=lambda t: (x in t, t))]
+                g, born = rel.slot_map[(n, m)], sorted(rel.birth_pins.get((n, m), {}).items())
+                if g is None:
+                    born += (e for e in walk if new not in e[0])
+                slots.append(((n, m), g, born, walk))
         return self._step(request, new, slots, suitable, lip_index)
 
     def grow_clamped(self, base_dists: Mapping[str, Fraction], new: str,
@@ -633,32 +638,31 @@ class LimitOracle:
         its oracle index or None for a fresh slot, its births {tuple: target}
         in clamp order (on a fresh slot they hold the base tuples), and
         {tuple: target} on the tuples through ``new``, the new point's name
-        there.  ``accept(slot, tuple, target, value)`` sees each clamped
-        value and may raise, before the first write as every check does.
-        The tuples over the base and the new point are walked in grow's
-        order, after the births (``_step``).
+        there, which no oracle point may bear.  ``accept(slot, tuple,
+        target, value)`` sees each clamped value and may raise, before the
+        first write as every check does.
 
         This is grow on the RelExtension the solver built before, births
-        beyond the base as birth pins.  (1) That extension needed no check:
-        its points were the base and one new point, its metric the rows and
-        the request, which the walk reads itself, and its tables every tuple
-        over them, which the walk lists itself; so validate_pattern and the
-        base-map checks of _check_rel had nothing to refuse.  (2) On a
-        realized slot grow walks the same entries in the same order, so each
-        clamped value passes grow's window check, and grow's pins are the
-        ones found here.  (3) On a fresh slot grow walks the deeper births
-        first, but the solver clamps the tuples through the new point against
-        the base tuples and the earlier ones only.  So a second walk, in
-        grow's order and refuse mode, decides the pins and refusals as grow
-        does.  Slots are born only at level 1 of a solve.
+        beyond the base as birth pins, up to the pins of a fresh slot.  (1)
+        That extension needed no check: its points were the base and one new
+        point, its metric the rows and the request, which the walk reads
+        itself, and its tables every tuple over them, which the walk lists
+        itself; so validate_pattern and the base-map checks of _check_rel
+        had nothing to refuse.  (2) grow walks the same tuples through the
+        new point after the same base tuples at the same values, so each
+        clamped value passes grow's window check.  On a realized slot its
+        pins are the ones found here; on a fresh one grow walks the deeper
+        births sorted first and may keep other pins, but both pin sets give
+        the walked values' one envelope (``_walk_slot`` (e)).  Slots are
+        born only at level 1 of a solve.
         """
         request = ScaledDists.of(base_dists)
         self._check_base(request)
         self._check_payload(True, None, None)
-        if new in request.ints:
-            raise OracleGrowthError(f"the new point {new!r} is a base point")
+        if new in self._pos:
+            raise OracleGrowthError(f"the new point {new!r} is an oracle point")
         pts = (*request.ints, new)
-        return self._step(request, new, [(slot, g, born, [
+        return self._step(request, new, [(slot, g, list(born.items()), [
             (t, want[t] if new in t else None)
             for t in sorted(tuples_over(pts, slot[0]), key=lambda t: (new in t, t))])
             for slot, g, born, want in slots], accept=accept)
@@ -668,52 +672,52 @@ class LimitOracle:
         """Commit one growth step over the checked ``request``, the one body
         of grow and grow_clamped.  ``slots`` lists, for each slot (n, m),
         sorted: its oracle index or None for a fresh one, its births
-        {tuple: value} and its walk [(tuple, value)] in order, ``new`` for
-        the new point.  Refuse mode, without ``accept``, walks every slot
-        after the row and the profile and label checks: births sorted, then
-        the walk (``_walk_slot``).  Clamp mode first clamps each slot's
-        births, then its walk, a tuple without ``new`` at its envelope or,
-        on a fresh slot, its birth value; a fresh slot is then walked in
-        refuse mode, its births off the walk sorted first (grow_clamped's
-        (3)).  With an empty base the row sits at the gap of the walked
-        values and the births, in both modes (``_gap``).  The record and the
-        commit come last.
+        [(tuple, value)] on old points and its tuples [(tuple, value)] over
+        the base and ``new``, base tuples first.  Each slot is walked once,
+        in two calls of ``_walk_slot``: its births, then its tuples, the
+        base ones known at the births' values or the envelope.  Refuse mode,
+        without ``accept``, moves no value, so the row and its profile and
+        label checks come first; clamp mode builds the row over the clamped
+        values.  The record and the commit come last.
         """
-        births = {slot: born for slot, _, born, _ in slots if born}
-        slot_assign, fresh = self._assign_slots({s: g for s, g, _, _ in slots}, births)
+        slot_assign, fresh = self._assign_slots(
+            {s: g for s, g, _, _ in slots}, {s: dict(born) for s, _, born, _ in slots if born})
         base = list(request.ints)
         new_id = f"u{len(self._points) + 1}"
-        # per slot: its oracle slot, its refuse walk's births and walk, and
-        # its clamp walk's pins, None where the refuse walk decides them
-        walks = []
-        if accept is None:
-            walks = [((slot[0], slot_assign[slot]), sorted(born.items()), walk, None)
-                     for slot, _, born, walk in slots]
-        else:
-            olds = dict.fromkeys(chain(base, (p for b in births.values() for t in b for p in t)))
-            # one scale holds every target, every oracle value and the request
-            scale = lcm(self._den, request.den, *{
-                v.denominator for _, _, born, walk in slots
-                for v in chain(born.values(), (v for _, v in walk)) if v is not None})
-            ld = self._local_dists(olds, scale // self._den, new,
-                                   {p: e * (scale // request.den) for p, e in request.ints.items()})
-            ren = {new: new_id}
-            for slot, g, born, walk in slots:
-                born, _ = self._walk_slot(slot, born.items(), {}, ld, scale, accept)
-                known = dict(born)
-                if g is not None:  # read in one batch, cached only after the commit
-                    old = [t for t, _ in walk if new not in t]
-                    known = dict(zip(old, self._envelopes(slot[0], g, old)[0]))
-                out, pins = self._walk_slot(slot, walk, known, ld, scale, accept)
-                walk = [(tuple(map(ren.get, t, t)), v) for t, v in out]
-                if g is None:  # walked again in grow's order: the births off out first
-                    listed = {t for t, _ in out}
-                    walk = sorted(e for e in born if e[0] not in listed) + walk
-                walks.append(((slot[0], slot_assign[slot]), [], walk, None if g is None else pins))
-        values = [v for _, born, walk, _ in walks for _, v in chain(born, walk)]
+        values = [v for _, _, born, walk in slots for _, v in chain(born, walk) if v is not None]
+        checked = None if accept else self._row(request, values, suitable, lip_index)
+        # one scale holds every value, every oracle value and the request
+        scale = checked[1] if checked else lcm(self._den, request.den,
+                                               *{v.denominator for v in values})
+        olds = dict.fromkeys(chain(base, (p for _, _, born, _ in slots for t, _ in born for p in t)))
+        ld = self._local_dists(olds, scale // self._den, new,
+                               {p: e * (scale // request.den) for p, e in request.ints.items()})
+        ren, delta, walked = {new: new_id}, {}, {}
+        for slot, g, born, walk in slots:
+            n_g, take = (slot[0], slot_assign[slot]), accept and partial(accept, slot)
+            born, pins = self._walk_slot(n_g, born, {}, ld, scale, take)
+            known = dict(born)
+            if g is not None:  # read in one batch, cached only after the commit
+                old = [t for t, _ in walk if new not in t]
+                known = dict(zip(old, self._envelopes(slot[0], g, old)[0]))
+            walk, more = ([(tuple(map(ren.get, t, t)), v) for t, v in out]
+                          for out in self._walk_slot(n_g, walk, known, ld, scale, take))
+            if pins or more:
+                delta[n_g] = dict(chain(pins, more))
+            walked.update(((*n_g, t), v) for t, v in chain(born, walk))
+        row, den = checked or self._row(request, list(walked.values()), None, None)
+        self._commit(GrowthRecord(new_id, {}, delta, tuple(fresh), suitable, lip_index,
+                                  tuple(sorted(base)) if base else None), row, den, walked)
+        return GrowthResult(new_id, slot_assign)
+
+    def _row(self, request: ScaledDists, values: list[Fraction], suitable,
+             lip_index) -> tuple[list[int], int]:
+        """The new point's row at the step's denominator, which holds the
+        request and the predicate ``values``, the gap over them with an empty
+        base (``_gap``); the profile and the label are checked on it."""
         dens = {request.den, *(v.denominator for v in values)}
         gap = None
-        if not base and self._points:
+        if not request.ints and self._points:
             gap = self._gap(values, suitable, lip_index)
             dens.add(gap.denominator)
         den = self._den_with(dens)
@@ -722,24 +726,7 @@ class LimitOracle:
             self._check_suitable(suitable, row, den)
         if lip_index is not None:
             self._check_lip(lip_index, row, den)
-        olds = {p for _, born, walk, pins in walks if pins is None
-                for t, _ in chain(born, walk) for p in t if p != new_id}
-        ld = self._local_dists(olds, den // self._den, new_id,
-                               {p: row[self._pos[p]] for p in olds})
-        delta, walked = {}, {}
-        for (n, g), born, walk, pins in walks:
-            if pins is None:
-                walk, known = born + walk, {}
-                if (n, g) in self._pins:  # read in one batch, cached only after the commit
-                    old = [t for t, _ in walk if new_id not in t]
-                    known = dict(zip(old, self._envelopes(n, g, old)[0]))
-                walk, pins = self._walk_slot((n, g), walk, known, ld, den)
-            if pins:
-                delta[(n, g)] = dict(map(walk.__getitem__, pins))
-            walked.update(((n, g, t), v) for t, v in walk)
-        self._commit(GrowthRecord(new_id, {}, delta, tuple(fresh), suitable, lip_index,
-                                  tuple(sorted(base)) if base else None), row, den, walked)
-        return GrowthResult(new_id, slot_assign)
+        return row, den
 
     def _check_base(self, request: ScaledDists):
         """Refuse a base whose points are not in the oracle, or whose
@@ -908,27 +895,28 @@ class LimitOracle:
         return ld
 
     def _walk_slot(self, slot, walk, known, ld, den, accept=None):
-        """One slot's window walk in a growth step, in integers at ``den``:
-        the one kernel of grow's refuse mode and grow_clamped's clamp mode.
-        Returns the walked (tuple, value) and the indices of the pins.
+        """One call of a slot's window walk in a growth step, in integers at
+        ``den``: the one kernel of grow's refuse mode and grow_clamped's
+        clamp mode.  Returns the walked (tuple, value) and the pins.
 
         A tuple of ``known`` sits at its value there.  Any other entry (t, v)
-        takes the window [lo, hi] of the entries (s, w) before it, lo =
-        max(0, max of w - d(s, t)) and hi = min of w + d(s, t) over ``ld``
-        (``_katetov_window``), so each pair of entries is decided once, when
-        the later one is walked.  Refuse mode refuses a v outside [lo, hi],
-        or a known tuple at another value, with OracleGrowthError.  Clamp
-        mode, with ``accept``, moves the target v to min(max(v, lo), hi),
-        which later windows read, and ``accept(slot, tuple, target, value)``
+        takes the window [lo, hi] of the entries (s, w) before it in the
+        call, lo = max(0, max of w - d(s, t)) and hi = min of w + d(s, t)
+        over ``ld`` (``_katetov_window``), so each pair of entries is decided
+        once, when the later one is walked.  Refuse mode refuses a v outside
+        [lo, hi], or a known tuple at another value, with OracleGrowthError.
+        Clamp mode, with ``accept``, moves the target v to min(max(v, lo),
+        hi), which later windows read, and ``accept(tuple, target, value)``
         sees it.  The entries above lo are the pins.  One at lo leaves the
         envelope of the entries before it unchanged: lo - d(t, u) <= max(0,
         max of w - d(s, u)) for every u, as d(s, u) <= d(s, t) + d(t, u).
 
-        A step walks its births, then its tuples over the base B and the new
-        point x.  Write P and E for a realized slot's stored pins and their
-        envelope, at which its tuples in B^n are known, and e_b for the
-        requested distance to b.  (a)-(d) read only values the walk leaves in
-        their windows, so they hold in both modes.
+        A step walks each slot in two calls (``_step``): its births, on old
+        points, then its tuples over the base B and the new point x.  Write P
+        and E for a realized slot's stored pins and their envelope, at which
+        its tuples in B^n are known; a fresh slot's are known at the first
+        call's values.  e_b is the requested distance to b.  (a)-(e) read
+        only values the walk leaves in their windows, so they hold in both modes.
         (a) Path row.  For every old q, d(x, q) = min over b of e_b + d(b, q):
             the row is built so, and on B _check_base has checked
             |e_b - e_q| <= d(b, q).  Summing over coordinates, every old tuple
@@ -937,7 +925,12 @@ class LimitOracle:
             E(t) = max(0, max over s in B^n of E(s) - d(s, t)), E 1-Lipschitz.
         (b) Base agreement.  v(s) = E(s) on B^n, so (a) is the envelope of
             the base entries, and pins added earlier join both envelopes: the
-            window before t is the one over P and those pins.
+            window before t is the one over P and those pins.  A birth p off
+            B^n narrows no window of the second call: by (a), with s attaining
+            d(p, t) and |v(p) - v(s)| <= d(p, s), v(p) - d(p, t) <= v(s) -
+            d(s, t) and v(s) + d(s, t) <= v(p) + d(p, t); an empty base puts
+            x at the gap, twice every value.  So each window, refusal and pin
+            is one walk's of the births, then the tuples.
         (c) Lipschitz law against every stored pin (p, w).  v(t) >= v(s) -
             d(s, t) on B^n and v(t) >= 0, so v(t) >= E(t) >= w - d(p, t).
             With s in S(t) attaining d(p, t) in (a), v(t) <= E(s) + d(s, t)
@@ -951,9 +944,13 @@ class LimitOracle:
             v(t) along the walk: a pin has E'(t) >= v; a base tuple has
             E'(t) >= E(t) = v; an entry at lo has E'(s) >= w at each earlier
             (s, w), so E'(t) >= lo = v by 1-Lipschitz.  E'(t) <= v(t): every
-            two entries have |v - w| <= d(s, t), by the later one's window or,
-            for two base tuples, as both sit at E; and each stored pin (p, w)
-            has w - d(p, t) <= v(t) by (c), or by v = E(t) on B^n.
+            two entries have |v - w| <= d(s, t), by the later one's window,
+            by (b), or, for two base tuples, as both sit at E; and each stored
+            pin (p, w) has w - d(p, t) <= v(t) by (c), or by v = E(t) on B^n.
+        (e) Pin choice.  Any set Q of walked entries whose envelope is v at
+            each has the envelope E': each term w - d(s, u) of E' is at most
+            E_Q(u), E_Q being 1-Lipschitz.  So grow's order of the same
+            values, whatever pins it keeps, gives the same later reads.
         """
         entries, out, pins, where = [], [], [], "({},{})".format(*slot)
         for t, v in walk:
@@ -977,9 +974,9 @@ class LimitOracle:
                     w = min(max(w, lo), hi)
                     val = Fraction(w, den)
                 if accept is not None:
-                    accept(slot, t, v, val)
+                    accept(t, v, val)
             if w > lo:
-                pins.append(len(out))
+                pins.append((t, val))
             entries.append((t, w))
             out.append((t, val))
         return out, pins

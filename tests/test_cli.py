@@ -129,6 +129,23 @@ def test_joint_embed_and_amalgamate_k(tmp_path):
     assert "d b c 3/1" in Path(out2).read_text()
 
 
+@pytest.mark.parametrize("argv", [
+    ["amalgamate", "{a}", "{a}", "--over", "{a}", "--space", "{space}"],
+    ["joint-embed", "{a}", "{b}", "--space", "{space}"],
+])
+@pytest.mark.parametrize("space", ["k.compact", "nothere"])
+def test_k_file_commands_refuse_a_presentation_they_do_not_read(tmp_path, capsys, argv, space):
+    # as validate and grow do: refused before it is read, and nothing is written
+    files = {"a": put(tmp_path, "a.k", "K\npoint a\nnA 1\np 1 1 a 1/1\n"),
+             "b": put(tmp_path, "b.k", "K\npoint b\nnA 1\np 1 1 b 2/1\n"),
+             "space": str(tmp_path / space)}
+    put(tmp_path, "k.compact", TWO_POINT_COMPACT)
+    out = tmp_path / "out.k"
+    assert main([arg.format(**files) for arg in argv] + ["--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "usage error: --space: not read for K files\n")
+    assert not out.exists()
+
+
 def test_grow_and_validate_oracle(tmp_path):
     ext = put(tmp_path, "ext.k", "K\npoint x\nnA 1\np 1 1 x 0/1\n")
     log = str(tmp_path / "oracle.log")

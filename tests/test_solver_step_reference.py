@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from urysohn import cauchy
 from urysohn.cauchy import SandwichInfeasible, embed_structure, extend_one_point, required_depth
-from urysohn.engine import LimitOracle, RelExtension
+from urysohn.engine import LimitOracle, OracleGrowthError, RelExtension
 from urysohn.files import oracle_file, serialize_structure
 from urysohn.metric import fin_metric
 from urysohn.randgen import _random_row, random_metric, random_table
@@ -245,29 +245,48 @@ def test_a_value_clamped_to_its_bound_passes_and_one_unit_beyond_is_refused():
     assert state(o) == before
 
 
-def test_a_fresh_slot_decides_its_pins_in_grows_order():
-    """In the solver's order (u3,) forces (u2,) to the low end 1/2 of its
-    window, so (u2,) would be no pin; grow walks the deeper births sorted,
-    (u2,) first, and pins it.  grow_clamped clamps in the one order and
-    pins in the other, as the step before it did."""
-    def oracle():
-        o = LimitOracle()
-        o.grow({})
-        o.grow({"u1": F(1)})
-        o.grow({"u2": F(1, 2), "u1": F(1)})
-        return o
+def three_points():
+    o = LimitOracle()
+    o.grow({})
+    o.grow({"u1": F(1)})
+    o.grow({"u2": F(1, 2), "u1": F(1)})
+    return o
 
+
+def test_a_fresh_slot_keeps_the_pins_of_its_one_walk():
+    """In the solver's order (u3,) forces (u2,) to the low end 1/2 of its
+    window, so (u2,) is no pin.  grow walks the deeper births sorted, (u2,)
+    first, and pins it.  grow_clamped keeps the pins of the walk that
+    clamps, and both pin sets give the same value at every point."""
     seen = []
-    o = oracle()
+    o = three_points()
     born = {("u1",): F(1), ("u3",): F(1), ("u2",): F(1, 4)}
     o.grow_clamped({"u1": F(1, 2)}, "g", [((1, 1), None, born, {("g",): F(1)})],
                    lambda slot, *clamped: seen.append(clamped))
     assert seen == [(("u1",), F(1), F(1)), (("u3",), F(1), F(1)),
                     (("u2",), F(1, 4), F(1, 2)), (("g",), F(1), F(1))]
-    ref = oracle()
+    ref = three_points()
     ext = indexed_structure(fin_metric(["u1", "g"], {("u1", "g"): F(1, 2)}), 1,
                             {(1, 1, ("u1",)): F(1), (1, 1, ("g",)): F(1)})
     ref.grow({"u1": F(1, 2)}, rel=RelExtension(ext, {"u1": "u1"}, {(1, 1): None},
                                                 {(1, 1): {("u3",): F(1), ("u2",): F(1, 2)}}))
-    assert log_bytes(o) == log_bytes(ref)
-    assert ("u2",) in o.log[-1].pins[(1, 1)]
+    assert o.log[-1].pins == {(1, 1): {("u1",): F(1), ("u3",): F(1), ("u4",): F(1)}}
+    assert ("u2",) in ref.log[-1].pins[(1, 1)]
+    tups = [(p,) for p in o.points]
+    for oracle in (o, ref):
+        oracle._value_cache.clear()  # read from the pins alone
+    assert o.predicate_values(1, 1, tups) == ref.predicate_values(1, 1, tups) == [
+        F(1), F(1, 2), F(1), F(1)]
+
+
+def test_grow_clamped_refuses_a_new_point_name_the_oracle_has():
+    """The walk keys distances by name, so a new point named u3 would read
+    d(u1, u3) as the request's 1/2, not the oracle's 1."""
+    o = three_points()
+    before, seen = state(o), []
+    with pytest.raises(OracleGrowthError) as exc:
+        o.grow_clamped({"u1": F(1, 2)}, "u3",
+                       [((1, 1), None, {("u1",): F(0), ("u3",): F(1)}, {("u3",): F(0)})],
+                       lambda *clamped: seen.append(clamped))
+    assert str(exc.value) == "the new point 'u3' is an oracle point"
+    assert seen == [] and state(o) == before
