@@ -705,13 +705,13 @@ class LimitOracle:
             if pins or more:
                 delta[n_g] = dict(chain(pins, more))
             walked.update(((*n_g, t), v) for t, v in chain(born, walk))
-        row, den = checked or self._row(request, list(walked.values()), None, None)
+        row, den = checked or self._row(request, list(walked.values()))
         self._commit(GrowthRecord(new_id, {}, delta, tuple(fresh), suitable, lip_index,
                                   tuple(sorted(base)) if base else None), row, den, walked)
         return GrowthResult(new_id, slot_assign)
 
-    def _row(self, request: ScaledDists, values: list[Fraction], suitable,
-             lip_index) -> tuple[list[int], int]:
+    def _row(self, request: ScaledDists, values: list[Fraction], suitable=None,
+             lip_index=None) -> tuple[list[int], int]:
         """The new point's row at the step's denominator, which holds the
         request and the predicate ``values``, the gap over them with an empty
         base (``_gap``); the profile and the label are checked on it."""
