@@ -661,11 +661,15 @@ class LimitOracle:
         self._check_payload(True, None, None)
         if new in self._pos:
             raise OracleGrowthError(f"the new point {new!r} is an oracle point")
-        pts = (*request.ints, new)
-        return self._step(request, new, [(slot, g, list(born.items()), [
-            (t, want[t] if new in t else None)
-            for t in sorted(tuples_over(pts, slot[0]), key=lambda t: (new in t, t))])
-            for slot, g, born, want in slots], accept=accept)
+        pts, steps = (*request.ints, new), []
+        for slot, g, born, want in slots:
+            tups = sorted(tuples_over(pts, slot[0]), key=lambda t: (new in t, t))
+            if g is None and (lost := [t for t in tups if new not in t and t not in born]):
+                raise OracleGrowthError(
+                    f"fresh slot {slot} has no birth at the base tuple {lost[0]}")
+            steps.append((slot, g, list(born.items()),
+                          [(t, want[t] if new in t else None) for t in tups]))
+        return self._step(request, new, steps, accept=accept)
 
     def _step(self, request: ScaledDists, new: str, slots: list[tuple], suitable=None,
               lip_index=None, accept=None) -> GrowthResult:
@@ -713,8 +717,9 @@ class LimitOracle:
     def _row(self, request: ScaledDists, values: list[Fraction], suitable=None,
              lip_index=None) -> tuple[list[int], int]:
         """The new point's row at the step's denominator, which holds the
-        request and the predicate ``values``, the gap over them with an empty
-        base (``_gap``); the profile and the label are checked on it."""
+        checked request and the predicate ``values``, the gap over them with
+        an empty base (``_gap``); the profile and the label are checked on
+        it.  The one row builder of growth steps and replayed records."""
         dens = {request.den, *(v.denominator for v in values)}
         gap = None
         if not request.ints and self._points:
@@ -729,29 +734,32 @@ class LimitOracle:
         return row, den
 
     def _check_base(self, request: ScaledDists):
-        """Refuse a base whose points are not in the oracle, or whose
-        requested distances e are not positive or not Katetov on the base:
-        |e_p - e_q| <= d(p, q) <= e_p + e_q for each pair.  In integers over
-        the lcm of the request's denominator and the oracle's.  grow and
-        replay_record both decide a base here, so replay refuses exactly
-        what grow refuses."""
-        pos, rows = self._pos, self._rows
+        """Refuse a request whose points are not in the oracle, or whose
+        distances e are not positive or not Katetov on its points:
+        |e_p - e_q| <= d(p, q) <= e_p + e_q for each pair, decided by
+        ``metric.katetov_break`` and named in handle order.  A grow request
+        and a ``gb`` record give a base; a ``gd`` record gives the base of
+        every earlier point.  In integers over the lcm of the request's
+        denominator and the oracle's.  grow and replay_record decide every
+        row they adjoin here, so replay refuses exactly what grow refuses."""
+        pos = self._pos
         for p in request.ints:
             if p not in pos:
                 raise OracleGrowthError(f"base point {p!r} not in the oracle")
+        if not request.ints:
+            return
+        hs, es = zip(*sorted(zip(map(pos.__getitem__, request.ints), request.ints.values())))
+        pts, low = self._points, min(es)
+        if low <= 0:
+            raise OracleGrowthError(f"distance to {pts[hs[es.index(low)]]!r} must be positive")
+        if len(hs) < 2:
+            return
         den = lcm(request.den, self._den)
-        fe, fd = den // request.den, den // self._den
-        base = [(p, e * fe) for p, e in request.ints.items()]
-        for i, (p, ep) in enumerate(base):
-            if ep <= 0:
-                raise OracleGrowthError(f"distance to {p!r} must be positive")
-            row = rows[pos[p]]
-            for q, eq in base[i + 1 :]:
-                dpq = row[pos[q]] * fd
-                if abs(ep - eq) > dpq or dpq > ep + eq:
-                    raise OracleGrowthError(
-                        f"metric infeasible at the base pair ({p!r}, {q!r})"
-                    )
+        fe = den // request.den
+        pair = katetov_break(self._rows, [e * fe for e in es], hs, den // self._den)
+        if pair is not None:
+            p, q = sorted(pair)
+            raise OracleGrowthError(f"metric infeasible at the base pair ({pts[p]!r}, {pts[q]!r})")
 
     def _commit(self, rec: GrowthRecord, row: list[int], den: int, walked=()):
         """Write the step ``rec``, its point at the integer distances ``row``
@@ -789,12 +797,15 @@ class LimitOracle:
         rows, each rescaled to ``den`` and shifted by its e_b.  On the base
         this is the request itself: b's own row gives e_b + d(b, b) = e_b,
         and every other base point b' gives e_b' + d(b', b) >= e_b, because
-        ``_check_base`` has checked |e_b - e_b'| <= d(b, b').
+        ``_check_base`` has checked |e_b - e_b'| <= d(b, b').  So a base of
+        every earlier point, a ``gd`` record's, gives the request as it is.
         """
         if gap is not None:
             return [scaled(gap, den)] * len(self._points)
         request = ScaledDists.of(base_dists)
         factor, fe = den // self._den, den // request.den
+        if len(request.ints) == len(self._points):
+            return [e * fe for e in map(request.ints.__getitem__, self._points)]
         shifted = []
         for p, e in request.ints.items():
             row = self._rows[self._pos[p]]
@@ -1046,19 +1057,6 @@ class LimitOracle:
                     f"index {idx} breaks the Lipschitz bound against {u!r}"
                 )
 
-    def _check_row(self, row: list[int], den: int):
-        """Refuse a whole row, as a ``gd`` record gives it, that is not
-        positive or not a Katetov function on the earlier points
-        (``metric.katetov_break``), so the oracle stays a metric.  Its
-        failures name what _check_base names for a base."""
-        pts = self._points
-        if row and min(row) <= 0:
-            raise OracleGrowthError(f"distance to {pts[row.index(min(row))]!r} must be positive")
-        pair = katetov_break(self._rows, row, den // self._den)
-        if pair is not None:
-            s, q = sorted(pair)
-            raise OracleGrowthError(f"metric infeasible at the pair ({pts[s]!r}, {pts[q]!r})")
-
     # -- snapshots -----------------------------------------------------------
 
     def snapshot(self) -> IndexedStructure:
@@ -1161,18 +1159,19 @@ class LimitOracle:
         slots that take the next free index of their arity within the budget
         len + 2 - n, and pins on slots registered at or before the record
         and on points that exist at that step.  Its values go through
-        grow's own checks, with grow's messages: the base (``_check_base``),
-        the payloads its modes want or do not carry (``_check_payload``),
-        and the profile and the label against every earlier point at the
-        replayed row (``_check_suitable``, ``_check_lip``).  A record that
-        gives the whole row must give one that is positive and Katetov on
-        the earlier points (``_check_row``).  Pin values are left to
-        validate_state.
+        grow's own checks, with grow's messages, in grow's order: its
+        distances first (``_check_base``), a ``gd`` record's whole row as
+        the base of every earlier point, then the payloads its modes want or
+        do not carry (``_check_payload``), then the row, built by grow's own
+        ``_row``, with the profile and the label checked against every
+        earlier point at it (``_check_suitable``, ``_check_lip``).  Pin
+        values are left to validate_state.
 
         A record with a base gives the distances e_b to its base points
-        only, and the row is rebuilt from them by the path rule, as grow
-        built it: r(q) = min over base points b of e_b + d(b, q).  It needs
-        no check beyond the base's.  The earlier points form a metric, as
+        only, and ``_row`` rebuilds the row from them by the path rule, as
+        grow built it: r(q) = min over base points b of e_b + d(b, q); on a
+        whole row this is the row itself (``_extended_row``).  It needs no
+        check beyond the base's.  The earlier points form a metric, as
         every earlier step was checked, and ``_check_base`` has made each
         e_b positive and Katetov on the base.  Each term e_b + d(b, .) is
         then >= e_b > 0 and 1-Lipschitz, and so is their min: r is positive
@@ -1207,7 +1206,7 @@ class LimitOracle:
                 raise OracleGrowthError(
                     f"base {list(rec.base)} wants one distance per base point, in its order"
                 )
-            self._check_base(dists)
+        self._check_base(dists)
         self._check_payload(bool(rec.pins or rec.fresh), rec.suitable, rec.lip_index)
         taken = dict(self._counts)
         for n, g in rec.fresh:
@@ -1217,17 +1216,5 @@ class LimitOracle:
                 why = self._bad_pin(rec, slot, tup)
                 if why:
                     raise OracleGrowthError(why)
-        dens = {dists.den}
-        for delta in rec.pins.values():
-            dens.update(v.denominator for v in delta.values())
-        den = self._den_with(dens)
-        if rec.base is None:
-            row = list(map(mul, map(ints.__getitem__, self._points), repeat(den // dists.den)))
-            self._check_row(row, den)
-        else:
-            row = self._extended_row(dists, None, den)
-        if rec.suitable is not None:
-            self._check_suitable(rec.suitable, row, den)
-        if rec.lip_index is not None:
-            self._check_lip(rec.lip_index, row, den)
-        return row, den
+        return self._row(dists, [v for delta in rec.pins.values() for v in delta.values()],
+                         rec.suitable, rec.lip_index)

@@ -150,15 +150,18 @@ class IntRows:
                     yield i, j
 
 
-def katetov_break(rows: list[list[int]], r: list[int], factor: int = 1) -> tuple[int, int] | None:
-    """A pair (s, q) of earlier points at which the row ``r`` of a new point
-    is not Katetov, |r_s - r_q| <= d(s, q) <= r_s + r_q failing, or None.
+def katetov_break(rows: list[list[int]], r: Sequence[int], handles: Sequence[int],
+                  factor: int = 1) -> tuple[int, int] | None:
+    """A pair (s, q) of the points ``handles`` at which the row ``r`` of a
+    new point is not Katetov, |r_s - r_q| <= d(s, q) <= r_s + r_q failing,
+    or None.
 
-    ``r`` gives the new point's distances, by handle, to the first len(r)
-    points of ``rows``, which must form a metric; each entry of ``rows``
-    times ``factor`` is on r's scale, and r must be >= 0.  Walk the earlier
-    points q in ascending (r_q, q), keep a support S, and gather d(q, S)
-    with one getter to form m(q) = min over s in S of r_s + d(s, q):
+    ``r`` gives the new point's distance to each point of ``handles``, in
+    their order, and the rows of ``rows`` at those handles must form a
+    metric; each entry of ``rows`` times ``factor`` is on r's scale, and r
+    must be >= 0.  Walk the points q in ascending (r_q, position), keep a
+    support S, and gather d(q, S) with one getter to form m(q) = min over
+    s in S of r_s + d(s, q):
     - r_q == m(q): q is explained by S;
     - r_q > m(q): r_q - r_s > d(s, q) at the s attaining m(q);
     - r_q < m(q): q joins S if d(s, q) <= r_s + r_q for every s in S.
@@ -166,10 +169,10 @@ def katetov_break(rows: list[list[int]], r: list[int], factor: int = 1) -> tuple
     If every step passes, r is Katetov on S: |r_s - r_q| <= d(s, q) holds by
     the ascending order and r_q < m(q), and d(s, q) <= r_s + r_q is the join
     check.  The path row f = min over s in S of r_s + d(s, .) extends a
-    Katetov function on S, so it is Katetov on every earlier point, and
-    r = f: on S by the Katetov property; off S because r_q = m(q) >= f(q)
-    when q was met, and no s gives less, the members then present by m(q)
-    and the later ones by r_s >= r_q.  So the earlier points and the new one
+    Katetov function on S, so it is Katetov on every point of ``handles``,
+    and r = f: on S by the Katetov property; off S because r_q = m(q) >=
+    f(q) when q was met, and no s gives less, the members then present by
+    m(q) and the later ones by r_s >= r_q.  So those points and the new one
     form a metric exactly when this returns None.
 
     The cost is at most len(r) * |S| C-level steps: near linear for a row
@@ -179,10 +182,10 @@ def katetov_break(rows: list[list[int]], r: list[int], factor: int = 1) -> tuple
     order = sorted(range(len(r)), key=r.__getitem__)
     if not order:
         return None
-    supp, rs = order[:1], [r[order[0]]]
+    supp, rs = [handles[order[0]]], [r[order[0]]]
     gather = _getter(supp)
-    for q in order[1:]:
-        rq = r[q]
+    for i in order[1:]:
+        q, rq = handles[i], r[i]
         g = gather(rows[q])
         if factor != 1:
             g = [v * factor for v in g]

@@ -598,6 +598,18 @@ def test_validate_refuses_records_grow_cannot_write(tmp_path, capsys, log, error
     assert out.err == f"error: {error}\n"
 
 
+@pytest.mark.parametrize("row", [["gd u1 1/1", "gd u2 9/1"], ["gb u1 1/1", "gb u2 9/1"]],
+                         ids=["whole-row", "base"])
+def test_a_record_fails_its_row_check_before_its_pin_checks(tmp_path, capsys, row):
+    # u3 sits at 9 from u2, beyond d(u2, u1) + d(u1, u3) = 2, and pins a
+    # slot no step registers: both forms of its distances are decided first
+    records = ["mode rel", "grow u1", "grow u2", "gd u1 1/1", "grow u3", *row, "gp 1 1 u3 1/2"]
+    path = put(tmp_path, "order.log", "ORACLE\n" + "\n".join(records) + "\n")
+    assert main(["validate", path]) == 1
+    assert capsys.readouterr() == (
+        "", "error: step 3: metric infeasible at the base pair ('u1', 'u2')\n")
+
+
 def test_a_log_whose_point_grow_could_not_have_named_is_refused(tmp_path, capsys):
     # grow names step N u<N>: a first step named u2 would be taken again by
     # the u2 that grow mints next, and the log it wrote would not validate

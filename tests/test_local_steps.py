@@ -1,10 +1,12 @@
 """Differential tests of the one-step validators against the scans they replace.
 
 ``metric.katetov_break`` decides the triangle inequality one point at a
-time, through the Katetov support of each row, and run on each row in turn
-must agree with an empty ``IntRows.triangle_breaks`` on every symmetric
-table with entries >= 0.  Replay runs it on each row a log gives whole, so a
-damaged log is refused exactly when the scan finds a broken triangle.
+time, through the Katetov support of each row, and run on each row in turn,
+over the handles of the rows before it, must agree with an empty
+``IntRows.triangle_breaks`` on every symmetric table with entries >= 0.
+Replay runs it through ``LimitOracle._check_base`` on each row a log gives
+whole, as the base of every earlier point, so a damaged log is refused
+exactly when the scan finds a broken triangle.
 ``relational._lines_hold`` decides the 1-Lipschitz law of a total table along
 its coordinate lines and must agree with the law over all pairs; with it,
 ``find_lipschitz_violation`` must return what the row scan alone returned.
@@ -40,7 +42,7 @@ def decide(rows):
     The pair a break names must itself fail the Katetov condition."""
     pair = None
     for h, r in enumerate(rows):
-        pair = katetov_break(rows, r[:h])
+        pair = katetov_break(rows, r[:h], range(h))
         if pair is not None:
             s, q = pair
             assert not abs(r[s] - r[q]) <= rows[s][q] <= r[s] + r[q]
@@ -106,7 +108,7 @@ def test_steps_match_the_scan_on_grown_and_replayed_rows(seed, replay):
     assert ok == want
     refusal = replay_refusal(text)
     assert (refusal is None) == want
-    assert want or "metric infeasible at the pair" in refusal
+    assert want or "metric infeasible at the base pair" in refusal
 
 
 def test_damaged_rows_reach_both_answers():
@@ -185,7 +187,7 @@ def test_equilateral_worst_case_passes_and_catches_one_long_pair():
     assert replay_refusal(text) is None
     assert replay_refusal(set_gd(text, "u23", "u7", F(2))) is None  # 1 + 1: still a metric
     long = set_gd(text, "u23", "u7", F(2 * o.den + 1, o.den))
-    assert replay_refusal(long) == "step 23: metric infeasible at the pair ('u1', 'u7')"
+    assert replay_refusal(long) == "step 23: metric infeasible at the base pair ('u1', 'u7')"
     state = unchecked_replay(parse_structure_file(long).value)
     assert reference_validate_state(state) == ["metric: triangle (u7,u23) via u1"]
 

@@ -290,3 +290,18 @@ def test_grow_clamped_refuses_a_new_point_name_the_oracle_has():
                        lambda *clamped: seen.append(clamped))
     assert str(exc.value) == "the new point 'u3' is an oracle point"
     assert seen == [] and state(o) == before
+
+
+def test_grow_clamped_refuses_a_fresh_slot_whose_births_omit_a_base_tuple():
+    """A fresh slot's births hold its base tuples, at which its tuples
+    through the new point are walked; births without (u1,) give that walk
+    no value to read there."""
+    o = LimitOracle()
+    o.grow({})
+    o.grow({"u1": F(1)})
+    before, seen = state(o), []
+    with pytest.raises(OracleGrowthError) as exc:
+        o.grow_clamped({"u1": F(1, 2)}, "g", [((1, 1), None, {}, {("g",): F(1)})],
+                       lambda *clamped: seen.append(clamped))
+    assert str(exc.value) == "fresh slot (1, 1) has no birth at the base tuple ('u1',)"
+    assert seen == [] and state(o) == before
