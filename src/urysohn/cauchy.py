@@ -196,14 +196,14 @@ def extend_one_point(
 
     ``anchors[i]`` stands for target point i; ``known`` maps target slots to
     realized oracle slots, every other slot is freshly registered at step 1.
-    Step l reads the anchors at level k+l+2, checks their pairwise drift
-    against the target metric (within 2^-(l+k+1), widened by ``drift_slack``
-    powers of two), solves the sandwich system and grows the oracle through
-    ``LimitOracle.grow_clamped``, which clamps the requested predicate values
+    Step l reads the anchors at level ``required_depth(k, l)``, checks their pairwise
+    drift against the target metric (below 2^(1 - required_depth(k, l)), widened by
+    ``drift_slack`` powers of two), solves the sandwich system and grows the oracle
+    through ``LimitOracle.grow_clamped``, which clamps the requested predicate values
     into their Katetov windows; the step keeps each value and its deviation check.
-    A value that lands on its target has deviation 0 and is not re-checked;
-    a moved one is refused (``SandwichInfeasible``, before anything is
-    written) when it deviates beyond ``deviation_bound``.
+    A value that lands on its target has deviation 0 and is not re-checked; a moved
+    one is refused (``SandwichInfeasible``, before anything is written) when it
+    deviates beyond ``deviation_bound``.
     """
     assigned = dict(known or {})
     report = validate_k(target)
@@ -288,12 +288,12 @@ def _sandwich_chain(
 
     ``anchors[i]`` stands for point i of ``target_metric``, whose last point
     is the one realized.  Level l reads the anchors at ``required_depth(k,
-    l)``, checks their pairwise drift against the target metric (within
-    2^-(l+k+1), widened by ``drift_slack`` powers of two) and solves the
-    sandwich system.  ``step(level, avec, prev, base_dists)`` then adds the
-    solver's decoration, grows the oracle over ``base_dists`` (the anchors,
-    then the previous approximant ``prev``) and returns the new point id.
-    Every check made is appended to ``checks``.
+    l)``, checks their pairwise drift against the target metric (below
+    2^(1 - required_depth(k, l)), widened by ``drift_slack`` powers of two)
+    and solves the sandwich system.  ``step(level, avec, prev, base_dists)``
+    then adds the solver's decoration, grows the oracle over ``base_dists``
+    (the anchors, then the previous approximant ``prev``) and returns the new
+    point id.  Every check made is appended to ``checks``.
     """
     k = len(target_metric)
     pts = target_metric.points
@@ -304,7 +304,7 @@ def _sandwich_chain(
         avec = [a.at(required_depth(k, level)) for a in anchors]
         if len(set(avec)) != len(avec):
             raise SolverError(f"anchors coincide at level {required_depth(k, level)}")
-        bound = pow2(-(level + k + 1 - drift_slack))
+        bound = pow2(1 + drift_slack - required_depth(k, level))
         for i in range(len(avec)):
             for j in range(i + 1, len(avec)):
                 drift = abs(o.distance(avec[i], avec[j]) - target_metric.d(olds[i], olds[j]))
@@ -476,7 +476,7 @@ def absorption_build_depths(k0: int, n_rounds: int, depth: int) -> list[int]:
     """Build depth per absorption round; round r anchors every later round."""
     build = [depth] * n_rounds
     for r in range(n_rounds - 2, -1, -1):
-        build[r] = build[r + 1] + (k0 + r + 2) + 2
+        build[r] = required_depth(k0 + r + 2, build[r + 1])
     return build
 
 

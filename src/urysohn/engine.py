@@ -679,20 +679,17 @@ class LimitOracle:
         [(tuple, value)] on old points and its tuples [(tuple, value)] over
         the base and ``new``, base tuples first.  Each slot is walked once,
         in two calls of ``_walk_slot``: its births, then its tuples, the
-        base ones known at the births' values or the envelope.  Refuse mode,
-        without ``accept``, moves no value, so the row and its profile and
-        label checks come first; clamp mode builds the row over the clamped
-        values.  The record and the commit come last.
-        """
+        base ones known at the births' values or the envelope.  After
+        ``_check_base`` and ``_check_payload``, both modes check in one order:
+        slots and pins, the walked values, then the row over them with its
+        pairwise profile and label checks (``_row``), and commit last."""
         slot_assign, fresh = self._assign_slots(
             {s: g for s, g, _, _ in slots}, {s: dict(born) for s, _, born, _ in slots if born})
         base = list(request.ints)
         new_id = f"u{len(self._points) + 1}"
-        values = [v for _, _, born, walk in slots for _, v in chain(born, walk) if v is not None]
-        checked = None if accept else self._row(request, values, suitable, lip_index)
         # one scale holds every value, every oracle value and the request
-        scale = checked[1] if checked else lcm(self._den, request.den,
-                                               *{v.denominator for v in values})
+        scale = self._den_with({request.den, *(v.denominator for _, _, born, walk in slots
+                                               for _, v in chain(born, walk) if v is not None)})
         olds = dict.fromkeys(chain(base, (p for _, _, born, _ in slots for t, _ in born for p in t)))
         ld = self._local_dists(olds, scale // self._den, new,
                                {p: e * (scale // request.den) for p, e in request.ints.items()})
@@ -709,7 +706,7 @@ class LimitOracle:
             if pins or more:
                 delta[n_g] = dict(chain(pins, more))
             walked.update(((*n_g, t), v) for t, v in chain(born, walk))
-        row, den = checked or self._row(request, list(walked.values()))
+        row, den = self._row(request, list(walked.values()), suitable, lip_index)
         self._commit(GrowthRecord(new_id, {}, delta, tuple(fresh), suitable, lip_index,
                                   tuple(sorted(base)) if base else None), row, den, walked)
         return GrowthResult(new_id, slot_assign)
@@ -718,8 +715,9 @@ class LimitOracle:
              lip_index=None) -> tuple[list[int], int]:
         """The new point's row at the step's denominator, which holds the
         checked request and the predicate ``values``, the gap over them with
-        an empty base (``_gap``); the profile and the label are checked on
-        it.  The one row builder of growth steps and replayed records."""
+        an empty base (``_gap``); the profile and the label are checked
+        against earlier points at it.  The one row builder of growth steps
+        and replayed records."""
         dens = {request.den, *(v.denominator for v in values)}
         gap = None
         if not request.ints and self._points:
@@ -1011,51 +1009,45 @@ class LimitOracle:
         return g
 
     def _check_payload(self, rel: bool, suitable, lip_index):
-        """Refuse a step without the profile or the label its modes want, or
-        with a payload of a mode the oracle does not carry."""
-        if "prod" in self.modes and suitable is None:
-            raise OracleGrowthError(f"prod mode requires a profile for the new point")
-        if "lip" in self.modes and lip_index is None:
-            raise OracleGrowthError(f"lip mode requires a dense index for the new point")
-        for given, mode, what in (
-            (rel, "rel", "indexed predicates"),
-            (suitable is not None, "prod", "profiles"),
-            (lip_index is not None, "lip", "labels"),
-        ):
+        """Refuse a step without the profile or the label its modes want, with
+        a payload of a mode the oracle does not carry, or one invalid alone."""
+        for mode, given, what in (("prod", suitable, "a profile"),
+                                  ("lip", lip_index, "a dense index")):
+            if mode in self.modes and given is None:
+                raise OracleGrowthError(f"{mode} mode requires {what} for the new point")
+        for given, mode, what in ((rel, "rel", "indexed predicates"),
+                                  (suitable is not None, "prod", "profiles"),
+                                  (lip_index is not None, "lip", "labels")):
             if given and mode not in self.modes:
                 raise OracleGrowthError(f"oracle does not carry {what}")
+        if suitable is not None and (report := validate_suitable(suitable, self.compact)):
+            raise OracleGrowthError(f"profile invalid: {report[0]}")
+        if lip_index is not None:
+            try:
+                self.polish.check_index(lip_index)
+            except IndexError as exc:
+                raise OracleGrowthError(str(exc)) from None
 
     def _check_suitable(self, f: SuitableFn, row: list[int], den: int):
-        """Refuse a profile that is invalid on its own or breaks the cross
-        condition, either way, against the profile of an earlier point at
-        its distance in ``row``: validate_c's checks on every pair with the
-        new point."""
-        k = self.compact
-        report = validate_suitable(f, k)
-        if report:
-            raise OracleGrowthError(f"profile invalid: {report[0]}")
+        """Refuse a profile that breaks the cross condition, either way,
+        against the profile of an earlier point at its distance in ``row``:
+        validate_c's checks on every pair with the new point."""
         for u, fu in self._suit.items():
             d = Fraction(row[self._pos[u]], den)
-            for i, v, _ in _cross_breaks(f, fu, d, k):
+            for i, v, _ in _cross_breaks(f, fu, d, self.compact):
                 raise OracleGrowthError(f"profile value {v} at {i} too far from point {u!r}")
-            for i, _, _ in _cross_breaks(fu, f, d, k):
+            for i, _, _ in _cross_breaks(fu, f, d, self.compact):
                 raise OracleGrowthError(
                     f"existing profile of {u!r} at {i} too far from the new point"
                 )
 
     def _check_lip(self, idx: int, row: list[int], den: int):
-        """Refuse a label outside the presentation, or one that breaks the
-        Lipschitz bound against an earlier point's label at its distance in
-        ``row``: validate_l's checks on every pair with the new point."""
-        try:
-            self.polish.check_index(idx)
-        except IndexError as exc:
-            raise OracleGrowthError(str(exc)) from None
+        """Refuse a label that breaks the Lipschitz bound against an earlier
+        point's label at its distance in ``row``: validate_l's checks on
+        every pair with the new point."""
         for u, iu in self._lip.items():
             if self.polish.d_idx(idx, iu) > self.lip_const * Fraction(row[self._pos[u]], den):
-                raise OracleGrowthError(
-                    f"index {idx} breaks the Lipschitz bound against {u!r}"
-                )
+                raise OracleGrowthError(f"index {idx} breaks the Lipschitz bound against {u!r}")
 
     # -- snapshots -----------------------------------------------------------
 
@@ -1128,8 +1120,10 @@ class LimitOracle:
 
     def _bad_pin(self, rec: GrowthRecord, slot: tuple[int, int],
                  tup: tuple[str, ...]) -> str | None:
-        """Why grow could not have stored this pin of ``rec``, or None; the
-        record's slots and point are not yet written."""
+        """Why grow could not have stored this pin of ``rec``, or None.  On a
+        slot realized before the step grow pins only tuples through the new
+        point: it takes no births there, and its walk knows the other tuples
+        at their envelope, the low end of their window (``_walk_slot``)."""
         if slot not in rec.fresh and slot not in self.registry:
             return f"pin on slot {slot}, which is not registered by then"
         if len(tup) != slot[0]:
@@ -1137,6 +1131,8 @@ class LimitOracle:
         for p in tup:
             if p != rec.point and p not in self._pos:
                 return f"pin at {tup} on {p!r}, which does not exist yet"
+        if slot not in rec.fresh and rec.point not in tup:
+            return f"pin at {tup} on realized slot {slot} does not hold the new point {rec.point!r}"
         return None
 
     def replay_record(self, rec: GrowthRecord):
@@ -1157,12 +1153,12 @@ class LimitOracle:
         The record must have the shape grow writes: the id grow gives step
         N, u<N>, distances to exactly the earlier points or to a base, fresh
         slots that take the next free index of their arity within the budget
-        len + 2 - n, and pins on slots registered at or before the record
-        and on points that exist at that step.  Its values go through
-        grow's own checks, with grow's messages, in grow's order: its
-        distances first (``_check_base``), a ``gd`` record's whole row as
-        the base of every earlier point, then the payloads its modes want or
-        do not carry (``_check_payload``), then the row, built by grow's own
+        len + 2 - n, and pins on slots and points that exist at that step
+        (``_bad_pin``).  Its values go through grow's own checks, with grow's
+        messages, in grow's order: its distances first (``_check_base``), a
+        ``gd`` record's whole row as the base of every earlier point, then
+        its payloads, each wanted, carried and valid (``_check_payload``),
+        then its fresh slots and pins, then the row, built by grow's own
         ``_row``, with the profile and the label checked against every
         earlier point at it (``_check_suitable``, ``_check_lip``).  Pin
         values are left to validate_state.

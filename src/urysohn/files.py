@@ -298,8 +298,8 @@ def _parse_oracle(lines: Iterator[tuple[int, str]]) -> OracleFile:
                     dists,
                     cur["pins"],
                     tuple(cur["fresh"]),
-                    cur["suit"],
-                    cur["pz"],
+                    cur["gsuit"],
+                    cur["gpz"],
                     base,
                 )
             )
@@ -356,23 +356,27 @@ def _parse_oracle(lines: Iterator[tuple[int, str]]) -> OracleFile:
                 "point": parts[1],
                 "pins": {},
                 "fresh": [],
-                "suit": None,
-                "pz": None,
+                "gsuit": None,
+                "gpz": None,
             }
         elif cur is None:
             raise ParseError(lineno, f"record {rec!r} outside a growth block")
+        elif rec in ("gsuit", "gpz") and cur[rec] is not None:
+            raise ParseError(lineno, f"duplicate {rec} record")
         elif rec == "gp":
             n, g, tup, v = _tuple_record(parts, lineno)
-            cur["pins"].setdefault((n, g), {})[tup] = v
+            if tup in (pins := cur["pins"].setdefault((n, g), {})):
+                raise ParseError(lineno, f"duplicate pin record {(n, g, tup)}")
+            pins[tup] = v
         elif rec == "greg":
             _fields(parts, 3, lineno, "an arity and a slot index")
             cur["fresh"].append((_int(parts[1], lineno), _int(parts[2], lineno)))
         elif rec == "gsuit":
             _fields(parts, 2, lineno, "profile entries")
-            cur["suit"] = parse_profile_entries(parts[1], lineno)
+            cur["gsuit"] = parse_profile_entries(parts[1], lineno)
         elif rec == "gpz":
             _fields(parts, 2, lineno, "one integer")
-            cur["pz"] = _int(parts[1], lineno)
+            cur["gpz"] = _int(parts[1], lineno)
         else:
             raise ParseError(lineno, f"unknown record {rec!r}")
     flush()

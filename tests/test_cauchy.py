@@ -342,6 +342,31 @@ def test_stage_depths_cover_anchor_needs():
         assert depths[k - 2] >= required_depth(k, depths[k - 1])
 
 
+def test_the_depth_plan_reads_one_level_budget():
+    # the plan as it was written out before it read required_depth: every
+    # build depth, input depth and homog plan is the same
+    from urysohn.cauchy import absorption_build_depths, absorption_input_depth, homog_depth_plan
+
+    def build(k0, n, depth):
+        out = [depth] * n
+        for r in range(n - 2, -1, -1):
+            out[r] = out[r + 1] + (k0 + r + 2) + 2
+        return out
+
+    for k0 in range(8):
+        for n in range(12):
+            for depth in range(12):
+                want = build(k0, n, depth)
+                assert absorption_build_depths(k0, n, depth) == want
+                assert absorption_input_depth(k0, n, depth) == (want[0] + k0 + 3 if n else depth)
+                if k0 == 0:
+                    assert stage_depths(n, depth) == want
+                if n % 2 == 0:
+                    wish = absorption_input_depth(k0, n, depth)
+                    plan = homog_depth_plan(k0, n // 2, depth)
+                    assert (plan.wish_depth, plan.copy_depth) == (wish, wish + k0 + 3)
+
+
 def test_embed_two_point_zero_set():
     o = LimitOracle()
     depth = 6

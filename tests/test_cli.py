@@ -476,6 +476,32 @@ def test_validate_refuses_a_pin_that_raises_an_existing_value(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: step 3: ")
 
 
+def test_validate_refuses_a_pin_off_the_new_point_on_a_realized_slot(tmp_path, capsys):
+    # u2 re-pins (u1,), realized at 1/2 by step 1, at 7: grow pins a slot
+    # realized before its step only on tuples through the new point
+    log = put(tmp_path, "repin.log", "ORACLE\nmode rel\ngrow u1\ngp 1 1 u1 1/2\ngreg 1 1\n"
+              "grow u2\ngb u1 1/1\ngp 1 1 u1 7/1\n")
+    assert main(["validate", log]) == 1
+    assert capsys.readouterr() == ("", "error: step 2: pin at ('u1',) on realized slot (1, 1) "
+                                       "does not hold the new point 'u2'\n")
+
+
+@pytest.mark.parametrize("base", [[], ["--dist", "u1=1/1"]])
+def test_grow_refuses_a_label_outside_the_presentation_with_any_base(tmp_path, capsys, base):
+    # with an empty base the joint-embedding gap reads the label's distance
+    # to every earlier label, so the label is checked on its own first
+    z = put(tmp_path, "z.polish", "POLISH\npoint z1\npoint z2\nd z1 z2 1/1\n")
+    log = tmp_path / "z.log"
+    assert main(["grow", "--mode", "lip", "--lip", "1/1", "--zspace", z, "--pz", "1",
+                 "--out-log", str(log)]) == 0
+    before = log.read_bytes()
+    capsys.readouterr()
+    assert main(["grow", "--oracle", str(log), "--zspace", z, "--pz", "99", *base,
+                 "--out-log", str(log)]) == 1
+    assert capsys.readouterr() == ("", "error: dense index 99 outside 1..2\n")
+    assert log.read_bytes() == before
+
+
 def test_eval_unknown_point_or_index_is_a_usage_error(tmp_path, capsys):
     space = put(tmp_path, "k.compact", COMPACT)
     cfile = put(tmp_path, "s.c", C_GOOD)

@@ -649,24 +649,104 @@ def test_a_birth_pin_on_a_base_tuple_must_equal_the_extension_there():
     assert _state(o) == before
 
 
-def test_a_profile_fault_is_reported_before_a_predicate_window_fault():
+def _payload_oracle(modes):
+    """A rel+prod or rel+lip oracle over two-point spaces at distance 1,
+    with one point u1: value 0 on the slot (1,1), profile 1 at index 1 or
+    label 1; and the one-point extension at 1/4 from it with value ``v``."""
+    from urysohn.spaces import CompactPresentation, PolishPresentation, suitable
+
+    two = fin_metric(["q1", "q2"], {("q1", "q2"): F(1)})
+    if modes == ("rel", "prod"):
+        o, payload = LimitOracle(modes, compact=CompactPresentation(two)), "suitable"
+        first = suitable({1: F(1)})
+    else:
+        o, payload = LimitOracle(modes, polish=PolishPresentation(two), lip_const=F(1)), "lip_index"
+        first = 1
+    o.grow({}, rel=RelExtension(unary_point("x", 0), {}, {(1, 1): None}), **{payload: first})
+
+    def ext(v):
+        ext = indexed_structure(fin_metric(["b", "x"], {("b", "x"): F(1, 4)}), bound=1,
+                                pred={(1, 1, ("b",)): F(0), (1, 1, ("x",)): F(v)})
+        return RelExtension(ext, {"b": "u1"}, {(1, 1): 1})
+
+    return o, payload, ext
+
+
+def test_a_window_fault_is_reported_before_a_profile_fault():
     # u2 sits 1/4 from u1: its profile value 2 is 1 away from u1's, and its
     # value 3 on the realized slot (1,1) overshoots the ceiling 0 + 1/4.
-    # The profile is checked on the row, before any slot is walked.
-    from urysohn.spaces import CompactPresentation, suitable
+    # Every slot is walked before the row is built, and the profile is
+    # checked against u1 on the row.
+    from urysohn.spaces import suitable
 
-    k = CompactPresentation(fin_metric(["q1", "q2"], {("q1", "q2"): F(1)}))
-    o = LimitOracle(("rel", "prod"), compact=k)
-    o.grow({}, rel=RelExtension(unary_point("x", 0), {}, {(1, 1): None}),
-           suitable=suitable({1: F(1)}))
+    o, _, ext = _payload_oracle(("rel", "prod"))
     before = _state(o)
-    ext = indexed_structure(fin_metric(["b", "x"], {("b", "x"): F(1, 4)}), bound=1,
-                            pred={(1, 1, ("b",)): F(0), (1, 1, ("x",)): F(3)})
+    window = "value 3 at ('u2',) overshoots the ceiling 1/4 of slot (1,1)"
     with pytest.raises(OracleGrowthError) as exc:
-        o.grow({"u1": F(1, 4)}, rel=RelExtension(ext, {"b": "u1"}, {(1, 1): 1}),
-               suitable=suitable({1: F(2)}))
+        o.grow({"u1": F(1, 4)}, rel=ext(3), suitable=suitable({1: F(2)}))
+    assert str(exc.value) == window
+    assert _state(o) == before
+    with pytest.raises(OracleGrowthError) as exc:
+        o.grow({"u1": F(1, 4)}, rel=ext(0), suitable=suitable({1: F(2)}))
     assert str(exc.value) == "profile value 2 at 1 too far from point 'u1'"
     assert _state(o) == before
-    with pytest.raises(OracleGrowthError, match=r"value 3 at \('u2',\) overshoots the ceiling 1/4"):
-        o.grow({"u1": F(1, 4)}, rel=RelExtension(ext, {"b": "u1"}, {(1, 1): 1}),
-               suitable=suitable({1: F(1)}))
+    with pytest.raises(OracleGrowthError) as exc:
+        o.grow({"u1": F(1, 4)}, rel=ext(3), suitable=suitable({1: F(1)}))
+    assert str(exc.value) == window
+    assert _state(o) == before
+
+
+@pytest.mark.parametrize("modes, value, payload, error", [
+    (("rel", "prod"), 0, {5: 1}, "profile invalid: support index 5 outside 1..2"),
+    (("rel", "prod"), 0, {1: 2}, "profile value 2 at 1 too far from point 'u1'"),
+    (("rel", "prod"), 3, {1: 1}, "value 3 at ('u2',) overshoots the ceiling 1/4 of slot (1,1)"),
+    (("rel", "lip"), 0, 9, "dense index 9 outside 1..2"),
+    (("rel", "lip"), 0, 2, "index 2 breaks the Lipschitz bound against 'u1'"),
+    (("rel", "lip"), 3, 1, "value 3 at ('u2',) overshoots the ceiling 1/4 of slot (1,1)"),
+])
+def test_each_single_fault_keeps_its_message(modes, value, payload, error):
+    from urysohn.spaces import suitable
+
+    o, name, ext = _payload_oracle(modes)
+    before = _state(o)
+    given = suitable({i: F(v) for i, v in payload.items()}) if name == "suitable" else payload
+    with pytest.raises(OracleGrowthError) as exc:
+        o.grow({"u1": F(1, 4)}, rel=ext(value), **{name: given})
+    assert str(exc.value) == error
+    assert _state(o) == before
+
+
+def test_a_record_with_an_invalid_profile_is_refused_before_its_pins():
+    # the pin names a slot no step has registered, and the profile an index
+    # outside the presentation: the payload is decided first
+    from urysohn.engine import GrowthRecord
+    from urysohn.spaces import suitable
+
+    o, _, _ = _payload_oracle(("rel", "prod"))
+    before = _state(o)
+    rec = GrowthRecord("u2", {"u1": F(1, 4)}, {(1, 2): {("u2",): F(1)}}, (),
+                       suitable({5: F(1)}), None, ("u1",))
+    with pytest.raises(OracleGrowthError) as exc:
+        o.replay_record(rec)
+    assert str(exc.value) == "step 2: profile invalid: support index 5 outside 1..2"
+    assert _state(o) == before
+    rec = GrowthRecord("u2", {"u1": F(1, 4)}, {(1, 2): {("u2",): F(1)}}, (),
+                       suitable({1: F(1)}), None, ("u1",))
+    with pytest.raises(OracleGrowthError, match=r"pin on slot \(1, 2\), which is not registered"):
+        o.replay_record(rec)
+    assert _state(o) == before
+
+
+def test_an_empty_base_grow_checks_its_label_before_the_gap_reads_it():
+    # the joint-embedding gap reads the label's distance to every earlier
+    # label, so the label is checked on its own before
+    from urysohn.spaces import PolishPresentation
+
+    two = fin_metric(["z1", "z2"], {("z1", "z2"): F(1)})
+    o = LimitOracle(("lip",), polish=PolishPresentation(two), lip_const=F(1))
+    o.grow({}, lip_index=1)
+    before = _state(o)
+    with pytest.raises(OracleGrowthError) as exc:
+        o.grow({}, lip_index=99)
+    assert str(exc.value) == "dense index 99 outside 1..2"
+    assert _state(o) == before
