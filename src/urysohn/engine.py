@@ -615,7 +615,7 @@ class LimitOracle:
         self._check_payload(rel is not None, suitable, lip_index)
         new, slots = f"u{len(self._points) + 1}", []
         if rel is not None:
-            self._check_rel(rel, list(base_dists), base_dists)
+            self._check_rel(rel, base_dists)
             ext, bm = rel.ext, rel.base_map
             x = next(p for p in ext.points if p not in bm)
             trans = {**bm, x: new}
@@ -785,7 +785,7 @@ class LimitOracle:
         self._value_cache.update(walked)
         return rec
 
-    def _extended_row(self, base_dists: Mapping[str, Fraction], gap, den) -> list[int]:
+    def _extended_row(self, request: ScaledDists, gap, den) -> list[int]:
         """Distances from the new point to every point by handle, as
         integers at ``den``.
 
@@ -800,7 +800,6 @@ class LimitOracle:
         """
         if gap is not None:
             return [scaled(gap, den)] * len(self._points)
-        request = ScaledDists.of(base_dists)
         factor, fe = den // self._den, den // request.den
         if len(request.ints) == len(self._points):
             return [e * fe for e in map(request.ints.__getitem__, self._points)]
@@ -829,7 +828,7 @@ class LimitOracle:
             )
         return jep_gap(values)
 
-    def _check_rel(self, rel: RelExtension, base, base_dists):
+    def _check_rel(self, rel: RelExtension, base_dists):
         """Every check of an extension but the 1-Lipschitz law and base
         agreement, which are its refuse-mode walk in ``_step``.  Its metric
         needs none of its own: _check_base has made the request e positive
@@ -837,8 +836,8 @@ class LimitOracle:
         distinct and mapped injectively onto the base, with d(x, p) =
         d(p, x) = e there and d(p, q) = d(q, p) = the oracle's distance.  So
         the extension is the base plus one Katetov row: a metric.  Birth pins
-        on slots outside the extension, which _step never sees, meet
-        _assign_slots here."""
+        on a slot outside the extension, which _step never sees, are refused
+        here; _step's _assign_slots decides the others."""
         ext, bm = rel.ext, rel.base_map
         report = validate_pattern(ext)
         if report:
@@ -850,7 +849,7 @@ class LimitOracle:
             raise OracleGrowthError("extension repeats a point")
         if len(set(bm.values())) != len(bm):
             raise OracleGrowthError("base map is not injective")
-        if set(bm.values()) != set(base):
+        if set(bm.values()) != set(base_dists):
             raise OracleGrowthError("base map image must equal the base")
         new_pt, d = new_pts[0], ext.metric.d
         for p in bm:
@@ -864,7 +863,8 @@ class LimitOracle:
                     )
         if set(rel.slot_map.keys()) != set(ext.slots()):
             raise OracleGrowthError("slot map must cover exactly the extension slots")
-        return self._assign_slots(rel.slot_map, rel.birth_pins)
+        if off := next((slot for slot in rel.birth_pins if slot not in rel.slot_map), None):
+            raise OracleGrowthError(f"birth pins are only allowed on fresh slots, got {off}")
 
     def _assign_slots(self, slot_map, births):
         """The oracle slot of each request slot, sorted, and the fresh ones,

@@ -7,12 +7,11 @@ snapshot read the damaged state, as they would on a replay of it.
 ``walk_clamp`` runs the oracle's clamp walk on one target of its own.
 """
 from fractions import Fraction
+from operator import add
 
 from urysohn.engine import LimitOracle
 from urysohn.metric import _getter
 from urysohn.rationals import scaled
-
-from katetov_reference import _gather_min
 
 
 def int_dist(o, x, y):
@@ -49,11 +48,23 @@ def set_int_pin(o, slot, tup, v):
     o._value_cache.clear()
 
 
+def _gather_min(rows: list[list[int]], gets: list, vals, a: tuple[int, ...]) -> int:
+    """min over b of vals[b] + d(a, t_b) in the sum metric, where gets[c]
+    is the getter of the c-th coordinates of the tuples t_b: one gather per
+    coordinate of a, summed with ``map(add, ...)``, and one C-level ``min``.
+    The per-target gather the rows kept before one batch kernel
+    (``metric._katetov_gather``)."""
+    out = map(add, vals, gets[0](rows[a[0]]))
+    for get, i in zip(gets[1:], a[1:]):
+        out = map(add, out, get(rows[i]))
+    return min(out)
+
+
 def full_scan_value(o, n, g, tup):
     """The envelope of slot (n, g) at ``tup`` by one row gather of every
     pin column at each coordinate of the tuple, summed, and one ``min``:
     the scan ``_Pins.low`` made for each cache miss before misses were read
-    in batches, by the reference copy of its gather.  It reads the current
+    in batches, by its per-target gather.  It reads the current
     state and never the cache."""
     pins = o._pins[(n, g)]
     if not pins.neg:

@@ -20,7 +20,7 @@ from urysohn.files import (
     serialize_structure,
 )
 
-from test_grow_reference import grown_rel_oracle
+from random_structures import grown_rel_oracle
 from test_validate_reference import decorated_oracle
 
 ORACLES = {

@@ -315,6 +315,45 @@ def test_birth_pins_only_on_fresh_slots():
         o.grow({"u1": F(1)}, rel=rel)
 
 
+def _birth_pin_request(births):
+    """A two-point oracle, u1 valued 0 on the unary slot (1, 1), and an
+    extension at 1/2 from u1 with two fresh slots beside (1, 1)."""
+    o = LimitOracle()
+    o.grow({}, rel=one_point_ext(0))
+    o.grow({"u1": F(1)})
+    ext = indexed_structure(fin_metric(["b", "x"], {("b", "x"): F(1, 2)}), bound=2)
+    slot_map = {(1, 1): 1, (1, 2): None, (2, 1): None}
+    return o, RelExtension(ext, {"b": "u1"}, slot_map, births)
+
+
+def test_grow_assigns_the_slots_of_an_extension_once(monkeypatch):
+    o, rel = _birth_pin_request({(1, 2): {("u2",): F(1, 4)}})
+    calls = []
+    real = LimitOracle._assign_slots
+    monkeypatch.setattr(LimitOracle, "_assign_slots",
+                        lambda self, *args: calls.append(args) or real(self, *args))
+    o.grow({"u1": F(1, 2)}, rel=rel)
+    assert len(calls) == 1
+    assert o.log[-1].pins[(1, 2)][("u2",)] == F(1, 4)
+
+
+@pytest.mark.parametrize("births, error", [
+    ({(1, 3): {("u1",): F(0)}}, "birth pins are only allowed on fresh slots, got (1, 3)"),
+    ({(1, 1): {("u2",): F(0)}}, "birth pins are only allowed on fresh slots, got (1, 1)"),
+    ({(1, 2): {("u1", "u2"): F(0)}}, "birth pin arity mismatch at ('u1', 'u2')"),
+    ({(2, 1): {("u1", "u9"): F(0)}}, "birth pin on unknown points ('u1', 'u9')"),
+])
+def test_each_birth_pin_fault_keeps_its_message(births, error):
+    """A slot outside the extension, a realized slot, a wrong arity and an
+    unknown point, one at a time."""
+    o, rel = _birth_pin_request(births)
+    before = _state(o)
+    with pytest.raises(OracleGrowthError) as exc:
+        o.grow({"u1": F(1, 2)}, rel=rel)
+    assert str(exc.value) == error
+    assert _state(o) == before
+
+
 def test_an_empty_base_counts_birth_pins_in_the_gap(tmp_path):
     """The birth pin (u1,) at 10 puts the gap at 20, where the other values,
     all 0, give 1: so (u2,) at 0 is 20 from (u1,), within its window."""

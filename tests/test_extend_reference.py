@@ -11,6 +11,7 @@ fresh slots and arity bounds 0 to 2, and refuse the same bad input with the
 same exception and message.
 """
 from dataclasses import fields
+from fractions import Fraction
 from math import lcm
 from random import Random
 
@@ -31,7 +32,7 @@ from urysohn.cauchy import (
 )
 from urysohn.engine import LimitOracle, RelExtension
 from urysohn.files import oracle_file, serialize_structure
-from urysohn.metric import fin_metric
+from urysohn.metric import _katetov_window, fin_metric
 from urysohn.randgen import random_metric, random_table
 from urysohn.rationals import scaled
 from urysohn.relational import (
@@ -42,8 +43,16 @@ from urysohn.relational import (
     validate_k,
 )
 
-from katetov_reference import _clamped
 from random_structures import random_extension_bark
+
+
+def _clamped(eps, defined, dist, tup, scale) -> tuple[Fraction, int]:
+    """A target clamped into the window of the values ``defined``, as a solver
+    step's walk clamps it; values, ``dist`` and the second result at ``scale``."""
+    val = scaled(eps, scale)
+    lo, hi = _katetov_window(defined.items(), tup, dist)
+    v = min(max(val, lo), hi)
+    return (eps if v == val else Fraction(v, scale)), v
 
 
 def reference_extend_one_point(o, anchors, target, known=None, depth=6, drift_slack=0):

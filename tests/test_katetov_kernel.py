@@ -26,6 +26,7 @@ from urysohn.metric import (
     _getter,
     _katetov_gather,
     _katetov_window,
+    fin_metric,
     tuple_dist,
 )
 from urysohn.randgen import (
@@ -48,8 +49,7 @@ from urysohn.spaces import (
     suitable_from_values,
 )
 
-from katetov_reference import _gather_min
-from oracle_state import walk_clamp
+from oracle_state import _gather_min, walk_clamp
 
 F = Fraction
 PTS = ("a", "b", "c", "d")
@@ -351,6 +351,26 @@ def test_find_lipschitz_violation_matches_on_unknown_points_and_ties():
         assert find_lipschitz_violation(metric, values) == old_find_lipschitz_violation(
             metric, values
         )
+
+
+def test_an_unknown_point_or_a_missing_entry_raises_before_any_scan():
+    m = fin_metric(["a", "b"], {("a", "b"): F(1)})
+    # (b, a) breaks the law, but the unknown point z is refused first
+    with pytest.raises(MetricTableError, match="unknown point 'z'"):
+        find_lipschitz_violation(m, {("a",): F(0), ("b",): F(3), ("z",): F(0)})
+    m = FinMetric(("a", "b", "c"), {("a", "b"): F(1), ("b", "a"): F(1)})
+    with pytest.raises(MetricTableError, match=r"no distance entry for \('a', 'c'\)"):
+        find_lipschitz_violation(m, {("a",): F(0), ("c",): F(0)})
+    # canonical_extend reads every point of the metric, so a missing entry
+    # raises even off the pins
+    with pytest.raises(MetricTableError, match="no distance entry"):
+        canonical_extend(m, {("a",): F(1)}, 1)
+
+
+def test_canonical_extend_is_the_exact_envelope_under_a_negative_distance():
+    # the pin of weight 0 lifts b to 0 - (-1/4)
+    m = FinMetric(("a", "b"), {("a", "b"): F(-1, 4), ("b", "a"): F(-1, 4)})
+    assert canonical_extend(m, {("a",): F(0)}, 1) == {("a",): F(0), ("b",): F(1, 4)}
 
 
 @settings(max_examples=150, deadline=None)

@@ -10,7 +10,7 @@ from random import Random
 
 from urysohn.files import oracle_file, parse_structure_file, replay_oracle, serialize_structure
 
-from test_grow_reference import grown_rel_oracle
+from random_structures import grown_rel_oracle
 from test_validate_reference import decorated_oracle
 
 

@@ -23,7 +23,7 @@ from urysohn.metric import fin_metric, single_point
 from urysohn.relational import indexed_structure, tuples_over
 
 from oracle_state import full_scan_value, stale_cache_entries, walked_keys
-from test_grow_reference import grown_rel_oracle
+from random_structures import grown_rel_oracle
 
 F = Fraction
 

@@ -5,10 +5,13 @@ it emits and the ORACLE log of the oracle it grew, written twice: by the
 all-``gd`` reference writer, whose hashes are those of the logs written
 before base steps were logged by their base alone, and by the log writer.
 The solvers must keep producing these bytes exactly: check names, check
-order, distances, pins, profiles and labels all enter the hashes.
+order, distances, pins, profiles and labels all enter the hashes.  They
+must produce them on an oracle that never pads its denominator too, so the
+padding reaches no output.
 """
 import hashlib
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -196,3 +199,27 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_solver_output_bytes_are_pinned(name):
     assert CASES[name]() == PINNED[name]
+
+
+def plain_lcm(o, dens):
+    """The least denominator that holds the state and ``dens``: the one
+    ``LimitOracle._den_with`` pads with two-powers."""
+    return lcm(o.den, *dens)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_the_denominator_padding_reaches_no_output(name, monkeypatch):
+    monkeypatch.setattr(LimitOracle, "_den_with", plain_lcm)
+    assert CASES[name]() == PINNED[name]
+
+
+def test_the_model_draws_pass_without_the_padding(monkeypatch):
+    """A few draws of test_model_oracle on an oracle that never pads."""
+    import test_model_oracle as t
+
+    monkeypatch.setattr(LimitOracle, "_den_with", plain_lcm)
+    for seed in range(4):
+        t.solve(seed, t.GRIDS[seed % len(t.GRIDS)], 2 + seed % 2)
+    t.test_grow_steps_decide_as_the_model()
+    t.test_an_empty_base_clamp_step_keeps_the_gap_over_its_clamped_values()
+    t.test_embed_structure_matches_the_model(3)

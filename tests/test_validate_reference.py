@@ -55,8 +55,8 @@ from urysohn.relational import validate_k
 from urysohn.spaces import SuitableFn, suitable
 
 from oracle_state import int_pins, int_table, set_int_pin
+from random_structures import random_request
 from reference_log import reference_oracle_text, unchecked_replay
-from test_grow_reference import random_request
 
 F = Fraction
 
