@@ -1,11 +1,13 @@
-"""Tests of LimitOracle.grow's state on a refusal, of the envelope gather
-and of the path-rule row.
+"""Tests of LimitOracle.grow against the definitional model, of its state
+on a refusal, of the envelope gather and of the path-rule row.
 
-A refused request leaves the oracle unchanged, its denominator too;
+Random rel requests, intact and damaged, are decided by the engine as by
+``model_oracle.ModelOracle``, which checks each whole from the definitions:
+the same accept or refuse and the same kind of fault, and the same reads
+after.  A refused request leaves the oracle unchanged, its denominator too;
 predicate_value's row gather gives the low end of the Katetov window over a
 (str, str) table of the same integers; and the distance row of a request is
-the old per-point scan's.  ``test_model_oracle`` holds the growth step to
-its definitional model.
+the old per-point scan's.
 """
 from fractions import Fraction
 from random import Random
@@ -14,14 +16,103 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from urysohn.engine import LimitOracle, OracleGrowthError, RelExtension, ScaledDists
-from urysohn.metric import _katetov_window, fin_metric
+from urysohn.metric import MetricTableError, _katetov_window, fin_metric
 from urysohn.rationals import scaled
 from urysohn.relational import IndexedStructure, pattern_indices
 
+from model_oracle import ModelOracle
 from oracle_state import int_pins, int_table
-from random_structures import grown_rel_oracle
+from random_structures import damaged, grown_rel_oracle, random_request
+from test_model_oracle import fault, outcome, same_reads, twin
 
 F = Fraction
+
+
+WALK_FAULTS = {
+    "fresh slot inconsistent": "born inconsistent",
+    "realized undershoot": "undershoots the envelope",
+    "realized overshoot": "overshoots the ceiling",
+    "base disagreement": "disagrees on base",
+}
+
+
+def decide(o, m, base_dists, rel):
+    """grow on the engine and on the model, which must decide alike: None,
+    or the words of the engine's refusal."""
+    want = outcome(m.grow, base_dists, rel)
+    try:
+        got = o.grow(base_dists, rel=rel)
+    except (OracleGrowthError, MetricTableError) as exc:
+        assert want == ("refused", fault(exc)), str(exc)
+        return str(exc)
+    assert got == want
+    return None
+
+
+@given(st.integers(min_value=0, max_value=2**32))
+@settings(max_examples=60, deadline=None)
+def test_grow_matches_whole_oracle_reference(seed):
+    """Random rel requests among plain grows, on the engine and the model."""
+    rng = Random(seed)
+    o, m = LimitOracle(), ModelOracle()
+    for _ in range(10):
+        if o.points and rng.random() < 0.2:
+            twin(o, m, "grow", {rng.choice(o.points): F(rng.randint(1, 6), 2)})
+            continue
+        twin(o, m, "grow", *random_request(rng, o))
+    same_reads(o, m)
+    assert o.validate_state() == []
+
+
+def test_reference_sees_accepted_and_refused_requests():
+    """The random requests reach every branch the differential test needs,
+    and every refusal grow's refuse-mode walk can make, each decided as the
+    model decides it."""
+    seen = dict.fromkeys(["accepted", "refused", "realized", "birth", "empty base"], 0)
+    seen.update(dict.fromkeys(WALK_FAULTS, 0))
+    for seed in range(40):
+        rng = Random(seed)
+        o, m = LimitOracle(), ModelOracle()
+        for _ in range(10):
+            base_dists, rel = random_request(rng, o)
+            refusal = decide(o, m, base_dists, rel)
+            if refusal is None:
+                seen["accepted"] += 1
+                seen["realized"] += any(g is not None for g in rel.slot_map.values())
+                seen["birth"] += bool(rel.birth_pins)
+                seen["empty base"] += not base_dists
+                continue
+            seen["refused"] += 1
+            # a fresh slot's faults all read "born inconsistent" first
+            kind = next((k for k, text in WALK_FAULTS.items() if text in refusal), None)
+            if kind is not None:
+                seen[kind] += 1
+        same_reads(o, m)
+    assert all(count >= 5 for count in seen.values()), seen
+
+
+def test_grow_refuses_damaged_extensions_as_the_full_metric_check_did():
+    """The model checks the extension's metric whole.  Each request over two
+    base points or more is sent with every fault of ``damaged`` in turn,
+    then intact, to the engine and the model grown alike: each is decided
+    alike, and each fault is refused."""
+    refused = {}  # fault -> refusals of a request whose intact form was accepted
+    for seed in range(20):
+        rng = Random(seed)
+        o, m = LimitOracle(), ModelOracle()
+        for _ in range(4):
+            twin(o, m, "grow", *random_request(rng, o))
+        for _ in range(8):
+            base_dists, rel = random_request(rng, o)
+            if len(base_dists) < 2:
+                continue
+            outcomes = [(kind, twin(o, m, "grow", dists, bad))
+                        for kind, dists, bad in damaged(rng, base_dists, rel)]
+            if not isinstance(twin(o, m, "grow", base_dists, rel), tuple):
+                for kind, got in outcomes:
+                    refused[kind] = refused.get(kind, 0) + isinstance(got, tuple)
+        same_reads(o, m)
+    assert len(refused) == 11 and min(refused.values()) >= 5, refused
 
 
 def state_of(o):

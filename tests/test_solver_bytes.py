@@ -214,12 +214,14 @@ def test_the_denominator_padding_reaches_no_output(name, monkeypatch):
 
 
 def test_the_model_draws_pass_without_the_padding(monkeypatch):
-    """A few draws of test_model_oracle on an oracle that never pads."""
+    """A few draws of test_model_oracle and test_one_walk_step on an oracle
+    that never pads."""
     import test_model_oracle as t
+    import test_one_walk_step
 
     monkeypatch.setattr(LimitOracle, "_den_with", plain_lcm)
     for seed in range(4):
         t.solve(seed, t.GRIDS[seed % len(t.GRIDS)], 2 + seed % 2)
-    t.test_grow_steps_decide_as_the_model()
+    test_one_walk_step.test_grow_steps_match_the_two_walk_step()
     t.test_an_empty_base_clamp_step_keeps_the_gap_over_its_clamped_values()
     t.test_embed_structure_matches_the_model(3)

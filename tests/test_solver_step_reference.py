@@ -5,20 +5,60 @@ and the solver keeps only its deviation accounting.
 A step the deviation bound refuses leaves the oracle as it was, a value
 clamped to its bound passes and one unit beyond is refused, a fresh slot
 keeps the pins of its one walk, and grow_clamped refuses a new point name
-the oracle has and a fresh slot whose births omit a base tuple.
-``test_model_oracle`` holds the step to its definitional model.
+the oracle has and a fresh slot whose births omit a base tuple.  The
+solver's fixed cases reach births beside realized slots, sparse index
+sets, moved values and deviation refusals; ``test_model_oracle`` and
+``test_one_walk_step`` hold the step to its definitional model on them.
 """
 from fractions import Fraction
 
 import pytest
 
 from urysohn import cauchy
-from urysohn.cauchy import SandwichInfeasible, embed_structure, extend_one_point, required_depth
+from urysohn.cauchy import (
+    SandwichInfeasible,
+    SolverError,
+    embed_structure,
+    extend_one_point,
+    required_depth,
+)
 from urysohn.engine import LimitOracle, OracleGrowthError, RelExtension
 from urysohn.metric import fin_metric
 from urysohn.relational import indexed_structure
 
+from random_structures import GRIDS, case
+
 F = Fraction
+
+
+def test_the_cases_cover_births_slot_mixes_and_sparse_index_sets():
+    shapes = set()
+    for seed in range(40):
+        _, target, known, _ = case(seed, GRIDS[seed % len(GRIDS)], 2)
+        sparse = any(ms != tuple(range(1, len(ms) + 1)) for ms in target.indices.values())
+        births = len(target) > 1 and len(known) < len(target.slots())
+        shapes.add((target.bound, sparse, births, bool(known)))
+    assert {b for b, *_ in shapes} == {0, 1, 2}
+    assert any(sparse for _, sparse, _, _ in shapes)
+    # a fresh slot born along the anchors beside a realized one
+    assert any(births and realized for _, _, births, realized in shapes)
+
+
+def test_the_cases_cover_moved_values_and_deviation_refusals():
+    """The solver's cases reach the deviation accounting's other branch:
+    values the clamp moves off their targets, within the bound, and steps
+    the bound refuses."""
+    moved = refused = 0
+    for seed in range(40):
+        build, target, known, depth = case(seed, GRIDS[seed % len(GRIDS)], 2 + seed % 2)
+        o, anchors = build()
+        try:
+            out = extend_one_point(o, anchors, target, known, depth)
+        except (SandwichInfeasible, SolverError) as exc:
+            refused += "deviates by" in str(exc)
+            continue
+        moved += sum(sv.value != sv.target for sv in out.values)
+    assert moved >= 10 and refused >= 1, (moved, refused)
 
 
 def state(o):
